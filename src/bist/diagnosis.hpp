@@ -19,7 +19,9 @@ namespace bistdse::bist {
 
 struct DiagnosisCandidate {
   sim::StuckAtFault fault;
-  double score = 0.0;  ///< Jaccard index of predicted vs. observed windows.
+  /// Jaccard index of predicted vs. observed failing windows plus a
+  /// signature bonus (matched fraction of the fail data), so in [0, 2].
+  double score = 0.0;
 };
 
 class SignatureDiagnosis {

@@ -7,13 +7,15 @@
 //  - admission is bounded with a per-ECU share,
 //  - dictionary hot-reload drains in-flight requests against the old
 //    generation with zero drops and rejects wrong-CUT artifacts,
-//  - upload failures are attributable from the per-transfer counters.
+//  - upload failures are attributable from the per-transfer counters,
+//  - uploads naming windows past the dictionary are served in bounds.
 // The TSan leg runs this suite: ConcurrentReloadWhileServing races Reload()
 // against the serving loop.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +40,12 @@ class ServeTest : public ::testing::Test {
   ServeTest()
       : netlist_(bistdse::testing::MakeSmallRandom(71, 220)),
         faults_(sim::CollapsedFaults(netlist_)),
-        path_(::testing::TempDir() + "serve_shard.fdict") {
+        // One artifact per test: ctest runs the tests of this suite in
+        // parallel, and rewriting a file another test has mapped would
+        // fault that test's reads.
+        path_(::testing::TempDir() + "serve_shard_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".fdict") {
     bist::FaultDictionary dictionary(netlist_, ServeStumpsConfig(), kPatterns,
                                      {}, faults_);
     dictionary.Save(path_);
@@ -313,6 +320,48 @@ TEST_F(ServeTest, UploadFailuresAreAttributable) {
     }
   }
   EXPECT_TRUE(attributed);
+}
+
+TEST_F(ServeTest, UploadedWindowsPastTheDictionaryAreServedInBounds) {
+  // The wire passes any 32-bit window index through. Indices at and past
+  // the dictionary's window count (and past its 64-bit bitmask rows) are
+  // failing windows no candidate predicts; the served ranking equals the
+  // direct one.
+  ASSERT_GE(queries_.size(), 2u);
+  const std::uint32_t windows =
+      MakeStore().Find(ShardKey(0))->WindowCount();
+  std::vector<bist::DictQuery> hostile;
+  for (const std::uint32_t w :
+       {windows, 64u, std::numeric_limits<std::uint32_t>::max()}) {
+    for (std::size_t q = 0; q < 2; ++q) {
+      bist::DictQuery query = queries_[q];
+      query.fail_data.push_back({w, 0xfeed, 0});
+      hostile.push_back(std::move(query));
+    }
+  }
+  hostile.push_back({ShardKey(0), {{64, 1, 0}, {64, 2, 0}}});
+
+  const bist::DictionaryStore direct = MakeStore();
+  DiagnosisServerConfig config;
+  config.threads = 1;
+  DiagnosisServer server(MakeStore(), config);
+  for (std::size_t q = 0; q < hostile.size(); ++q) {
+    server.Submit(hostile[q], 5.0 * static_cast<double>(q));
+  }
+  server.Run();
+  ASSERT_TRUE(server.AllDone());
+  for (std::size_t q = 0; q < hostile.size(); ++q) {
+    const RequestOutcome& outcome = server.Outcome(q);
+    ASSERT_EQ(outcome.status, RequestStatus::Answered) << "query " << q;
+    const auto want = direct.Find(hostile[q].shard)
+                          ->Diagnose(hostile[q].fail_data, 5);
+    ASSERT_FALSE(want.empty());
+    ExpectRankingEq(outcome.ranking, want, "query " + std::to_string(q));
+  }
+  // Nothing predicts the last upload's only window: every score is 0.
+  for (const auto& c : server.Outcome(hostile.size() - 1).ranking) {
+    EXPECT_EQ(c.score, 0.0);
+  }
 }
 
 TEST_F(ServeTest, TransferTimeoutIsCounted) {
