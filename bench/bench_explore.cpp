@@ -5,8 +5,8 @@
 // propagation / inprocessing counters) to BENCH_explore.json.
 //
 // Two inprocessing ablations ride along:
-//   * the 1-island exploration is repeated with SolverConfig::BitIdentity()
-//     (all inprocessing transforms off) — the Pareto front must be
+//   * the 1-island exploration is repeated with inprocessing off
+//     (SolverConfig::inprocess = false) — the Pareto front must be
 //     bit-identical, which is the canonicity gate for the production config;
 //   * a fixed genotype set is decoded through the routed encoding (the large
 //     instance where probing/SCC/subsumption pay off) with inprocessing on
@@ -184,8 +184,10 @@ int main(int argc, char** argv) {
   // Ablation 1 — canonicity gate: the same exploration with every
   // inprocessing transform off must reproduce the front bit-identically
   // (pinned decision order makes the decoded model unique; see sat/).
+  sat::SolverConfig no_inprocess;
+  no_inprocess.inprocess = false;
   const dse::ExplorationConfig default_config = config;
-  config.solver = sat::SolverConfig::BitIdentity();
+  config.solver = no_inprocess;
   run(1);
   config = default_config;
   const bool front_identical = rows[2].front_hash == rows[0].front_hash;
@@ -202,9 +204,8 @@ int main(int argc, char** argv) {
   std::uint64_t routed_on_hash = 0, routed_off_hash = 0;
   const auto routed_on = RoutedDecodeSweep(routed_cs, sat::SolverConfig{},
                                            routed_decodes, &routed_on_hash);
-  const auto routed_off = RoutedDecodeSweep(
-      routed_cs, sat::SolverConfig::BitIdentity(), routed_decodes,
-      &routed_off_hash);
+  const auto routed_off = RoutedDecodeSweep(routed_cs, no_inprocess,
+                                            routed_decodes, &routed_off_hash);
   const auto per_decode = [](const dse::DecoderStats& d) {
     return d.decodes > 0
                ? 1e6 * d.decode_seconds / static_cast<double>(d.decodes)

@@ -5,6 +5,9 @@
 namespace bistdse::sat {
 
 namespace {
+/// Cap on trail literals enqueued by one probing pass (keeps the pass a
+/// bounded fraction of search work on very large encodings).
+constexpr std::uint64_t kProbeBudget = 2'000'000;
 /// Work bound (literal touches) for one subsumption pass.
 constexpr std::uint64_t kSubsumeBudget = 20'000'000;
 }  // namespace
@@ -35,7 +38,7 @@ bool Inprocessor::Run() {
 }
 
 bool Inprocessor::ProbeFailedLiterals() {
-  std::uint64_t budget = config_.probe_propagation_budget;
+  std::uint64_t budget = kProbeBudget;
   const Var n = static_cast<Var>(prop_.VarCount());
   for (Var v = 0; v < n && budget > 0; ++v) {
     if (!db_.IsRepresentative(v)) continue;

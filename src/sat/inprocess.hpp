@@ -18,9 +18,8 @@ namespace bistdse::sat {
 
 class Inprocessor {
  public:
-  Inprocessor(ClauseDb& db, Propagator& prop, SolverStats& stats,
-              const SolverConfig& config)
-      : db_(db), prop_(prop), stats_(stats), config_(config) {}
+  Inprocessor(ClauseDb& db, Propagator& prop, SolverStats& stats)
+      : db_(db), prop_(prop), stats_(stats) {}
 
   /// Runs one full inprocessing round at decision level 0. Returns false if
   /// the formula was refuted (root conflict), true otherwise.
@@ -50,7 +49,6 @@ class Inprocessor {
   ClauseDb& db_;
   Propagator& prop_;
   SolverStats& stats_;
-  const SolverConfig& config_;
 
   std::vector<Lit> pending_units_;
 };

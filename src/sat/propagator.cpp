@@ -6,7 +6,6 @@ void Propagator::AddVar() {
   assigns_.push_back(Value::Unassigned);
   levels_.push_back(0);
   reasons_.push_back({});
-  saved_phase_.push_back(0);
   trail_pos_.push_back(0);
 }
 
@@ -35,7 +34,10 @@ Conflict Propagator::Propagate() {
     // for p must land before any conflict return from this iteration: a
     // binary/clause conflict below (or a conflict part-way through this
     // list) would otherwise leave p half-updated while CancelUntil — which
-    // only knows processed-or-not — restores it in full.
+    // only knows processed-or-not — restores it in full. The historical
+    // solver ran the clause pass first and returned mid-list; the leaked
+    // slack masked later PB conflicts and let invalid models through
+    // (found by differential fuzzing, tools/sat_fuzz).
     const auto& pb_occs = db_.PbOccurrences(false_lit);
     Conflict pb_conflict{};
     for (const std::uint32_t pi : pb_occs) {
@@ -116,21 +118,21 @@ Conflict Propagator::Propagate() {
 }
 
 void Propagator::CancelUntil(std::uint32_t level) {
-  last_unassigned_.clear();
   if (trail_lim_.size() <= level) return;
   const std::size_t target = trail_lim_[level];
   while (trail_.size() > target) {
     // PB slacks track the *processed* trail prefix: a conflict can leave
     // enqueued-but-unprocessed literals whose slack contribution was never
-    // subtracted, so only processed literals may be restored.
+    // subtracted, so only processed literals may be restored. The
+    // historical solver restored every popped literal, inflating slack past
+    // its true value — the second PB slack bug fuzzing found (see
+    // Propagate).
     const bool processed = trail_.size() <= qhead_;
     const Lit p = trail_.back();
     trail_.pop_back();
     const Var v = VarOf(p);
-    saved_phase_[v] = assigns_[v] == Value::True ? 1 : 0;
     assigns_[v] = Value::Unassigned;
     reasons_[v] = {Reason::Kind::None, 0};
-    last_unassigned_.push_back(v);
     if (!processed) continue;
     for (const std::uint32_t pi : db_.PbOccurrences(Negate(p))) {
       PbConstraint& pb = db_.PbAt(pi);

@@ -54,12 +54,6 @@ class Propagator {
   Conflict Propagate();
   void CancelUntil(std::uint32_t level);
 
-  /// Variables unassigned by the most recent CancelUntil (consumed by the
-  /// searcher's activity heap); cleared by the next CancelUntil.
-  const std::vector<Var>& LastUnassigned() const { return last_unassigned_; }
-
-  std::uint8_t SavedPhase(Var v) const { return saved_phase_[v]; }
-
   /// The literals of the clause certifying `reason` (the implied literal
   /// first when given). For PB reasons the certificate is the implied
   /// literal or'ed with every term literal false before the implication.
@@ -81,12 +75,10 @@ class Propagator {
   std::vector<Value> assigns_;
   std::vector<std::uint32_t> levels_;
   std::vector<Reason> reasons_;
-  std::vector<std::uint8_t> saved_phase_;
   std::vector<std::uint32_t> trail_pos_;
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> trail_lim_;
   std::size_t qhead_ = 0;
-  std::vector<Var> last_unassigned_;
 };
 
 }  // namespace bistdse::sat

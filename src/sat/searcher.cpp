@@ -27,8 +27,6 @@ std::uint64_t Luby(std::uint64_t x) {
 void Searcher::AddVar() {
   phase_.push_back(0);
   in_policy_.push_back(0);
-  activity_.push_back(0.0);
-  heap_pos_.push_back(0);
   seen_.push_back(0);
   level_seen_.push_back(0);
 }
@@ -61,40 +59,18 @@ bool Searcher::PickBranch(Lit& decision) {
     }
     ++decision_head_;
   }
-  if (config_.tail_policy == SolverConfig::TailPolicy::kIndexOrder) {
-    // Historical SAT-decoding tail: ascending index, preferred phase false.
-    const auto n = static_cast<Var>(prop_.VarCount());
-    while (tail_head_ < n) {
-      const Var v = tail_head_;
-      if (!in_policy_[v]) {
-        const Lit root = db_.Resolve(NegLit(v));
-        if (prop_.ValueOfVar(VarOf(root)) == Value::Unassigned) {
-          decision = root;
-          return true;
-        }
+  // Tail: every other variable in ascending index, preferred phase false.
+  const auto n = static_cast<Var>(prop_.VarCount());
+  while (tail_head_ < n) {
+    const Var v = tail_head_;
+    if (!in_policy_[v]) {
+      const Lit root = db_.Resolve(NegLit(v));
+      if (prop_.ValueOfVar(VarOf(root)) == Value::Unassigned) {
+        decision = root;
+        return true;
       }
-      ++tail_head_;
     }
-    return false;
-  }
-  // Activity tail: highest-activity unassigned representative, saved phase.
-  while (!heap_.empty()) {
-    const Var v = heap_.front();
-    const Lit root = db_.Resolve(PosLit(v));
-    const Var rv = VarOf(root);
-    if (in_policy_[v] || v != rv ||
-        prop_.ValueOfVar(rv) != Value::Unassigned) {
-      heap_pos_[v] = 0;
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) {
-        heap_pos_[heap_.front()] = 1;
-        HeapSiftDown(0);
-      }
-      continue;
-    }
-    decision = prop_.SavedPhase(rv) ? PosLit(rv) : NegLit(rv);
-    return true;
+    ++tail_head_;
   }
   return false;
 }
@@ -129,7 +105,6 @@ void Searcher::Analyze(const Conflict& conflict, std::vector<Lit>& learnt,
       const Var v = VarOf(q);
       if (Seen(v) || prop_.LevelOf(v) == 0) continue;
       MarkSeen(v);
-      BumpActivity(v);
       if (prop_.LevelOf(v) >= current_level) {
         ++counter;
       } else {
@@ -234,15 +209,9 @@ void Searcher::CancelUntil(std::uint32_t level) {
   prop_.CancelUntil(level);
   decision_head_ = 0;
   tail_head_ = 0;
-  if (config_.tail_policy == SolverConfig::TailPolicy::kActivity) {
-    for (const Var v : prop_.LastUnassigned()) HeapInsert(v);
-  }
 }
 
 SolveResult Searcher::Search() {
-  if (config_.tail_policy == SolverConfig::TailPolicy::kActivity) {
-    RebuildHeap();
-  }
   decision_head_ = 0;
   tail_head_ = 0;
   std::uint64_t restart_index = 0;
@@ -277,14 +246,12 @@ SolveResult Searcher::Search() {
         ++stats_.learned_clauses;
         prop_.Enqueue(db_.ClauseAt(ci).lits[0], {Reason::Kind::Clause, ci});
       }
-      DecayActivities();
       if (conflicts_since_restart >= restart_budget) {
         ++stats_.restarts;
         conflicts_since_restart = 0;
         restart_budget = 64 * Luby(++restart_index);
         CancelUntil(0);
-        if (config_.reduce_learned &&
-            db_.LiveLearnedLong() >= config_.reduce_min_learned) {
+        if (db_.LiveLearnedLong() >= config_.reduce_min_learned) {
           ReduceLearned();
         }
       }
@@ -294,66 +261,6 @@ SolveResult Searcher::Search() {
     if (!PickBranch(decision)) return SolveResult::Sat;
     ++stats_.decisions;
     prop_.PushDecision(decision);
-  }
-}
-
-// --- activity heap ---------------------------------------------------------
-
-void Searcher::HeapInsert(Var v) {
-  if (heap_pos_[v] != 0) return;
-  heap_.push_back(v);
-  heap_pos_[v] = static_cast<std::uint32_t>(heap_.size());
-  HeapSiftUp(heap_.size() - 1);
-}
-
-void Searcher::HeapSiftUp(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (activity_[heap_[parent]] >= activity_[heap_[i]]) break;
-    std::swap(heap_[parent], heap_[i]);
-    heap_pos_[heap_[parent]] = static_cast<std::uint32_t>(parent + 1);
-    heap_pos_[heap_[i]] = static_cast<std::uint32_t>(i + 1);
-    i = parent;
-  }
-}
-
-void Searcher::HeapSiftDown(std::size_t i) {
-  for (;;) {
-    std::size_t best = i;
-    const std::size_t left = 2 * i + 1, right = 2 * i + 2;
-    if (left < heap_.size() &&
-        activity_[heap_[left]] > activity_[heap_[best]])
-      best = left;
-    if (right < heap_.size() &&
-        activity_[heap_[right]] > activity_[heap_[best]])
-      best = right;
-    if (best == i) break;
-    std::swap(heap_[best], heap_[i]);
-    heap_pos_[heap_[best]] = static_cast<std::uint32_t>(best + 1);
-    heap_pos_[heap_[i]] = static_cast<std::uint32_t>(i + 1);
-    i = best;
-  }
-}
-
-void Searcher::BumpActivity(Var v) {
-  activity_[v] += activity_inc_;
-  if (activity_[v] > 1e100) {
-    for (double& a : activity_) a *= 1e-100;
-    activity_inc_ *= 1e-100;
-  }
-  const std::uint32_t pos = heap_pos_[v];
-  if (pos != 0) HeapSiftUp(pos - 1);
-}
-
-void Searcher::DecayActivities() { activity_inc_ /= 0.95; }
-
-void Searcher::RebuildHeap() {
-  heap_.clear();
-  std::fill(heap_pos_.begin(), heap_pos_.end(), 0);
-  for (Var v = 0; v < static_cast<Var>(prop_.VarCount()); ++v) {
-    if (prop_.ValueOfVar(v) == Value::Unassigned && db_.IsRepresentative(v)) {
-      HeapInsert(v);
-    }
   }
 }
 

@@ -1,10 +1,12 @@
-// Search loop of the layered SAT core (dawn-style searcher): decisions
-// follow the pinned SAT-decoding policy first (genotype order + phases,
-// projected through the equivalent-literal map), then fall back to the
-// configured tail rule — historical ascending-index/phase-false order, or a
-// VSIDS-style activity heap with phase saving. Luby restarts; 1-UIP clause
-// learning with recursive minimization; LBD-tagged learned clauses reduced
-// at restart boundaries.
+// Search loop of the layered SAT core (dawn-style searcher). Decisions
+// follow one static order: the pinned SAT-decoding policy first (genotype
+// order + phases, projected through the equivalent-literal map), then every
+// other variable in ascending index with phase false. A solve therefore
+// returns the lexicographically first model under that order, whatever
+// learning, restarts and inprocessing did on the way (tools/sat_fuzz checks
+// this against a DFS oracle). Luby restarts; 1-UIP clause learning with
+// recursive minimization; LBD-tagged learned clauses reduced at restart
+// boundaries.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@ class Searcher {
 
   /// Installs the SAT-decoding branching policy: variables are decided in
   /// `order` (earlier = higher priority) with the given preferred phase;
-  /// variables missing from `order` fall to the tail rule.
+  /// the rest follow in ascending index with phase false.
   void SetDecisionPolicy(std::span<const Var> order,
                          std::span<const std::uint8_t> phases);
 
@@ -54,14 +56,6 @@ class Searcher {
   void MarkSeen(Var v) { seen_[v] = seen_stamp_; }
   void UnmarkSeen(Var v) { seen_[v] = 0; }
 
-  // --- activity heap (VSIDS) ---------------------------------------------
-  void HeapInsert(Var v);
-  void HeapSiftUp(std::size_t i);
-  void HeapSiftDown(std::size_t i);
-  void BumpActivity(Var v);
-  void DecayActivities();
-  void RebuildHeap();
-
   ClauseDb& db_;
   Propagator& prop_;
   SolverStats& stats_;
@@ -72,11 +66,6 @@ class Searcher {
   std::vector<std::uint8_t> in_policy_;
   std::size_t decision_head_ = 0;
   Var tail_head_ = 0;
-
-  std::vector<double> activity_;
-  double activity_inc_ = 1.0;
-  std::vector<Var> heap_;
-  std::vector<std::uint32_t> heap_pos_;  // var -> heap index + 1 (0 = absent)
 
   std::vector<std::uint32_t> seen_;
   std::uint32_t seen_stamp_ = 0;

@@ -59,8 +59,9 @@ class Solver {
 
   /// Installs the SAT-decoding branching policy: variables are decided in
   /// `order` (earlier = higher priority) with the given preferred phase.
-  /// Variables missing from `order` are decided last by the configured tail
-  /// policy (historically: ascending index, phase false).
+  /// Variables missing from `order` follow in ascending index with phase
+  /// false; a solve returns the lexicographically first model under that
+  /// static order.
   void SetDecisionPolicy(std::span<const Var> order,
                          std::span<const std::uint8_t> phases);
 
@@ -83,7 +84,7 @@ class Solver {
   ClauseDb db_{};
   Propagator prop_{db_, stats_};
   Searcher searcher_{db_, prop_, stats_, config_};
-  Inprocessor inprocessor_{db_, prop_, stats_, config_};
+  Inprocessor inprocessor_{db_, prop_, stats_};
 
   bool ok_ = true;  // false once a top-level contradiction is found
   bool inprocessed_once_ = false;

@@ -7,8 +7,8 @@
 //   ClauseDb     — clause arena + watch lists, dedicated binary-implication
 //                  graph, PB constraint store, equivalent-literal map
 //   Propagator   — assignment trail; unified clause/binary/PB propagation
-//   Searcher     — CDCL loop: pinned genotype decision policy, VSIDS tail,
-//                  phase saving, Luby restarts, LBD-based clause reduction
+//   Searcher     — CDCL loop: pinned genotype decision policy, then
+//                  ascending-index tail; Luby restarts, LBD-based reduction
 //   Inprocessor  — root-level simplification between solves: failed-literal
 //                  probing, SCC equivalent-literal elimination, subsumption
 //   Solver       — thin facade preserving the historical call sites
@@ -84,46 +84,21 @@ struct SolverStats {
   }
 };
 
-/// Solver behavior knobs. The defaults keep the SAT-decoding contract: with
-/// the branching order pinned to the genotype policy the produced model is
-/// the unique policy-preferred model, so inprocessing (which is
-/// model-set-preserving) may default to on without perturbing Pareto fronts.
+/// Solver behavior knobs. None of them changes a decoded model: a solve
+/// returns the lexicographically first model under the static decision
+/// order (see Searcher), and the knobs only change how fast it gets there.
+/// So inprocessing (which is model-set-preserving) defaults to on without
+/// perturbing Pareto fronts.
 struct SolverConfig {
-  /// Decision rule once the pinned policy order is exhausted (and for
-  /// solvers with no policy installed).
-  enum class TailPolicy : std::uint8_t {
-    /// Ascending variable index, preferred phase false — the historical
-    /// SAT-decoding behavior; required for bit-identical fronts.
-    kIndexOrder,
-    /// VSIDS-style activity heap with phase saving.
-    kActivity,
-  };
-
   /// Master switch for the inprocessing module (probing + SCC equivalent
   /// literals + subsumption). Runs before the first search and again after
   /// every `inprocess_conflict_interval` accumulated conflicts.
   bool inprocess = true;
   std::uint64_t inprocess_conflict_interval = 2000;
-  /// Cap on trail literals enqueued by one probing pass (keeps the pass a
-  /// bounded fraction of search work on very large encodings).
-  std::uint64_t probe_propagation_budget = 2'000'000;
 
-  /// LBD-based learned-clause reduction at restart boundaries.
-  bool reduce_learned = true;
-  /// Reduction triggers once this many learned long clauses are live.
+  /// LBD-based learned-clause reduction at restart boundaries triggers once
+  /// this many learned long clauses are live.
   std::size_t reduce_min_learned = 2000;
-
-  TailPolicy tail_policy = TailPolicy::kIndexOrder;
-
-  /// The pinned-order bit-identity mode used by the refactor gate tests:
-  /// every transformation off, decisions exactly as the pre-refactor solver.
-  static SolverConfig BitIdentity() {
-    SolverConfig c;
-    c.inprocess = false;
-    c.reduce_learned = false;
-    c.tail_policy = TailPolicy::kIndexOrder;
-    return c;
-  }
 };
 
 /// Why a variable holds its value. `index` is a clause index (Clause), a PB

@@ -1,7 +1,8 @@
 // Component-level tests for the layered SAT core: binary-implication
 // propagation, SCC equivalent-literal elimination (with solution
 // reconstruction through the representative map), failed-literal probing,
-// LBD-driven learned-clause reduction, and the VSIDS activity tail.
+// LBD-driven learned-clause reduction, and decode canonicity across solver
+// configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,59 +231,18 @@ TEST(SatComponents, AggressiveReductionAgreesWithBruteForce) {
   }
 }
 
-TEST(SatComponents, ActivityTailAgreesWithBruteForce) {
-  util::SplitMix64 rng(909);
-  SolverConfig config;
-  config.tail_policy = SolverConfig::TailPolicy::kActivity;
-  for (int instance = 0; instance < 25; ++instance) {
-    constexpr int n = 11, m = 46;
-    std::vector<std::array<Lit, 3>> clauses;
-    for (int j = 0; j < m; ++j) {
-      std::array<Lit, 3> cl;
-      for (int k = 0; k < 3; ++k) {
-        const Var v = static_cast<Var>(rng.Below(n));
-        cl[k] = rng.Chance(0.5) ? PosLit(v) : NegLit(v);
-      }
-      clauses.push_back(cl);
-    }
-    bool brute_sat = false;
-    for (std::uint32_t a = 0; a < (1u << n) && !brute_sat; ++a) {
-      bool all = true;
-      for (const auto& cl : clauses) {
-        bool any = false;
-        for (Lit l : cl) {
-          const bool val = (a >> VarOf(l)) & 1;
-          any |= IsNeg(l) ? !val : val;
-        }
-        if (!any) {
-          all = false;
-          break;
-        }
-      }
-      brute_sat = all;
-    }
-    Solver s(config);
-    for (int i = 0; i < n; ++i) s.NewVar();
-    for (const auto& cl : clauses) s.AddClause({cl[0], cl[1], cl[2]});
-    // No pinned policy: every decision flows through the activity heap.
-    ASSERT_EQ(s.Solve() == SolveResult::Sat, brute_sat)
-        << "instance " << instance;
-    if (!brute_sat) continue;
-    for (const auto& cl : clauses) {
-      bool any = false;
-      for (Lit l : cl) {
-        const bool val = s.IsTrue(VarOf(l));
-        any |= IsNeg(l) ? !val : val;
-      }
-      EXPECT_TRUE(any) << "instance " << instance;
-    }
-  }
-}
-
 TEST(SatComponents, PinnedModelsMatchAcrossConfigurations) {
-  // Canonicity at component level: with every variable pinned, bit-identity
-  // mode, the default config, and the activity tail must produce the same
-  // model (the tail never fires; transforms preserve the model set).
+  // Canonicity at component level: a decode is the lexicographically first
+  // model under the static order (the pinned policy, then ascending index
+  // with phase false). So whether every variable, half of them or none is
+  // pinned, the default config, inprocessing off and aggressive learned-
+  // clause reduction must return the same model. The rounds run on the same
+  // solvers, so learned clauses carry over between policies.
+  SolverConfig no_inprocess;
+  no_inprocess.inprocess = false;
+  SolverConfig aggressive;
+  aggressive.reduce_min_learned = 4;
+  aggressive.inprocess_conflict_interval = 16;
   util::SplitMix64 rng(555);
   for (int instance = 0; instance < 15; ++instance) {
     constexpr int n = 12, m = 40;
@@ -295,33 +255,34 @@ TEST(SatComponents, PinnedModelsMatchAcrossConfigurations) {
       }
       clauses.push_back(cl);
     }
-    std::vector<Var> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.Below(i)]);
-    std::vector<std::uint8_t> phases(n);
-    for (auto& p : phases) p = rng.Chance(0.5) ? 1 : 0;
-
-    SolverConfig activity_config;
-    activity_config.tail_policy = SolverConfig::TailPolicy::kActivity;
-    Solver bitid(SolverConfig::BitIdentity());
-    Solver inproc;
-    Solver activity(activity_config);
-    for (Solver* s : {&bitid, &inproc, &activity}) {
+    Solver def;
+    Solver off(no_inprocess);
+    Solver agg(aggressive);
+    for (Solver* s : {&def, &off, &agg}) {
       for (int i = 0; i < n; ++i) s->NewVar();
       for (const auto& cl : clauses) s->AddClause({cl[0], cl[1], cl[2]});
-      PinAll(*s, order, phases);
     }
-    const auto r = bitid.Solve();
-    ASSERT_EQ(r, inproc.Solve()) << "instance " << instance;
-    ASSERT_EQ(r, activity.Solve()) << "instance " << instance;
-    if (r != SolveResult::Sat) continue;
-    for (int v = 0; v < n; ++v) {
-      EXPECT_EQ(bitid.IsTrue(static_cast<Var>(v)),
-                inproc.IsTrue(static_cast<Var>(v)))
-          << "instance " << instance << " var " << v;
-      EXPECT_EQ(bitid.IsTrue(static_cast<Var>(v)),
-                activity.IsTrue(static_cast<Var>(v)))
-          << "instance " << instance << " var " << v;
+    for (const std::size_t pinned : {std::size_t{n}, std::size_t{n / 2},
+                                     std::size_t{0}}) {
+      std::vector<Var> order(n);
+      std::iota(order.begin(), order.end(), 0);
+      for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.Below(i)]);
+      order.resize(pinned);
+      std::vector<std::uint8_t> phases(pinned);
+      for (auto& p : phases) p = rng.Chance(0.5) ? 1 : 0;
+      for (Solver* s : {&def, &off, &agg}) s->SetDecisionPolicy(order, phases);
+
+      const auto r = def.Solve();
+      ASSERT_EQ(r, off.Solve()) << "instance " << instance << " pinned " << pinned;
+      ASSERT_EQ(r, agg.Solve()) << "instance " << instance << " pinned " << pinned;
+      if (r != SolveResult::Sat) break;
+      for (int v = 0; v < n; ++v) {
+        const Var x = static_cast<Var>(v);
+        EXPECT_EQ(def.IsTrue(x), off.IsTrue(x))
+            << "instance " << instance << " pinned " << pinned << " var " << v;
+        EXPECT_EQ(def.IsTrue(x), agg.IsTrue(x))
+            << "instance " << instance << " pinned " << pinned << " var " << v;
+      }
     }
   }
 }

@@ -41,10 +41,23 @@
 #include "model/spec_io.hpp"
 #include "net/session_executor.hpp"
 #include "serve/server.hpp"
+#include "util/parse.hpp"
 
 using namespace bistdse;
 
 namespace {
+
+/// Runs a strict util:: parser over a flag value; a malformed value exits 2
+/// with a message naming the flag (`invalid --threads 'abc'`).
+template <typename Parse>
+auto ParseOrExit(Parse parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
 
 struct Flags {
   std::map<std::string, std::string> values;
@@ -52,12 +65,13 @@ struct Flags {
   bool Has(const std::string& name) const { return values.count(name) > 0; }
   std::uint64_t U64(const std::string& name, std::uint64_t fallback) const {
     auto it = values.find(name);
-    return it == values.end() ? fallback
-                              : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values.end()) return fallback;
+    return ParseOrExit([&] { return util::ParseU64("--" + name, it->second); });
   }
   double Real(const std::string& name, double fallback) const {
     auto it = values.find(name);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == values.end()) return fallback;
+    return ParseOrExit([&] { return util::ParseReal("--" + name, it->second); });
   }
   std::string Str(const std::string& name, const std::string& fallback) const {
     auto it = values.find(name);
@@ -348,15 +362,17 @@ int RunProfiles(const Flags& flags) {
   // Ablation knob: disable the FFR/dominator detection shortcuts.
   config.structural_shortcuts = !flags.Has("no-shortcuts");
   if (flags.Has("prps")) {
-    config.prp_counts.clear();
     const std::string list = flags.Str("prps", "");
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-      config.prp_counts.push_back(std::strtoull(list.c_str() + pos, nullptr, 10));
-      pos = list.find(',', pos);
-      if (pos == std::string::npos) break;
-      ++pos;
-    }
+    config.prp_counts = ParseOrExit([&] {
+      std::vector<std::uint64_t> counts;
+      for (std::size_t pos = 0;;) {
+        const std::size_t comma = list.find(',', pos);
+        counts.push_back(util::ParseU64(
+            "--prps entry", std::string_view(list).substr(pos, comma - pos)));
+        if (comma == std::string::npos) return counts;
+        pos = comma + 1;
+      }
+    });
   } else {
     config.prp_counts = {500, 1000, 5000, 20000};
   }

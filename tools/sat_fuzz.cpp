@@ -1,42 +1,50 @@
-// Differential fuzzer for the layered SAT core (sat/solver.hpp) against the
-// frozen pre-refactor solver (sat/reference_solver.hpp).
+// Differential fuzzer for the SAT core (sat/solver.hpp) against a
+// specification oracle.
 //
-// Per iteration a random CNF+PB instance is generated and loaded into four
-// solvers: the reference, the new solver in pinned-order bit-identity mode,
-// the new solver with default inprocessing, and the new solver with the
-// VSIDS activity tail. Each instance is solved under several decision
-// policies (learned clauses and inprocessing state persist across solves):
+// A decode is defined by a specification. The decision policy pins some
+// variables, each with a preferred phase; the static order is the policy
+// variables in policy order, then every other variable in ascending index
+// with preferred phase false. A decode must return the lexicographically
+// first model under that order. The oracle computes it directly: a
+// chronological DFS over the static order, preferred phase first, that
+// abandons a branch once some constraint has no satisfying completion. It
+// shares no code with the solver.
 //
-//   * full policies (every variable pinned): all four verdicts must agree
-//     AND all four models must be bit-identical — with a total pinned order
-//     the CDCL result is the unique policy-preferred model regardless of
-//     propagation order, learned clauses, restarts, or the model-set-
-//     preserving inprocessing transforms. One new-solver instance receives
-//     the constraints in shuffled order to confirm insertion order does not
-//     perturb the canonical model either.
-//   * partial policies (half the variables pinned): verdicts must agree;
-//     every SAT model is verified against the original constraint list
-//     (models may legitimately differ between tail policies).
+// Per iteration a random CNF+PB instance is loaded into three solvers: the
+// default configuration, inprocessing off, and one that receives the
+// constraints in shuffled order and re-inprocesses every 50 conflicts. Each
+// instance is solved under one to three random policies, full (every
+// variable pinned) or partial (half pinned); learned clauses and
+// inprocessing state persist across solves, as in SAT-decoding. Every solve
+// must match the oracle's verdict and, when SAT, its exact model. A mismatch
+// prints the instance, the policy, both models and a command line that
+// replays it.
 //
 // Usage: sat_fuzz [--iters N] [--seed S]   (defaults: 200 iterations, seed 1)
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sat/reference_solver.hpp"
 #include "sat/solver.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using bistdse::sat::IsNeg;
 using bistdse::sat::Lit;
 using bistdse::sat::NegLit;
 using bistdse::sat::PosLit;
+using bistdse::sat::Solver;
+using bistdse::sat::SolverConfig;
 using bistdse::sat::Var;
+using bistdse::sat::VarOf;
 using bistdse::util::SplitMix64;
 
 struct PbRecord {
@@ -45,8 +53,7 @@ struct PbRecord {
   bool is_ge = true;
 };
 
-/// One random instance plus the ground-truth constraint list for model
-/// verification.
+/// One random instance, kept as plain constraint lists for the oracle.
 struct Instance {
   std::size_t vars = 0;
   std::vector<std::vector<Lit>> clauses;
@@ -87,8 +94,7 @@ Instance RandomInstance(SplitMix64& rng) {
   return inst;
 }
 
-template <typename SolverT>
-void Load(SolverT& solver, const Instance& inst,
+void Load(Solver& solver, const Instance& inst,
           const std::vector<std::size_t>& clause_order,
           const std::vector<std::size_t>& pb_order) {
   for (std::size_t i = 0; i < inst.vars; ++i) solver.NewVar();
@@ -103,64 +109,6 @@ void Load(SolverT& solver, const Instance& inst,
     } else {
       solver.AddPbLe(std::move(terms), pb.bound);
     }
-  }
-}
-
-template <typename SolverT>
-std::vector<std::uint8_t> Model(const SolverT& solver, std::size_t vars) {
-  std::vector<std::uint8_t> model(vars);
-  for (std::size_t v = 0; v < vars; ++v) {
-    model[v] = solver.IsTrue(static_cast<Var>(v)) ? 1 : 0;
-  }
-  return model;
-}
-
-bool ModelSatisfies(const Instance& inst, const std::vector<std::uint8_t>& m) {
-  const auto lit_true = [&](Lit l) {
-    const bool pos = m[bistdse::sat::VarOf(l)] != 0;
-    return bistdse::sat::IsNeg(l) ? !pos : pos;
-  };
-  for (const auto& clause : inst.clauses) {
-    bool sat = false;
-    for (const Lit l : clause) sat = sat || lit_true(l);
-    if (!sat) return false;
-  }
-  for (const PbRecord& pb : inst.pbs) {
-    std::int64_t sum = 0;
-    for (const auto& [coef, lit] : pb.terms) {
-      if (lit_true(lit)) sum += coef;
-    }
-    if (pb.is_ge ? sum < pb.bound : sum > pb.bound) return false;
-  }
-  return true;
-}
-
-void DumpInstance(const Instance& inst, const std::vector<std::uint8_t>* m) {
-  std::fprintf(stderr, "vars=%zu\n", inst.vars);
-  for (const auto& clause : inst.clauses) {
-    std::fprintf(stderr, "clause:");
-    for (const Lit l : clause) {
-      std::fprintf(stderr, " %s%u", bistdse::sat::IsNeg(l) ? "-" : "",
-                   bistdse::sat::VarOf(l));
-    }
-    std::fprintf(stderr, "\n");
-  }
-  for (const PbRecord& pb : inst.pbs) {
-    std::fprintf(stderr, "pb %s %lld:", pb.is_ge ? ">=" : "<=",
-                 static_cast<long long>(pb.bound));
-    for (const auto& [coef, lit] : pb.terms) {
-      std::fprintf(stderr, " %lld*%s%u", static_cast<long long>(coef),
-                   bistdse::sat::IsNeg(lit) ? "-" : "",
-                   bistdse::sat::VarOf(lit));
-    }
-    std::fprintf(stderr, "\n");
-  }
-  if (m != nullptr) {
-    std::fprintf(stderr, "model:");
-    for (std::size_t v = 0; v < m->size(); ++v) {
-      std::fprintf(stderr, " %zu=%d", v, (*m)[v]);
-    }
-    std::fprintf(stderr, "\n");
   }
 }
 
@@ -184,23 +132,168 @@ Policy RandomPolicy(SplitMix64& rng, std::size_t vars, bool full) {
   return p;
 }
 
+/// A decoded model (one value per variable), or nullopt for UNSAT.
+using Model = std::optional<std::vector<std::uint8_t>>;
+
+Model Decode(Solver& solver, std::size_t vars) {
+  if (solver.Solve() != bistdse::sat::SolveResult::Sat) return std::nullopt;
+  std::vector<std::uint8_t> model(vars);
+  for (std::size_t v = 0; v < vars; ++v) {
+    model[v] = solver.IsTrue(static_cast<Var>(v)) ? 1 : 0;
+  }
+  return model;
+}
+
+// --- specification oracle --------------------------------------------------
+
+constexpr std::uint8_t kUnassigned = 2;
+
+/// False once some constraint has no satisfying completion of the partial
+/// assignment `a`: a clause with every literal false, a >= PB whose
+/// non-false terms cannot reach the bound, or a <= PB whose true terms
+/// already exceed it. Exact on a full assignment.
+bool Consistent(const Instance& inst, const std::vector<std::uint8_t>& a) {
+  const auto value = [&](Lit l) {
+    const std::uint8_t v = a[VarOf(l)];
+    return v == kUnassigned ? v : static_cast<std::uint8_t>(v ^ IsNeg(l));
+  };
+  for (const auto& clause : inst.clauses) {
+    bool open = false;
+    for (const Lit l : clause) open = open || value(l) != 0;
+    if (!open) return false;
+  }
+  for (const PbRecord& pb : inst.pbs) {
+    std::int64_t sum = 0;  // >=: the most still reachable; <=: the least
+    for (const auto& [coef, lit] : pb.terms) {
+      if (pb.is_ge ? value(lit) != 0 : value(lit) == 1) sum += coef;
+    }
+    if (pb.is_ge ? sum < pb.bound : sum > pb.bound) return false;
+  }
+  return true;
+}
+
+/// Assigns `order` from position `depth` on, preferred phase first, and
+/// backtracks chronologically; true once every variable is assigned.
+bool Dfs(const Instance& inst, const Policy& order, std::size_t depth,
+         std::vector<std::uint8_t>& a) {
+  if (depth == order.order.size()) return true;
+  const Var v = order.order[depth];
+  const std::uint8_t preferred = order.phases[depth];
+  for (const std::uint8_t phase :
+       {preferred, static_cast<std::uint8_t>(1 - preferred)}) {
+    a[v] = phase;
+    if (Consistent(inst, a) && Dfs(inst, order, depth + 1, a)) return true;
+  }
+  a[v] = kUnassigned;
+  return false;
+}
+
+/// The expected decode: the lexicographically first model under the static
+/// order (the policy, then the other variables ascending with phase false).
+Model OracleModel(const Instance& inst, const Policy& policy) {
+  Policy order = policy;
+  std::vector<std::uint8_t> pinned(inst.vars, 0);
+  for (const Var v : policy.order) pinned[v] = 1;
+  for (Var v = 0; v < inst.vars; ++v) {
+    if (pinned[v]) continue;
+    order.order.push_back(v);
+    order.phases.push_back(0);
+  }
+  std::vector<std::uint8_t> a(inst.vars, kUnassigned);
+  if (!Consistent(inst, a) || !Dfs(inst, order, 0, a)) return std::nullopt;
+  return a;
+}
+
+// --- mismatch report -------------------------------------------------------
+
+std::string Bits(const Model& m) {
+  if (!m) return "unsat";
+  std::string bits;
+  for (const std::uint8_t b : *m) bits += b ? '1' : '0';
+  return bits;
+}
+
+void PrintLit(Lit l) {
+  std::fprintf(stderr, "%s%u", IsNeg(l) ? "-" : "", VarOf(l));
+}
+
+/// Prints everything needed to reproduce a mismatch to stderr.
+void ReportMismatch(const Instance& inst, const Policy& policy,
+                    const Model& expected, const Model& got,
+                    const char* config, std::uint64_t seed,
+                    std::uint64_t iter, std::size_t round) {
+  std::fprintf(stderr, "iter %llu round %zu: solver '%s' %s the oracle\n",
+               static_cast<unsigned long long>(iter), round, config,
+               expected.has_value() != got.has_value()
+                   ? "disagrees on the verdict with"
+                   : "returns another model than");
+  std::fprintf(stderr, "vars=%zu\n", inst.vars);
+  for (const auto& clause : inst.clauses) {
+    std::fprintf(stderr, "clause:");
+    for (const Lit l : clause) {
+      std::fprintf(stderr, " ");
+      PrintLit(l);
+    }
+    std::fprintf(stderr, "\n");
+  }
+  for (const PbRecord& pb : inst.pbs) {
+    std::fprintf(stderr, "pb %s %lld:", pb.is_ge ? ">=" : "<=",
+                 static_cast<long long>(pb.bound));
+    for (const auto& [coef, lit] : pb.terms) {
+      std::fprintf(stderr, " %lld*", static_cast<long long>(coef));
+      PrintLit(lit);
+    }
+    std::fprintf(stderr, "\n");
+  }
+  std::fprintf(stderr, "policy (var:phase, %zu of %zu pinned):",
+               policy.order.size(), inst.vars);
+  for (std::size_t i = 0; i < policy.order.size(); ++i) {
+    std::fprintf(stderr, " %u:%u", policy.order[i],
+                 static_cast<unsigned>(policy.phases[i]));
+  }
+  std::fprintf(stderr, "\nmodels, var 0 first:\n  oracle: %s\n  %s: %s\n",
+               Bits(expected).c_str(), config, Bits(got).c_str());
+  std::fprintf(stderr, "replay: sat_fuzz --seed %llu --iters %llu\n",
+               static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(iter + 1));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::uint64_t iters = 200;
   std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: sat_fuzz [--iters N] [--seed S]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
+        iters = bistdse::util::ParseU64("--iters", argv[++i]);
+      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+        seed = bistdse::util::ParseU64("--seed", argv[++i]);
+      } else {
+        std::fprintf(stderr, "usage: sat_fuzz [--iters N] [--seed S]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sat_fuzz: %s\n", e.what());
+    return 2;
   }
 
-  std::uint64_t sat_count = 0, unsat_count = 0, solve_count = 0;
+  struct FuzzConfig {
+    const char* name;
+    SolverConfig solver;
+    bool shuffled;  // constraints inserted in shuffled order
+  };
+  SolverConfig no_inprocess;
+  no_inprocess.inprocess = false;
+  SolverConfig often;
+  often.inprocess_conflict_interval = 50;
+  const FuzzConfig configs[] = {{"default", {}, false},
+                                {"no-inprocess", no_inprocess, false},
+                                {"shuffled", often, true}};
+
+  std::uint64_t sat_count = 0, partial_count = 0, unsat_count = 0;
+  std::uint64_t solve_count = 0;
   for (std::uint64_t iter = 0; iter < iters; ++iter) {
     SplitMix64 rng(seed * 0x9e3779b97f4a7c15ULL + iter);
     const Instance inst = RandomInstance(rng);
@@ -218,22 +311,14 @@ int main(int argc, char** argv) {
       std::swap(shuffled_pbs[i - 1], shuffled_pbs[rng.Below(i)]);
     }
 
-    bistdse::sat::reference::Solver ref;
-    bistdse::sat::Solver bitid(bistdse::sat::SolverConfig::BitIdentity());
-    bistdse::sat::Solver inproc;  // default config: inprocessing on
-    bistdse::sat::SolverConfig activity_config;
-    activity_config.tail_policy =
-        bistdse::sat::SolverConfig::TailPolicy::kActivity;
-    bistdse::sat::Solver activity(activity_config);
-    bistdse::sat::SolverConfig shuffle_config;
-    shuffle_config.inprocess_conflict_interval = 50;  // inprocess often
-    bistdse::sat::Solver shuffled(shuffle_config);
-
-    Load(ref, inst, clause_order, pb_order);
-    Load(bitid, inst, clause_order, pb_order);
-    Load(inproc, inst, clause_order, pb_order);
-    Load(activity, inst, clause_order, pb_order);
-    Load(shuffled, inst, shuffled_clauses, shuffled_pbs);
+    // Built in place: a Solver's layers hold references into the object.
+    Solver solvers[] = {Solver(configs[0].solver), Solver(configs[1].solver),
+                        Solver(configs[2].solver)};
+    for (std::size_t k = 0; k < std::size(configs); ++k) {
+      const bool shuffled = configs[k].shuffled;
+      Load(solvers[k], inst, shuffled ? shuffled_clauses : clause_order,
+           shuffled ? shuffled_pbs : pb_order);
+    }
 
     // Several solves per instance: learned clauses and inprocessing state
     // persist, mirroring the SAT-decoding usage pattern.
@@ -241,75 +326,33 @@ int main(int argc, char** argv) {
     for (std::size_t round = 0; round < rounds; ++round) {
       const bool full = rng.Chance(0.7);
       const Policy policy = RandomPolicy(rng, inst.vars, full);
-      ref.SetDecisionPolicy(policy.order, policy.phases);
-      bitid.SetDecisionPolicy(policy.order, policy.phases);
-      inproc.SetDecisionPolicy(policy.order, policy.phases);
-      activity.SetDecisionPolicy(policy.order, policy.phases);
-      shuffled.SetDecisionPolicy(policy.order, policy.phases);
-
-      const bool ref_sat =
-          ref.Solve() == bistdse::sat::reference::SolveResult::Sat;
-      const bool bitid_sat = bitid.Solve() == bistdse::sat::SolveResult::Sat;
-      const bool inproc_sat = inproc.Solve() == bistdse::sat::SolveResult::Sat;
-      const bool activity_sat =
-          activity.Solve() == bistdse::sat::SolveResult::Sat;
-      const bool shuffled_sat =
-          shuffled.Solve() == bistdse::sat::SolveResult::Sat;
-      solve_count += 5;
-
-      if (bitid_sat != ref_sat || inproc_sat != ref_sat ||
-          activity_sat != ref_sat || shuffled_sat != ref_sat) {
-        std::fprintf(stderr,
-                     "iter %llu round %zu: verdict mismatch "
-                     "(ref=%d bitid=%d inproc=%d activity=%d shuffled=%d)\n",
-                     static_cast<unsigned long long>(iter), round, ref_sat,
-                     bitid_sat, inproc_sat, activity_sat, shuffled_sat);
-        return 1;
+      const Model expected = OracleModel(inst, policy);
+      for (std::size_t k = 0; k < std::size(configs); ++k) {
+        solvers[k].SetDecisionPolicy(policy.order, policy.phases);
+        const Model got = Decode(solvers[k], inst.vars);
+        ++solve_count;
+        if (got != expected) {
+          ReportMismatch(inst, policy, expected, got, configs[k].name, seed,
+                         iter, round);
+          return 1;
+        }
       }
-      if (!ref_sat) {
+      if (!expected) {
         ++unsat_count;
         break;  // the instance stays unsat under every later policy
       }
       ++sat_count;
-
-      const auto ref_model = Model(ref, inst.vars);
-      const auto models = {Model(bitid, inst.vars), Model(inproc, inst.vars),
-                           Model(activity, inst.vars),
-                           Model(shuffled, inst.vars)};
-      if (!ModelSatisfies(inst, ref_model)) {
-        std::fprintf(stderr, "iter %llu round %zu: reference model invalid\n",
-                     static_cast<unsigned long long>(iter), round);
-        DumpInstance(inst, &ref_model);
-        return 1;
-      }
-      int which = 0;
-      for (const auto& m : models) {
-        ++which;
-        if (!ModelSatisfies(inst, m)) {
-          std::fprintf(stderr,
-                       "iter %llu round %zu: solver %d model invalid\n",
-                       static_cast<unsigned long long>(iter), round, which);
-          DumpInstance(inst, &m);
-          return 1;
-        }
-        // Under a full pinned policy the model is canonical: every solver
-        // (and every constraint insertion order) must reproduce it exactly.
-        if (full && m != ref_model) {
-          std::fprintf(stderr,
-                       "iter %llu round %zu: solver %d model differs under "
-                       "full pinned policy\n",
-                       static_cast<unsigned long long>(iter), round, which);
-          return 1;
-        }
-      }
+      partial_count += full ? 0 : 1;
     }
   }
 
-  std::printf("sat_fuzz: %llu iterations, %llu solves (%llu sat, %llu unsat "
-              "rounds), 0 mismatches\n",
+  std::printf("sat_fuzz: %llu iterations, %llu solves (%llu sat rounds, %llu "
+              "of them partial-policy; %llu unsat), every verdict and model "
+              "equal to the oracle's\n",
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(solve_count),
               static_cast<unsigned long long>(sat_count),
+              static_cast<unsigned long long>(partial_count),
               static_cast<unsigned long long>(unsat_count));
   return 0;
 }
