@@ -9,7 +9,6 @@ using model::Message;
 using model::MessageId;
 using model::ResourceId;
 using model::ResourceKind;
-using model::TaskId;
 
 RoutedBusNetwork BuildRoutedBusNetwork(const model::Specification& spec,
                                        const model::Implementation& impl,
@@ -67,10 +66,7 @@ BusLoadReport BusLoadValidator::Validate(
   const auto& arch = spec_.Architecture();
   BusLoadReport report;
 
-  std::map<TaskId, ResourceId> bound_at;
-  for (std::size_t m : impl.binding) {
-    bound_at[spec_.Mappings()[m].task] = spec_.Mappings()[m].resource;
-  }
+  const std::vector<ResourceId> bound_at = impl.BoundResources(spec_);
 
   RoutedBusNetwork routed = BuildRoutedBusNetwork(spec_, impl, id_stride_);
   auto& per_bus = routed.per_bus;
@@ -132,9 +128,7 @@ BusLoadReport BusLoadValidator::Validate(
     // Functional TX messages of this ECU on its bus.
     std::vector<can::CanMessage> ecu_tx;
     for (MessageId c : per_bus[ecu_bus]) {
-      const Message& msg = app.GetMessage(c);
-      const auto it = bound_at.find(msg.sender);
-      if (it == bound_at.end() || it->second != ecu) continue;
+      if (bound_at[app.GetMessage(c).sender] != ecu) continue;
       for (const can::CanMessage& cm : bus.Messages()) {
         if (cm.id == id_of[{ecu_bus, c}]) {
           ecu_tx.push_back(cm);
@@ -145,9 +139,9 @@ BusLoadReport BusLoadValidator::Validate(
     if (ecu_tx.empty()) continue;
 
     for (const auto& prog : programs) {
-      const auto data_it = bound_at.find(prog.data_task);
-      if (!bound_at.count(prog.test_task) || data_it == bound_at.end() ||
-          data_it->second == ecu) {
+      const ResourceId data_at = bound_at[prog.data_task];
+      if (bound_at[prog.test_task] == model::kInvalidId ||
+          data_at == model::kInvalidId || data_at == ecu) {
         continue;  // not selected, or local storage: nothing on the wire
       }
       const auto mirrored = can::MakeMirroredMessages(ecu_tx, 1);

@@ -5,30 +5,35 @@
 
 namespace bistdse::dse {
 
+void GenotypePolicy::Apply(const moea::Genotype& genotype,
+                           std::span<const sat::Var> vars,
+                           sat::Solver& solver) {
+  if (genotype.priorities.size() != vars.size() ||
+      genotype.phases.size() != vars.size())
+    throw std::invalid_argument("genotype size mismatch");
+  const std::vector<std::uint32_t>& order = order_.Compute(genotype);
+  var_order_.resize(order.size());
+  phases_.resize(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    var_order_[i] = vars[order[i]];
+    phases_[i] = genotype.phases[order[i]];
+  }
+  solver.SetDecisionPolicy(var_order_, phases_);
+}
+
 SatDecoder::SatDecoder(const model::Specification& spec,
                        const model::BistAugmentation& augmentation,
                        bool validate_each_decode,
                        const sat::SolverConfig& solver_config)
     : spec_(spec),
       problem_(spec, augmentation, solver_config),
+      routes_(spec.Architecture()),
       validate_each_decode_(validate_each_decode) {}
 
 std::optional<model::Implementation> SatDecoder::Decode(
     const moea::Genotype& genotype) {
   ++stats_.decodes;
-  if (genotype.Size() != GenotypeSize())
-    throw std::invalid_argument("genotype size mismatch");
-
-  const auto order = genotype.DecisionOrder();
-  std::vector<sat::Var> var_order;
-  std::vector<std::uint8_t> phases;
-  var_order.reserve(order.size());
-  phases.reserve(order.size());
-  for (std::uint32_t gene : order) {
-    var_order.push_back(problem_.MappingVars()[gene]);
-    phases.push_back(genotype.phases[gene]);
-  }
-  problem_.SolverRef().SetDecisionPolicy(var_order, phases);
+  policy_.Apply(genotype, problem_.MappingVars(), problem_.SolverRef());
 
   const auto solve_start = std::chrono::steady_clock::now();
   const sat::SolveResult result = problem_.SolverRef().Solve();
@@ -44,7 +49,7 @@ std::optional<model::Implementation> SatDecoder::Decode(
 
   model::Implementation impl;
   impl.binding = problem_.BindingFromModel();
-  if (!model::CompleteRoutingAndAllocation(spec_, impl)) {
+  if (!model::CompleteRoutingAndAllocation(spec_, routes_, impl)) {
     ++stats_.infeasible;
     return std::nullopt;
   }

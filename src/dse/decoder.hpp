@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dse/encoding.hpp"
 #include "moea/genotype.hpp"
@@ -29,6 +31,22 @@ struct DecoderStats {
   }
 };
 
+/// Turns genotypes into the solver's decision policy: branch on the gene
+/// variables in moea::DecisionOrder, each with its gene's phase. The buffers
+/// persist across decodes.
+class GenotypePolicy {
+ public:
+  /// Throws std::invalid_argument unless `genotype` holds one priority and
+  /// one phase per variable and every priority is finite.
+  void Apply(const moea::Genotype& genotype, std::span<const sat::Var> vars,
+             sat::Solver& solver);
+
+ private:
+  moea::DecisionOrder order_;
+  std::vector<sat::Var> var_order_;
+  std::vector<std::uint8_t> phases_;
+};
+
 class SatDecoder {
  public:
   /// `spec` and `augmentation` must outlive the decoder.
@@ -50,6 +68,8 @@ class SatDecoder {
  private:
   const model::Specification& spec_;
   EncodedProblem problem_;
+  model::RouteTable routes_;
+  GenotypePolicy policy_;
   bool validate_each_decode_;
   DecoderStats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -40,24 +41,37 @@ EvaluationContext::EvaluationContext(const model::Specification& spec,
                                      const model::BistAugmentation& augmentation,
                                      const model::Implementation& impl,
                                      const EvaluationOptions& options)
-    : spec(spec), augmentation(augmentation), impl(impl), options(options) {
+    : spec(spec),
+      augmentation(augmentation),
+      impl(impl),
+      options(options),
+      bound_at(impl.BoundResources(spec)) {
   const ApplicationGraph& app = spec.Application();
   const auto& arch = spec.Architecture();
 
-  for (std::size_t m : impl.binding) {
-    bound_at[spec.Mappings()[m].task] = spec.Mappings()[m].resource;
-  }
-
-  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
+  // Group the functional messages by sender resource with a counting sort,
+  // which keeps message-id order within each group.
+  const auto sender_at = [&](model::MessageId c) {
     const Message& msg = app.GetMessage(c);
-    if (msg.diagnostic) continue;
-    const auto it = bound_at.find(msg.sender);
-    if (it == bound_at.end()) continue;
-    can::CanMessage cm;
-    cm.name = msg.name;
-    cm.payload_bytes = msg.payload_bytes;
-    cm.period_ms = msg.period_ms;
-    tx_messages[it->second].push_back(cm);
+    return msg.diagnostic ? model::kInvalidId : bound_at[msg.sender];
+  };
+  tx_begin.assign(arch.ResourceCount() + 1, 0);
+  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
+    if (const ResourceId r = sender_at(c); r != model::kInvalidId) {
+      ++tx_begin[r + 1];
+    }
+  }
+  for (ResourceId r = 0; r < arch.ResourceCount(); ++r) {
+    tx_begin[r + 1] += tx_begin[r];
+  }
+  tx_messages.resize(tx_begin.back());
+  std::vector<std::uint32_t> next(tx_begin.begin(), tx_begin.end() - 1);
+  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
+    const ResourceId r = sender_at(c);
+    if (r == model::kInvalidId) continue;
+    can::CanMessage& cm = tx_messages[next[r]++];
+    cm.payload_bytes = app.GetMessage(c).payload_bytes;
+    cm.period_ms = app.GetMessage(c).period_ms;
   }
 
   for (const auto& [ecu, ecu_programs] : augmentation.programs_by_ecu) {
@@ -65,11 +79,9 @@ EvaluationContext::EvaluationContext(const model::Specification& spec,
       ProgramPlacement placement;
       placement.program = &prog;
       placement.ecu = ecu;
-      const auto test_it = bound_at.find(prog.test_task);
-      placement.test_bound = test_it != bound_at.end();
-      const auto data_it = bound_at.find(prog.data_task);
-      placement.data_bound = data_it != bound_at.end();
-      if (placement.data_bound) placement.data_at = data_it->second;
+      placement.test_bound = bound_at[prog.test_task] != model::kInvalidId;
+      placement.data_at = bound_at[prog.data_task];
+      placement.data_bound = placement.data_at != model::kInvalidId;
 
       if (placement.test_bound) {
         const Task& test = app.GetTask(prog.test_task);
@@ -78,11 +90,7 @@ EvaluationContext::EvaluationContext(const model::Specification& spec,
         if (placement.data_bound && placement.data_at != ecu) {
           // Patterns transmitted first: Eq. (1) over the ECU's functional
           // messages (or their CAN FD upgrades).
-          const auto tx_it = tx_messages.find(ecu);
-          const std::span<const can::CanMessage> tx =
-              tx_it == tx_messages.end()
-                  ? std::span<const can::CanMessage>{}
-                  : std::span<const can::CanMessage>(tx_it->second);
+          const std::span<const can::CanMessage> tx = TxMessages(ecu);
           double transfer_ms = 0.0;
           if (options.use_can_fd && !tx.empty()) {
             double bytes_per_ms = 0.0;

@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -57,10 +56,20 @@ struct EvaluationContext {
   const model::Implementation& impl;
   const EvaluationOptions& options;
 
-  /// Resource of every bound task (one pass over the binding).
-  std::map<model::TaskId, model::ResourceId> bound_at;
-  /// Functional TX messages per ECU — the set I of Eq. (1).
-  std::map<model::ResourceId, std::vector<can::CanMessage>> tx_messages;
+  /// Resource of every task, kInvalidId when unbound
+  /// (Implementation::BoundResources).
+  std::vector<model::ResourceId> bound_at;
+  /// Functional TX messages of every resource, grouped by resource in
+  /// message-id order; only payload and period are filled. TxMessages(r)
+  /// is tx_messages[tx_begin[r], tx_begin[r + 1]).
+  std::vector<can::CanMessage> tx_messages;
+  std::vector<std::uint32_t> tx_begin;
+
+  /// Functional TX messages of resource `r` — the set I of Eq. (1).
+  std::span<const can::CanMessage> TxMessages(model::ResourceId r) const {
+    return std::span(tx_messages)
+        .subspan(tx_begin[r], tx_begin[r + 1] - tx_begin[r]);
+  }
 
   /// Placement of one BIST program (in augmentation iteration order, which
   /// is deterministic — programs_by_ecu is an ordered map).

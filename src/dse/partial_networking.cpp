@@ -8,7 +8,6 @@ namespace bistdse::dse {
 
 using model::Message;
 using model::ResourceId;
-using model::TaskId;
 
 PartialNetworkingReport AnalyzePartialNetworking(
     const model::Specification& spec,
@@ -19,28 +18,23 @@ PartialNetworkingReport AnalyzePartialNetworking(
   const auto& app = spec.Application();
   PartialNetworkingReport report;
 
-  std::map<TaskId, ResourceId> bound_at;
-  for (std::size_t m : impl.binding) {
-    bound_at[spec.Mappings()[m].task] = spec.Mappings()[m].resource;
-  }
+  const std::vector<ResourceId> bound_at = impl.BoundResources(spec);
 
   // Functional TX messages per ECU (the set I of Eq. 1).
   std::map<ResourceId, std::vector<can::CanMessage>> tx_messages;
   for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
     const Message& msg = app.GetMessage(c);
-    if (msg.diagnostic) continue;
-    const auto it = bound_at.find(msg.sender);
-    if (it == bound_at.end()) continue;
+    if (msg.diagnostic || bound_at[msg.sender] == model::kInvalidId) continue;
     can::CanMessage cm;
     cm.name = msg.name;
     cm.payload_bytes = msg.payload_bytes;
     cm.period_ms = msg.period_ms;
-    tx_messages[it->second].push_back(cm);
+    tx_messages[bound_at[msg.sender]].push_back(cm);
   }
 
   for (const auto& [ecu, programs] : augmentation.programs_by_ecu) {
     for (const auto& prog : programs) {
-      if (!bound_at.count(prog.test_task)) continue;
+      if (bound_at[prog.test_task] == model::kInvalidId) continue;
       const auto& test = app.GetTask(prog.test_task);
       const auto& data = app.GetTask(prog.data_task);
 
@@ -49,10 +43,9 @@ PartialNetworkingReport AnalyzePartialNetworking(
       session.profile_index = prog.profile_index;
       session.session_ms = test.runtime_ms;
 
-      const auto data_it = bound_at.find(prog.data_task);
-      session.patterns_local =
-          data_it != bound_at.end() && data_it->second == ecu;
-      if (data_it != bound_at.end() && !session.patterns_local) {
+      const ResourceId data_at = bound_at[prog.data_task];
+      session.patterns_local = data_at == ecu;
+      if (data_at != model::kInvalidId && !session.patterns_local) {
         const auto tx_it = tx_messages.find(ecu);
         session.transfer_ms = can::MirroredTransferTimeMs(
             data.data_bytes,

@@ -51,6 +51,7 @@ RefineResult RefineFront(const model::Specification& spec,
   // only the engine's stage pipeline and memo are used — same objective
   // arithmetic as the exploration that produced `front`.
   EvaluationEngine engine(spec, augmentation);
+  const model::RouteTable routes(spec.Architecture());
 
   moea::ParetoArchive archive;
   std::vector<ExplorationEntry> store;
@@ -68,7 +69,7 @@ RefineResult RefineFront(const model::Specification& spec,
 
   auto try_neighbor = [&](Implementation neighbor) {
     if (result.evaluations >= options.max_evaluations) return;
-    if (!model::CompleteRoutingAndAllocation(spec, neighbor)) return;
+    if (!model::CompleteRoutingAndAllocation(spec, routes, neighbor)) return;
     if (!model::ValidateImplementation(spec, neighbor).empty()) return;
     ++result.evaluations;
     const auto objectives = engine.EvaluateCached(neighbor);

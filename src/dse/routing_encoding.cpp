@@ -246,16 +246,7 @@ RoutedSatDecoder::RoutedSatDecoder(const model::Specification& spec,
 std::optional<model::Implementation> RoutedSatDecoder::Decode(
     const moea::Genotype& genotype) {
   ++stats_.decodes;
-  if (genotype.Size() != GenotypeSize())
-    throw std::invalid_argument("genotype size mismatch");
-  const auto order = genotype.DecisionOrder();
-  std::vector<Var> var_order;
-  std::vector<std::uint8_t> phases;
-  for (std::uint32_t gene : order) {
-    var_order.push_back(problem_.MappingVars()[gene]);
-    phases.push_back(genotype.phases[gene]);
-  }
-  problem_.SolverRef().SetDecisionPolicy(var_order, phases);
+  policy_.Apply(genotype, problem_.MappingVars(), problem_.SolverRef());
   const auto solve_start = std::chrono::steady_clock::now();
   const sat::SolveResult result = problem_.SolverRef().Solve();
   stats_.decode_seconds +=

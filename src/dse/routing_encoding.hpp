@@ -84,6 +84,7 @@ class RoutedSatDecoder {
  private:
   const model::Specification& spec_;
   RoutedEncodedProblem problem_;
+  GenotypePolicy policy_;
   DecoderStats stats_;
 };
 

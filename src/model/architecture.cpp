@@ -1,7 +1,6 @@
 #include "model/architecture.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace bistdse::model {
@@ -29,32 +28,43 @@ bool ArchitectureGraph::Linked(ResourceId a, ResourceId b) const {
   return std::find(adj.begin(), adj.end(), b) != adj.end();
 }
 
-std::optional<std::vector<ResourceId>> ArchitectureGraph::ShortestPath(
-    ResourceId a, ResourceId b) const {
-  if (a >= resources_.size() || b >= resources_.size()) return std::nullopt;
-  if (a == b) return std::vector<ResourceId>{a};
-  std::vector<ResourceId> pred(resources_.size(), kInvalidId);
-  std::deque<ResourceId> queue{a};
-  pred[a] = a;
-  while (!queue.empty()) {
-    const ResourceId cur = queue.front();
-    queue.pop_front();
+namespace {
+
+/// Appends the hops after `from` on the `pred` tree path from -> to.
+bool AppendTreePath(std::span<const ResourceId> pred, ResourceId from,
+                    ResourceId to, std::vector<ResourceId>& path) {
+  if (pred[to] == kInvalidId) return false;
+  const std::size_t start = path.size();
+  for (ResourceId r = to; r != from; r = pred[r]) path.push_back(r);
+  std::reverse(path.begin() + static_cast<std::ptrdiff_t>(start), path.end());
+  return true;
+}
+
+}  // namespace
+
+void ArchitectureGraph::BfsTree(ResourceId source,
+                                std::span<ResourceId> pred) const {
+  std::fill(pred.begin(), pred.end(), kInvalidId);
+  std::vector<ResourceId> queue{source};
+  pred[source] = source;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const ResourceId cur = queue[head];
     for (ResourceId next : adjacency_[cur]) {  // sorted: lowest-id tie-break
       if (pred[next] != kInvalidId) continue;
       pred[next] = cur;
-      if (next == b) {
-        std::vector<ResourceId> path{b};
-        for (ResourceId p = b; p != a;) {
-          p = pred[p];
-          path.push_back(p);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
       queue.push_back(next);
     }
   }
-  return std::nullopt;
+}
+
+std::optional<std::vector<ResourceId>> ArchitectureGraph::ShortestPath(
+    ResourceId a, ResourceId b) const {
+  if (a >= resources_.size() || b >= resources_.size()) return std::nullopt;
+  std::vector<ResourceId> pred(resources_.size());
+  BfsTree(a, pred);
+  std::vector<ResourceId> path{a};
+  if (!AppendTreePath(pred, a, b, path)) return std::nullopt;
+  return path;
 }
 
 std::vector<ResourceId> ArchitectureGraph::ResourcesOfKind(
@@ -71,6 +81,20 @@ ResourceId ArchitectureGraph::Gateway() const {
   if (gws.size() != 1)
     throw std::logic_error("architecture must have exactly one gateway");
   return gws[0];
+}
+
+RouteTable::RouteTable(const ArchitectureGraph& arch)
+    : resources_(arch.ResourceCount()),
+      pred_(resources_ * resources_) {
+  for (ResourceId from = 0; from < resources_; ++from) {
+    arch.BfsTree(from, std::span(pred_).subspan(from * resources_, resources_));
+  }
+}
+
+bool RouteTable::AppendPath(ResourceId from, ResourceId to,
+                            std::vector<ResourceId>& path) const {
+  return AppendTreePath(
+      std::span(pred_).subspan(from * resources_, resources_), from, to, path);
 }
 
 }  // namespace bistdse::model

@@ -34,8 +34,15 @@ class ArchitectureGraph {
   }
   bool Linked(ResourceId a, ResourceId b) const;
 
-  /// Shortest path a -> b (inclusive of both endpoints) by BFS; nullopt when
-  /// disconnected. Deterministic (lowest-id tie-break).
+  /// Breadth-first tree rooted at `source`, written into `pred` (one entry
+  /// per resource): pred[r] is r's predecessor on a shortest path from
+  /// `source`, pred[source] == source, and kInvalidId marks unreachable
+  /// resources. Neighbors are visited in ascending id order, so ties break
+  /// toward the lowest id.
+  void BfsTree(ResourceId source, std::span<ResourceId> pred) const;
+
+  /// Shortest path a -> b (inclusive of both endpoints) in BfsTree(a);
+  /// nullopt when disconnected. Deterministic (lowest-id tie-break).
   std::optional<std::vector<ResourceId>> ShortestPath(ResourceId a,
                                                       ResourceId b) const;
 
@@ -48,6 +55,23 @@ class ArchitectureGraph {
  private:
   std::vector<Resource> resources_;
   std::vector<std::vector<ResourceId>> adjacency_;
+};
+
+/// Every ShortestPath answer of one architecture, precomputed as one BfsTree
+/// per source resource, so routing an implementation runs no search.
+class RouteTable {
+ public:
+  explicit RouteTable(const ArchitectureGraph& arch);
+
+  /// Appends the hops of ShortestPath(from, to) after `from` to `path`.
+  /// Returns false, leaving `path` untouched, when `to` is unreachable.
+  bool AppendPath(ResourceId from, ResourceId to,
+                  std::vector<ResourceId>& path) const;
+
+ private:
+  std::size_t resources_ = 0;
+  /// BfsTree(from) at [from * resources_, (from + 1) * resources_).
+  std::vector<ResourceId> pred_;
 };
 
 }  // namespace bistdse::model

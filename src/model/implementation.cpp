@@ -13,34 +13,46 @@ std::optional<ResourceId> Implementation::BoundResource(
   return std::nullopt;
 }
 
+std::vector<ResourceId> Implementation::BoundResources(
+    const Specification& spec) const {
+  std::vector<ResourceId> bound_at(spec.Application().TaskCount(),
+                                   kInvalidId);
+  for (std::size_t m : binding) {
+    const MappingOption& option = spec.Mappings()[m];
+    if (bound_at[option.task] == kInvalidId) {
+      bound_at[option.task] = option.resource;
+    }
+  }
+  return bound_at;
+}
+
 bool CompleteRoutingAndAllocation(const Specification& spec,
+                                  const RouteTable& routes,
                                   Implementation& impl) {
   const ApplicationGraph& app = spec.Application();
-  const ArchitectureGraph& arch = spec.Architecture();
+  const std::vector<ResourceId> bound_at = impl.BoundResources(spec);
 
   impl.routing.clear();
   for (MessageId c = 0; c < app.MessageCount(); ++c) {
     const Message& msg = app.GetMessage(c);
-    const auto src = impl.BoundResource(spec, msg.sender);
-    if (!src) continue;  // optional sender unbound: message inactive
+    const ResourceId src = bound_at[msg.sender];
+    if (src == kInvalidId) continue;  // optional sender unbound: inactive
     // Route to the (first bound) receiver; all receivers must lie on the
     // path for multicast messages.
-    std::vector<ResourceId> path{*src};
+    std::vector<ResourceId> path{src};
     for (TaskId recv : msg.receivers) {
-      const auto dst = impl.BoundResource(spec, recv);
-      if (!dst) {
+      const ResourceId dst = bound_at[recv];
+      if (dst == kInvalidId) {
         if (app.IsMandatory(recv)) return false;  // mandatory receiver unbound
         continue;
       }
-      if (std::find(path.begin(), path.end(), *dst) != path.end()) continue;
-      const auto extension = arch.ShortestPath(path.back(), *dst);
-      if (!extension) return false;
-      path.insert(path.end(), extension->begin() + 1, extension->end());
+      if (std::find(path.begin(), path.end(), dst) != path.end()) continue;
+      if (!routes.AppendPath(path.back(), dst, path)) return false;
     }
-    impl.routing[c] = std::move(path);
+    impl.routing.emplace_hint(impl.routing.end(), c, std::move(path));
   }
 
-  impl.allocation.assign(arch.ResourceCount(), false);
+  impl.allocation.assign(spec.Architecture().ResourceCount(), false);
   for (std::size_t m : impl.binding) {
     impl.allocation[spec.Mappings()[m].resource] = true;
   }

@@ -30,14 +30,20 @@ struct Implementation {
   bool IsBound(const Specification& spec, TaskId task) const {
     return BoundResource(spec, task).has_value();
   }
+
+  /// BoundResource of every task in one pass over the binding: entry t is
+  /// task t's resource, or kInvalidId when t is unbound. A task bound twice
+  /// keeps its first binding, as in BoundResource.
+  std::vector<ResourceId> BoundResources(const Specification& spec) const;
 };
 
-/// Routes every message whose sender and receivers are bound, using
-/// deterministic shortest paths over allocated... over the architecture.
-/// Returns false if some required route does not exist (disconnected
-/// architecture) — the implementation is then infeasible. Also fills the
-/// allocation from bound and routed resources.
+/// Routes every message whose sender and receivers are bound, along the
+/// shortest paths of `routes` (built from spec.Architecture()). Returns
+/// false if some required route does not exist (disconnected architecture)
+/// — the implementation is then infeasible. Also fills the allocation from
+/// bound and routed resources.
 bool CompleteRoutingAndAllocation(const Specification& spec,
+                                  const RouteTable& routes,
                                   Implementation& impl);
 
 /// Checks all feasibility constraints; returns human-readable violations

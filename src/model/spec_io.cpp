@@ -249,7 +249,8 @@ Implementation ReadImplementation(const Specification& spec,
       Fail(lineno, "no mapping option " + task + " -> " + resource);
     }
   }
-  if (!CompleteRoutingAndAllocation(spec, impl)) {
+  if (!CompleteRoutingAndAllocation(spec, RouteTable(spec.Architecture()),
+                                    impl)) {
     throw std::runtime_error("implementation is unroutable on this spec");
   }
   return impl;

@@ -12,8 +12,8 @@ std::size_t Specification::AddMapping(TaskId task, ResourceId resource) {
     throw std::invalid_argument("mapping resource out of range");
   if (!IsComputational(architecture_.GetResource(resource).kind))
     throw std::invalid_argument("tasks cannot be mapped onto buses");
-  for (const MappingOption& m : mappings_) {
-    if (m.task == task && m.resource == resource)
+  for (std::size_t m : MappingsOfTask(task)) {
+    if (mappings_[m].resource == resource)
       throw std::invalid_argument("duplicate mapping option");
   }
   const std::size_t index = mappings_.size();

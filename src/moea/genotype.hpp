@@ -17,9 +17,24 @@ struct Genotype {
   std::vector<std::uint8_t> phases;   ///< Preferred value per variable.
 
   std::size_t Size() const { return priorities.size(); }
+};
 
-  /// Decision order implied by the priorities (descending; stable).
-  std::vector<std::uint32_t> DecisionOrder() const;
+/// The decision order a genotype implies: gene indices by descending
+/// priority, ties in ascending gene index (the order a stable sort by
+/// priority gives). A counting sort into value buckets over [min, max]
+/// priority followed by one insertion pass computes it in linear expected
+/// time for priorities drawn uniformly. The buffers persist across calls,
+/// so a decoder that owns one allocates nothing per decode.
+class DecisionOrder {
+ public:
+  /// Orders the genes of `genotype`; the result stays valid until the next
+  /// call. Throws std::invalid_argument on a non-finite priority, which has
+  /// no place in the order.
+  const std::vector<std::uint32_t>& Compute(const Genotype& genotype);
+
+ private:
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> bucket_end_;
 };
 
 /// Uniformly random genotype of `n` genes (phase probability 1/2).

@@ -15,18 +15,8 @@ using model::Message;
 using model::MessageId;
 using model::ResourceId;
 using model::ResourceKind;
-using model::TaskId;
 
 namespace {
-
-std::map<TaskId, ResourceId> BoundAt(const model::Specification& spec,
-                                     const model::Implementation& impl) {
-  std::map<TaskId, ResourceId> bound_at;
-  for (std::size_t m : impl.binding) {
-    bound_at[spec.Mappings()[m].task] = spec.Mappings()[m].resource;
-  }
-  return bound_at;
-}
 
 void RecordPhase(EventTrace* trace, TraceEventKind kind, double now_ms,
                  const std::string& note) {
@@ -46,7 +36,7 @@ SessionExecution SessionExecutor::ExecuteOne(
     EventTrace* trace) const {
   const auto& app = spec_.Application();
   const auto& arch = spec_.Architecture();
-  const auto bound_at = BoundAt(spec_, impl);
+  const std::vector<ResourceId> bound_at = impl.BoundResources(spec_);
 
   SessionExecution result;
   result.plan = plan;
@@ -105,8 +95,7 @@ SessionExecution SessionExecutor::ExecuteOne(
   for (const auto& [c, path] : impl.routing) {
     const Message& msg = app.GetMessage(c);
     if (msg.diagnostic) continue;
-    const auto sender_it = bound_at.find(msg.sender);
-    if (sender_it != bound_at.end() && sender_it->second == plan.ecu) continue;
+    if (bound_at[msg.sender] == plan.ecu) continue;
     PeriodicSlot slot;
     std::vector<std::pair<ResourceId, can::CanId>> hops;
     for (ResourceId r : path) {
@@ -133,9 +122,7 @@ SessionExecution SessionExecutor::ExecuteOne(
     const auto per_bus_it = routed.per_bus.find(ecu_bus);
     if (per_bus_it != routed.per_bus.end()) {
       for (MessageId c : per_bus_it->second) {
-        const Message& msg = app.GetMessage(c);
-        const auto it = bound_at.find(msg.sender);
-        if (it == bound_at.end() || it->second != plan.ecu) continue;
+        if (bound_at[app.GetMessage(c).sender] != plan.ecu) continue;
         for (const can::CanMessage& cm : bus.Messages()) {
           if (cm.id == routed.id_of.at({ecu_bus, c})) {
             ecu_tx.push_back(cm);

@@ -249,6 +249,63 @@ TEST(Corpus, RejectsDegenerateEnvelope) {
   EXPECT_THROW(SampleTopologySpec(corpus, 0), std::invalid_argument);
 }
 
+// --- route table -----------------------------------------------------------
+
+/// Every ordered resource pair routes through the table exactly as
+/// ShortestPath does, and an unreachable pair has no route.
+void ExpectRoutesMatchShortestPath(const model::ArchitectureGraph& arch) {
+  const model::RouteTable routes(arch);
+  for (model::ResourceId a = 0; a < arch.ResourceCount(); ++a) {
+    for (model::ResourceId b = 0; b < arch.ResourceCount(); ++b) {
+      const auto expected = arch.ShortestPath(a, b);
+      std::vector<model::ResourceId> path{a};
+      ASSERT_EQ(routes.AppendPath(a, b, path), expected.has_value())
+          << a << " -> " << b;
+      EXPECT_EQ(path, expected.value_or(std::vector<model::ResourceId>{a}))
+          << a << " -> " << b;
+    }
+  }
+}
+
+TEST(RouteTable, MatchesShortestPathOnCaseStudy) {
+  ExpectRoutesMatchShortestPath(
+      casestudy::BuildCaseStudy().spec.Architecture());
+}
+
+TEST(RouteTable, MatchesShortestPathOnDesignCorpusStrata) {
+  // The eight (ECUs, buses) strata of the design-corpus benchmark workload.
+  const std::size_t ecus[] = {20, 24, 28, 32, 36, 40, 45, 50};
+  const std::size_t buses[] = {2, 3, 4, 5, 6, 7, 8, 4};
+  for (std::size_t k = 0; k < std::size(ecus); ++k) {
+    CorpusSpec corpus;
+    corpus.seed = 1;
+    corpus.min_ecus = corpus.max_ecus = ecus[k];
+    corpus.min_buses = corpus.max_buses = buses[k];
+    corpus.profile_pool = casestudy::ScaledTableI(1.0 / 256, 4);
+    const auto topo = GenerateTopology(SampleTopologySpec(corpus, k),
+                                       TopologySeed(corpus, k));
+    SCOPED_TRACE("stratum " + std::to_string(k));
+    ExpectRoutesMatchShortestPath(topo.spec.Architecture());
+  }
+}
+
+TEST(RouteTable, DisconnectedPairsHaveNoRoute) {
+  model::ArchitectureGraph arch;
+  const auto ecu = arch.AddResource({"ecu", model::ResourceKind::Ecu, 1, 0, 0});
+  const auto bus =
+      arch.AddResource({"bus", model::ResourceKind::Bus, 1, 0, 500e3});
+  const auto island =
+      arch.AddResource({"island", model::ResourceKind::Ecu, 1, 0, 0});
+  arch.AddLink(ecu, bus);
+  ExpectRoutesMatchShortestPath(arch);
+
+  const model::RouteTable routes(arch);
+  std::vector<model::ResourceId> path{ecu};
+  EXPECT_FALSE(routes.AppendPath(ecu, island, path));
+  EXPECT_FALSE(routes.AppendPath(island, bus, path));
+  EXPECT_EQ(path, std::vector<model::ResourceId>{ecu});
+}
+
 // --- adversarial campaign --------------------------------------------------
 
 TEST(Campaign, ScheduleIsSeededAndBaselineFirst) {

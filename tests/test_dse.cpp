@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
@@ -33,6 +36,27 @@ TEST(Encoding, EveryRandomGenotypeDecodesFeasibly) {
   }
   EXPECT_EQ(decoder.Stats().validation_failures, 0u);
   EXPECT_EQ(decoder.Stats().infeasible, 0u);
+}
+
+TEST(Encoding, DecodeRejectsMalformedGenotypes) {
+  auto cs = SmallCaseStudy();
+  SatDecoder decoder(cs.spec, cs.augmentation);
+  util::SplitMix64 rng(2);
+  const auto genotype = moea::RandomGenotype(decoder.GenotypeSize(), rng);
+
+  auto short_phases = genotype;
+  short_phases.phases.pop_back();
+  EXPECT_THROW(decoder.Decode(short_phases), std::invalid_argument);
+  auto long_phases = genotype;
+  long_phases.phases.push_back(1);
+  EXPECT_THROW(decoder.Decode(long_phases), std::invalid_argument);
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    auto non_finite = genotype;
+    non_finite.priorities[genotype.Size() / 2] = bad;
+    EXPECT_THROW(decoder.Decode(non_finite), std::invalid_argument);
+  }
+  // A rejected genotype leaves the decoder usable.
+  EXPECT_TRUE(decoder.Decode(genotype).has_value());
 }
 
 TEST(Encoding, AllPhasesFalseSelectsNoBist) {

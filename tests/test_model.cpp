@@ -51,6 +51,8 @@ struct TinySystem {
     spec.AddMapping(t_ctrl, ecu2);
     spec.AddMapping(t_act, actuator);
   }
+
+  RouteTable Routes() const { return RouteTable(spec.Architecture()); }
 };
 
 bist::BistProfile MakeProfile(std::uint32_t number, std::uint64_t bytes) {
@@ -169,7 +171,7 @@ TEST(Implementation, RoutingAndValidationHappyPath) {
   // 3 act->actuator.
   Implementation impl;
   impl.binding = {0, 1, 3};
-  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, impl));
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
   const auto violations = ValidateImplementation(sys.spec, impl);
   EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations[0]);
   EXPECT_EQ(impl.routing.at(sys.m1),
@@ -183,7 +185,7 @@ TEST(Implementation, DetectsMissingMandatoryBinding) {
   TinySystem sys;
   Implementation impl;
   impl.binding = {0, 1};  // actuator task unbound
-  CompleteRoutingAndAllocation(sys.spec, impl);
+  CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl);
   EXPECT_FALSE(ValidateImplementation(sys.spec, impl).empty());
 }
 
@@ -191,15 +193,31 @@ TEST(Implementation, DetectsDoubleBinding) {
   TinySystem sys;
   Implementation impl;
   impl.binding = {0, 1, 2, 3};  // ctrl bound twice
-  CompleteRoutingAndAllocation(sys.spec, impl);
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
   EXPECT_FALSE(ValidateImplementation(sys.spec, impl).empty());
+
+  // The dense binding view keeps ctrl's first binding (ecu1), as
+  // BoundResource does, and routing follows it.
+  EXPECT_EQ(impl.BoundResources(sys.spec)[sys.t_ctrl], sys.ecu1);
+  EXPECT_EQ(impl.BoundResource(sys.spec, sys.t_ctrl), sys.ecu1);
+  EXPECT_EQ(impl.routing.at(sys.m1),
+            (std::vector<ResourceId>{sys.sensor, sys.bus, sys.ecu1}));
+  EXPECT_EQ(impl.routing.at(sys.m2),
+            (std::vector<ResourceId>{sys.ecu1, sys.bus, sys.actuator}));
+
+  // Listing the ecu2 option first makes ecu2 the first binding.
+  impl.binding = {0, 2, 1, 3};
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
+  EXPECT_EQ(impl.BoundResources(sys.spec)[sys.t_ctrl], sys.ecu2);
+  EXPECT_EQ(impl.routing.at(sys.m2),
+            (std::vector<ResourceId>{sys.ecu2, sys.bus, sys.actuator}));
 }
 
 TEST(Implementation, DetectsBrokenRoute) {
   TinySystem sys;
   Implementation impl;
   impl.binding = {0, 1, 3};
-  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, impl));
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
   impl.routing[sys.m1] = {sys.sensor, sys.ecu1};  // skips the bus
   const auto violations = ValidateImplementation(sys.spec, impl);
   bool found = false;
@@ -221,7 +239,7 @@ TEST(Implementation, Eq2hDiagnosisOnlyResourceRejected) {
   impl.binding.push_back(sys.spec.MappingsOfTask(aug.collect_task)[0]);
   impl.binding.push_back(sys.spec.MappingsOfTask(prog.test_task)[0]);
   impl.binding.push_back(sys.spec.MappingsOfTask(prog.data_task)[0]);
-  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, impl));
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
   const auto violations = ValidateImplementation(sys.spec, impl);
   bool found = false;
   for (const auto& v : violations) found |= v.find("2h") != std::string::npos;
@@ -240,7 +258,7 @@ TEST(Implementation, Eq3bCouplingViolation) {
   impl.binding.push_back(sys.spec.MappingsOfTask(aug.collect_task)[0]);
   impl.binding.push_back(sys.spec.MappingsOfTask(prog.test_task)[0]);
   // b^D deliberately unbound.
-  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, impl));
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
   const auto violations = ValidateImplementation(sys.spec, impl);
   bool found = false;
   for (const auto& v : violations) found |= v.find("3b") != std::string::npos;
@@ -260,7 +278,7 @@ TEST(Implementation, FullBistBindingIsFeasible) {
   impl.binding.push_back(sys.spec.MappingsOfTask(prog.test_task)[0]);
   // Store patterns at the gateway (second mapping option of b^D).
   impl.binding.push_back(sys.spec.MappingsOfTask(prog.data_task)[1]);
-  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, impl));
+  ASSERT_TRUE(CompleteRoutingAndAllocation(sys.spec, sys.Routes(), impl));
   const auto violations = ValidateImplementation(sys.spec, impl);
   EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations[0]);
   // c^D routed gateway -> bus -> ecu1.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "moea/archive.hpp"
 #include "moea/indicators.hpp"
@@ -119,7 +122,61 @@ TEST(Genotype, DecisionOrderSortsByPriority) {
   Genotype g;
   g.priorities = {0.2, 0.9, 0.5};
   g.phases = {0, 1, 0};
-  EXPECT_EQ(g.DecisionOrder(), (std::vector<std::uint32_t>{1, 2, 0}));
+  DecisionOrder order;
+  EXPECT_EQ(order.Compute(g), (std::vector<std::uint32_t>{1, 2, 0}));
+}
+
+/// The order DecisionOrder must reproduce: gene indices stable-sorted by
+/// descending priority.
+std::vector<std::uint32_t> StableSortOrder(const Genotype& g) {
+  std::vector<std::uint32_t> order(g.Size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return g.priorities[a] > g.priorities[b];
+                   });
+  return order;
+}
+
+TEST(Genotype, DecisionOrderMatchesStableSort) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> ties = {0.5, 0.9, 0.8, 0.1, 0.0, -0.0};
+  const std::vector<double> extremes = {
+      Limits::max(),        -Limits::max(), Limits::min(), -Limits::min(),
+      Limits::denorm_min(), -Limits::denorm_min(), 0.0,  -0.0,
+      1.0,                  -1.0,           1e300,         -1e-300};
+  util::SplitMix64 rng(17);
+  DecisionOrder order;  // reused across calls, as a decoder reuses it
+  for (std::size_t n : {0, 1, 2, 17, 473, 2000}) {
+    Genotype g = RandomGenotype(n, rng);
+    EXPECT_EQ(order.Compute(g), StableSortOrder(g)) << "uniform, n = " << n;
+
+    for (double& p : g.priorities) p = ties[rng.Below(ties.size())];
+    EXPECT_EQ(order.Compute(g), StableSortOrder(g)) << "ties, n = " << n;
+
+    for (double& p : g.priorities) {
+      p = rng.Chance(0.5) ? extremes[rng.Below(extremes.size())]
+                          : 2.0 * rng.UnitReal() - 1.0;
+    }
+    EXPECT_EQ(order.Compute(g), StableSortOrder(g)) << "extremes, n = " << n;
+  }
+
+  // -0.0 and +0.0 tie, so they keep index order.
+  Genotype zeros;
+  zeros.priorities = {-0.0, 0.0, -0.0, 0.0};
+  zeros.phases.assign(4, 0);
+  EXPECT_EQ(order.Compute(zeros), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+}
+
+TEST(Genotype, DecisionOrderRejectsNonFinitePriorities) {
+  DecisionOrder order;
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Genotype g;
+    g.priorities = {0.3, bad, 0.7};
+    g.phases = {0, 1, 0};
+    EXPECT_THROW(order.Compute(g), std::invalid_argument);
+  }
 }
 
 TEST(Genotype, OperatorsAreDeterministic) {

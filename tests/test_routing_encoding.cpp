@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
 #include "dse/objectives.hpp"
@@ -84,6 +87,21 @@ TEST(RoutingEncoding, DecodesFeasibleImplementations) {
     const auto violations = model::ValidateImplementation(fx.spec, *impl);
     ASSERT_TRUE(violations.empty()) << violations[0] << " trial " << trial;
   }
+}
+
+TEST(RoutingEncoding, DecodeRejectsMalformedGenotypes) {
+  RoutedFixture fx;
+  RoutedSatDecoder decoder(fx.spec, fx.augmentation);
+  util::SplitMix64 rng(2);
+  const auto genotype = moea::RandomGenotype(decoder.GenotypeSize(), rng);
+
+  auto short_phases = genotype;
+  short_phases.phases.pop_back();
+  EXPECT_THROW(decoder.Decode(short_phases), std::invalid_argument);
+  auto nan_priority = genotype;
+  nan_priority.priorities.front() = std::nan("");
+  EXPECT_THROW(decoder.Decode(nan_priority), std::invalid_argument);
+  EXPECT_TRUE(decoder.Decode(genotype).has_value());
 }
 
 TEST(RoutingEncoding, CrossSegmentRouteGoesThroughGateway) {

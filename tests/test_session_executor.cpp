@@ -259,7 +259,8 @@ struct SingleEcuSystem {
       if (opt.task == prog.data_task && opt.resource != gateway) continue;
       impl.binding.push_back(i);
     }
-    if (!CompleteRoutingAndAllocation(spec, impl)) {
+    if (!CompleteRoutingAndAllocation(spec, RouteTable(spec.Architecture()),
+                                      impl)) {
       throw std::logic_error("single-ECU system must route");
     }
   }
