@@ -11,32 +11,11 @@
 #include <span>
 #include <vector>
 
-#include "bist/misr.hpp"
 #include "bist/pattern_source.hpp"
 #include "bist/reseeding.hpp"
 #include "sim/campaign.hpp"
 
 namespace bistdse::bist {
-
-/// Absorbs one simulated block's response (Lanes() contiguous words per
-/// output — the FaultyResponse / GoodOutputLanes layout) into `misr` in
-/// global pattern order (pattern, then output): lane-then-pattern iteration
-/// is exactly the serial order, so MISR states are bit-identical to a
-/// narrow walk for every block width.
-inline void AbsorbBlockResponse(Misr& misr,
-                                std::span<const sim::PatternWord> response,
-                                std::size_t num_outputs,
-                                const sim::CampaignBlock& block) {
-  const std::size_t lanes = block.Lanes();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::size_t lane_count = block.LaneCount(l);
-    for (std::size_t k = 0; k < lane_count; ++k) {
-      for (std::size_t j = 0; j < num_outputs; ++j) {
-        misr.AbsorbBit((response[j * lanes + l] >> k) & 1);
-      }
-    }
-  }
-}
 
 /// Identity key of the PrpgSource stream for campaign memoization: the
 /// fields bist::PatternSource actually reads (PRPG polynomial degree and

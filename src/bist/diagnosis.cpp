@@ -5,7 +5,7 @@
 #include <map>
 
 #include "bist/campaign_sources.hpp"
-#include "bist/misr.hpp"
+#include "bist/error_signatures.hpp"
 
 namespace bistdse::bist {
 
@@ -26,6 +26,7 @@ SignatureDiagnosis::SignatureDiagnosis(
       runner_(netlist,
               sim::CampaignConfig{.block_width = block_width,
                                   .threads = threads}) {
+  config_.Validate();
   const std::uint64_t total = num_random_ + deterministic_.size();
   window_ = config_.EffectiveWindow(total);
   window_count_ = static_cast<std::uint32_t>((total + window_ - 1) / window_);
@@ -66,33 +67,6 @@ class WindowPredictSink final : public sim::CampaignSink {
   std::uint64_t window_;
 };
 
-/// Stage 2 sink: advances one MISR per shortlist candidate over the current
-/// window's patterns, candidate-partitioned across the pool. Each MISR is
-/// only ever touched by the worker owning its index and blocks arrive
-/// serially, so per-candidate absorb order equals the serial pattern order.
-class ShortlistMisrSink final : public sim::CampaignSink {
- public:
-  ShortlistMisrSink(std::span<const DiagnosisCandidate> shortlist,
-                    std::vector<Misr>& misrs, std::size_t num_outputs)
-      : shortlist_(shortlist), misrs_(misrs), num_outputs_(num_outputs) {}
-
-  bool OnBlock(sim::CampaignBlock& block) override {
-    block.ParallelFor(shortlist_.size(),
-                      [&](std::size_t r, sim::FaultView& view) {
-                        const std::vector<PatternWord> response =
-                            view.FaultyResponse(shortlist_[r].fault);
-                        AbsorbBlockResponse(misrs_[r], response, num_outputs_,
-                                            block);
-                      });
-    return true;
-  }
-
- private:
-  std::span<const DiagnosisCandidate> shortlist_;
-  std::vector<Misr>& misrs_;
-  std::size_t num_outputs_;
-};
-
 }  // namespace
 
 std::vector<DiagnosisCandidate> SignatureDiagnosis::Diagnose(
@@ -113,15 +87,29 @@ std::vector<DiagnosisCandidate> SignatureDiagnosis::Diagnose(
     runner_.Run(source, sink, {.track = candidates});
   }
 
+  // Observed failing windows as a bitmask row. An index past the row is a
+  // failing window no candidate predicts (FaultDictionary::Diagnose's
+  // rule): it widens every union, once per distinct index, and stage 2
+  // replays it with no patterns.
   std::vector<std::uint64_t> observed(wwords, 0);
+  std::vector<std::uint32_t> unpredicted;
   for (const FailDatum& f : fail_data) {
-    observed[f.window_index / 64] |= std::uint64_t{1} << (f.window_index % 64);
+    if (f.window_index / 64 < wwords) {
+      observed[f.window_index / 64] |= std::uint64_t{1}
+                                       << (f.window_index % 64);
+    } else {
+      unpredicted.push_back(f.window_index);
+    }
   }
+  std::sort(unpredicted.begin(), unpredicted.end());
+  const auto unpredicted_count = static_cast<std::uint64_t>(
+      std::unique(unpredicted.begin(), unpredicted.end()) -
+      unpredicted.begin());
 
   std::vector<DiagnosisCandidate> ranked;
   ranked.reserve(candidates.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    std::uint64_t inter = 0, uni = 0;
+    std::uint64_t inter = 0, uni = unpredicted_count;
     for (std::size_t w = 0; w < wwords; ++w) {
       inter += std::popcount(predicted[c][w] & observed[w]);
       uni += std::popcount(predicted[c][w] | observed[w]);
@@ -179,28 +167,41 @@ std::vector<DiagnosisCandidate> SignatureDiagnosis::Diagnose(
     }
 
     // Per selected window, one mini-campaign over the window's patterns
-    // reproduces the signature of every shortlist candidate at once; the
-    // per-candidate MISR advance fans across the pool.
-    const std::span<const DiagnosisCandidate> shortlist_span(ranked.data(),
-                                                             shortlist);
-    std::vector<std::vector<Misr>> misrs(
-        selected.size(), std::vector<Misr>(shortlist, Misr(config_.misr_width)));
-    for (std::size_t wi = 0; wi < selected.size(); ++wi) {
-      const auto& pats = window_patterns.at(selected[wi]->window_index);
+    // reproduces the signature of every shortlist candidate at once: the
+    // window alone is a one-window session of its own length. A window with
+    // no patterns leaves every signature at the MISR's reset state 0.
+    std::vector<StuckAtFault> shortlist_faults(shortlist);
+    for (std::size_t r = 0; r < shortlist; ++r) {
+      shortlist_faults[r] = ranked[r].fault;
+    }
+    std::vector<std::size_t> matches(shortlist, 0);
+    std::vector<std::uint64_t> signatures;
+    for (const FailDatum* f : selected) {
+      const auto& pats = window_patterns.at(f->window_index);
+      signatures.assign(shortlist, 0);
       sim::StoredPatternSource source(pats);
-      ShortlistMisrSink sink(shortlist_span, misrs[wi], num_outputs);
+      ErrorSignatureSink sink(
+          num_outputs,
+          {.misr_width = config_.misr_width,
+           .window = std::max<std::uint64_t>(pats.size(), 1),
+           .total_patterns = pats.size()},
+          shortlist_faults, /*track_golden=*/true,
+          [&](std::uint32_t, std::uint64_t golden,
+              std::span<const std::uint64_t> errors) {
+            for (std::size_t r = 0; r < shortlist; ++r) {
+              signatures[r] = golden ^ errors[r];
+            }
+          });
       runner_.Run(source, sink);
+      for (std::size_t r = 0; r < shortlist; ++r) {
+        matches[r] += signatures[r] == f->observed_signature;
+      }
     }
     for (std::size_t r = 0; r < shortlist; ++r) {
-      std::size_t matches = 0;
-      for (std::size_t wi = 0; wi < selected.size(); ++wi) {
-        if (misrs[wi][r].Signature() == selected[wi]->observed_signature)
-          ++matches;
-      }
       // Signature evidence dominates ties: exact reproduction of the
       // observed failing signatures is the strongest possible match.
-      ranked[r].score +=
-          static_cast<double>(matches) / static_cast<double>(selected.size());
+      ranked[r].score += static_cast<double>(matches[r]) /
+                         static_cast<double>(selected.size());
     }
     std::stable_sort(
         ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(shortlist),

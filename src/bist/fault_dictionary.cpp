@@ -12,12 +12,11 @@
 #include <utility>
 
 #include "bist/campaign_sources.hpp"
-#include "bist/misr.hpp"
+#include "bist/error_signatures.hpp"
 
 namespace bistdse::bist {
 
 using sim::BitPattern;
-using sim::PatternWord;
 
 namespace {
 
@@ -125,65 +124,6 @@ const T* SectionAt(std::span<const std::byte> bytes, std::uint64_t offset) {
   throw std::runtime_error("fault dictionary '" + path + "': " + what);
 }
 
-/// Pass 1: cheap detection sweep marking the faults whose signature can
-/// differ in this window at all. Each fault index is owned by one chunk, so
-/// the parallel sweep writes is_active without contention.
-class ActiveScanSink final : public sim::CampaignSink {
- public:
-  ActiveScanSink(std::span<const sim::StuckAtFault> faults,
-                 std::vector<std::uint8_t>& is_active)
-      : faults_(faults), is_active_(is_active) {}
-
-  bool OnBlock(sim::CampaignBlock& block) override {
-    block.ParallelFor(faults_.size(),
-                      [&](std::size_t f, sim::FaultView& view) {
-                        if (!is_active_[f] && view.DetectAny(faults_[f])) {
-                          is_active_[f] = 1;
-                        }
-                      });
-    return true;
-  }
-
- private:
-  std::span<const sim::StuckAtFault> faults_;
-  std::vector<std::uint8_t>& is_active_;
-};
-
-/// Pass 2: golden MISR plus faulty MISRs of the window's active faults.
-/// Each active fault's MISR is advanced by its owning chunk only; blocks
-/// arrive serially, so absorb order per fault is unchanged.
-class WindowMisrSink final : public sim::CampaignSink {
- public:
-  WindowMisrSink(std::span<const sim::StuckAtFault> faults,
-                 const std::vector<std::size_t>& active, Misr& golden_misr,
-                 std::vector<Misr>& fault_misrs, std::size_t num_outputs)
-      : faults_(faults),
-        active_(active),
-        golden_misr_(golden_misr),
-        fault_misrs_(fault_misrs),
-        num_outputs_(num_outputs) {}
-
-  bool OnBlock(sim::CampaignBlock& block) override {
-    AbsorbBlockResponse(golden_misr_, block.GoodOutputLanes(), num_outputs_,
-                        block);
-    block.ParallelFor(active_.size(),
-                      [&](std::size_t a, sim::FaultView& view) {
-                        const std::vector<PatternWord> response =
-                            view.FaultyResponse(faults_[active_[a]]);
-                        AbsorbBlockResponse(fault_misrs_[a], response,
-                                            num_outputs_, block);
-                      });
-    return true;
-  }
-
- private:
-  std::span<const sim::StuckAtFault> faults_;
-  const std::vector<std::size_t>& active_;
-  Misr& golden_misr_;
-  std::vector<Misr>& fault_misrs_;
-  std::size_t num_outputs_;
-};
-
 }  // namespace
 
 std::uint64_t SessionStreamConfigHash(const StumpsConfig& config) {
@@ -208,6 +148,7 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& netlist,
                                  std::vector<sim::StuckAtFault> faults,
                                  std::size_t threads, std::size_t block_width)
     : faults_(std::move(faults)) {
+  config.Validate();
   if (!config.reset_misr_per_window) {
     throw std::invalid_argument(
         "fault dictionary requires strong windows (per-window MISR reset)");
@@ -240,23 +181,18 @@ void FaultDictionary::BuildWindows(
     std::size_t threads, std::size_t block_width,
     std::uint32_t start_window) {
   const std::size_t width = netlist.CoreInputs().size();
-  const std::size_t num_outputs = netlist.CoreOutputs().size();
 
-  // The full session stream, materialized window by window; one runner
-  // (cached simulator state) serves every per-window campaign. Windows are
-  // independent under strong windows (per-window MISR reset), so the build
-  // can start at any window boundary — the stream is regenerated and the
-  // already-built head is skipped at pattern-generation cost only, no
-  // simulation.
+  // One streaming campaign over the session from `start_window` on. Windows
+  // are independent under strong windows (per-window MISR reset), so the
+  // build can start at any window boundary: the already-built head of the
+  // stream is regenerated and skipped at pattern-generation cost only.
   ReseedingEncoder expander(static_cast<std::uint32_t>(width));
   SessionStreamSource stream(config, width, expander, num_random,
                              deterministic);
-  sim::CampaignRunner runner(
-      netlist, {.block_width = block_width, .threads = threads});
-
+  const std::uint64_t first_pattern =
+      static_cast<std::uint64_t>(start_window) * window_;
   std::vector<BitPattern> patterns;
-  std::uint64_t skip = static_cast<std::uint64_t>(start_window) * window_;
-  while (skip > 0) {
+  for (std::uint64_t skip = first_pattern; skip > 0;) {
     patterns.clear();
     const std::size_t got = stream.Fill(
         static_cast<std::size_t>(std::min<std::uint64_t>(skip, 4096)),
@@ -265,53 +201,37 @@ void FaultDictionary::BuildWindows(
     skip -= got;
   }
 
+  // Each completed window becomes its bucket of the signature table, sorted
+  // by (signature, fault) so a query finds every fault with a given
+  // signature by one binary search.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> bucket;
-  for (std::uint32_t w = start_window; w < window_count_; ++w) {
-    patterns.clear();
-    stream.Fill(static_cast<std::size_t>(window_), patterns);
-    if (patterns.empty()) break;
-
-    std::vector<std::size_t> active;  // fault indices detected in this window
-    {
-      std::vector<std::uint8_t> is_active(faults_.size(), 0);
-      sim::StoredPatternSource source(patterns);
-      ActiveScanSink sink(faults_, is_active);
-      runner.Run(source, sink);
-      for (std::size_t f = 0; f < faults_.size(); ++f) {
-        if (is_active[f]) active.push_back(f);
-      }
-    }
-
-    Misr golden_misr(misr_width_);
-    std::vector<Misr> fault_misrs(active.size(), Misr(misr_width_));
-    {
-      sim::StoredPatternSource source(patterns);
-      WindowMisrSink sink(faults_, active, golden_misr, fault_misrs,
-                         num_outputs);
-      runner.Run(source, sink);
-    }
-
-    // The window's bucket of the signature table, sorted by (signature,
-    // fault) so a query finds every fault with a given signature by one
-    // binary search.
-    const std::uint64_t golden_signature = golden_misr.Signature();
-    bucket.clear();
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::uint64_t sig = fault_misrs[a].Signature();
-      if (sig != golden_signature) {
-        const std::size_t f = active[a];
-        owned_windows_[f * words_per_fault_ + w / 64] |= std::uint64_t{1}
-                                                         << (w % 64);
-        bucket.emplace_back(sig, static_cast<std::uint32_t>(f));
-      }
-    }
-    std::sort(bucket.begin(), bucket.end());
-    for (const auto& [sig, f] : bucket) {
-      owned_entry_signatures_.push_back(sig);
-      owned_entry_faults_.push_back(f);
-    }
-    owned_window_offsets_.push_back(owned_entry_signatures_.size());
-  }
+  ErrorSignatureSink sink(
+      netlist.CoreOutputs().size(),
+      {.misr_width = misr_width_,
+       .window = window_,
+       .total_patterns = total_patterns_,
+       .first_pattern = first_pattern},
+      faults_, /*track_golden=*/true,
+      [&](std::uint32_t w, std::uint64_t golden,
+          std::span<const std::uint64_t> errors) {
+        bucket.clear();
+        for (std::size_t f = 0; f < errors.size(); ++f) {
+          if (errors[f] == 0) continue;
+          owned_windows_[f * words_per_fault_ + w / 64] |= std::uint64_t{1}
+                                                           << (w % 64);
+          bucket.emplace_back(golden ^ errors[f],
+                              static_cast<std::uint32_t>(f));
+        }
+        std::sort(bucket.begin(), bucket.end());
+        for (const auto& [sig, f] : bucket) {
+          owned_entry_signatures_.push_back(sig);
+          owned_entry_faults_.push_back(f);
+        }
+        owned_window_offsets_.push_back(owned_entry_signatures_.size());
+      });
+  sim::CampaignRunner runner(
+      netlist, {.block_width = block_width, .threads = threads});
+  runner.Run(stream, sink);
   // Windows the stream ran short of stay empty.
   owned_window_offsets_.resize(std::size_t{window_count_} + 1,
                                owned_entry_signatures_.size());
@@ -517,6 +437,10 @@ FaultDictionary FaultDictionary::Open(const std::string& path,
           (h.total_patterns + h.window - 1) / h.window) {
     Corrupt(path, "inconsistent section layout (corrupted header)");
   }
+  if (h.misr_width < 1 || h.misr_width > 64) {
+    Corrupt(path, "corrupted header (misr_width " +
+                      std::to_string(h.misr_width) + " outside [1, 64])");
+  }
 
   // Window offset table (metadata-scale: one word per window; the entries
   // themselves stay untouched): starts at 0, monotone, ends at the entry
@@ -594,10 +518,17 @@ void FaultDictionary::Extend(const netlist::Netlist& netlist,
     throw std::invalid_argument(
         "FaultDictionary::Extend: netlist differs from the dictionary's");
   }
+  config.Validate();
   if (SessionStreamConfigHash(config) != config_hash_) {
     throw std::invalid_argument(
         "FaultDictionary::Extend: session config differs from the "
         "dictionary's");
+  }
+  if (config.misr_width != misr_width_) {
+    throw std::invalid_argument(
+        "FaultDictionary::Extend: misr_width " +
+        std::to_string(config.misr_width) + " differs from the dictionary's " +
+        std::to_string(misr_width_));
   }
   const std::uint64_t new_total = num_random + deterministic.size();
   if (new_total < total_patterns_) {

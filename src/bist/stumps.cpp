@@ -3,118 +3,31 @@
 #include <stdexcept>
 
 #include "bist/campaign_sources.hpp"
+#include "bist/error_signatures.hpp"
 
 namespace bistdse::bist {
 
 using netlist::Netlist;
-using sim::BitPattern;
-using sim::PatternWord;
 
 namespace {
 
-/// Advances one session's MISR and window signatures over simulated blocks,
-/// absorbing response bits in global pattern order (pattern, then output) —
-/// the fixed order the golden and observed runs share.
-class SignatureAbsorber {
- public:
-  SignatureAbsorber(std::uint32_t misr_width, std::uint64_t window,
-                    bool reset_per_window)
-      : misr_(misr_width), window_(window), reset_per_window_(reset_per_window) {}
-
-  /// `response` holds Lanes() contiguous words (lane 0 first) per output —
-  /// the FaultyResponse / GoodOutputLanes layout.
-  void AbsorbBlock(std::span<const PatternWord> response,
-                   std::size_t num_outputs, const sim::CampaignBlock& block) {
-    const std::size_t lanes = block.Lanes();
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t in_lane = block.LaneCount(l);
-      for (std::size_t k = 0; k < in_lane; ++k) {
-        for (std::size_t j = 0; j < num_outputs; ++j) {
-          misr_.AbsorbBit((response[j * lanes + l] >> k) & 1);
-        }
-        ++pattern_index_;
-        if (pattern_index_ % window_ == 0) {
-          signatures_.push_back(misr_.Signature());
-          if (reset_per_window_) misr_.Reset();
-        }
-      }
-    }
-  }
-
-  /// Closes the final (partial) window so every applied pattern is covered
-  /// by some signature.
-  void Close() {
-    if (pattern_index_ % window_ != 0) {
-      signatures_.push_back(misr_.Signature());
-    }
-  }
-
-  std::vector<std::uint64_t>& Signatures() { return signatures_; }
-
- private:
-  Misr misr_;
-  std::uint64_t window_;
-  bool reset_per_window_;
-  std::uint64_t pattern_index_ = 0;
-  std::vector<std::uint64_t> signatures_;
-};
-
-/// Single-session sink: absorbs the fault-free response, or the injected
-/// fault's response, block by block.
-class SessionSignatureSink final : public sim::CampaignSink {
- public:
-  SessionSignatureSink(std::size_t num_outputs, SignatureAbsorber& absorber,
-                       const std::optional<sim::StuckAtFault>& injected)
-      : num_outputs_(num_outputs), absorber_(absorber), injected_(injected) {}
-
-  bool OnBlock(sim::CampaignBlock& block) override {
-    if (injected_) {
-      block.ParallelFor(1, [&](std::size_t, sim::FaultView& view) {
-        response_ = view.FaultyResponse(*injected_);
-      });
-      absorber_.AbsorbBlock(response_, num_outputs_, block);
-    } else {
-      absorber_.AbsorbBlock(block.GoodOutputLanes(), num_outputs_, block);
-    }
-    return true;
-  }
-
- private:
-  std::size_t num_outputs_;
-  SignatureAbsorber& absorber_;
-  const std::optional<sim::StuckAtFault>& injected_;
-  std::vector<PatternWord> response_;
-};
-
-/// Batched sink: each injected fault owns one absorber; every simulated
-/// block fans the per-fault response computation and MISR advance across
-/// the pool. Absorber i only ever runs on the worker holding index i, so
-/// the per-fault signature stream is identical to a solo session's.
-class BatchSignatureSink final : public sim::CampaignSink {
- public:
-  BatchSignatureSink(std::span<const sim::StuckAtFault> faults,
-                     std::vector<SignatureAbsorber>& absorbers,
-                     std::size_t num_outputs)
-      : faults_(faults), absorbers_(absorbers), num_outputs_(num_outputs) {}
-
-  bool OnBlock(sim::CampaignBlock& block) override {
-    block.ParallelFor(faults_.size(),
-                      [&](std::size_t i, sim::FaultView& view) {
-                        const std::vector<PatternWord> response =
-                            view.FaultyResponse(faults_[i]);
-                        absorbers_[i].AbsorbBlock(response, num_outputs_,
-                                                  block);
-                      });
-    return true;
-  }
-
- private:
-  std::span<const sim::StuckAtFault> faults_;
-  std::vector<SignatureAbsorber>& absorbers_;
-  std::size_t num_outputs_;
-};
+/// The window layout of a whole session of `total` patterns under `config`.
+WindowLayout SessionWindowLayout(const StumpsConfig& config,
+                                 std::uint64_t total) {
+  return {.misr_width = config.misr_width,
+          .window = config.EffectiveWindow(total),
+          .total_patterns = total,
+          .strong = config.reset_misr_per_window};
+}
 
 }  // namespace
+
+void StumpsConfig::Validate() const {
+  if (signature_window < 1) {
+    throw std::invalid_argument("signature_window must be >= 1 (got 0)");
+  }
+  Misr::CheckedWidth(misr_width);
+}
 
 StumpsSession::StumpsSession(const Netlist& netlist, StumpsConfig config)
     : netlist_(netlist),
@@ -127,23 +40,7 @@ StumpsSession::StumpsSession(const Netlist& netlist, StumpsConfig config)
                   .structural_shortcuts = config.structural_shortcuts}) {
   if (!netlist.IsFinalized())
     throw std::invalid_argument("netlist must be finalized");
-}
-
-std::vector<std::uint64_t> StumpsSession::ComputeSignatures(
-    std::uint64_t num_random, std::span<const EncodedPattern> deterministic,
-    const std::optional<sim::StuckAtFault>& injected_fault) {
-  const std::size_t num_outputs = netlist_.CoreOutputs().size();
-  const std::uint64_t window =
-      config_.EffectiveWindow(num_random + deterministic.size());
-
-  SessionStreamSource source(config_, netlist_.CoreInputs().size(), expander_,
-                             num_random, deterministic);
-  SignatureAbsorber absorber(config_.misr_width, window,
-                             config_.reset_misr_per_window);
-  SessionSignatureSink sink(num_outputs, absorber, injected_fault);
-  runner_.Run(source, sink);
-  absorber.Close();
-  return std::move(absorber.Signatures());
+  config_.Validate();
 }
 
 const std::vector<std::uint64_t>& StumpsSession::GoldenSignatures(
@@ -151,7 +48,18 @@ const std::vector<std::uint64_t>& StumpsSession::GoldenSignatures(
   const std::uint64_t det_hash = HashEncodedPatterns(deterministic);
   if (!golden_cache_valid_ || golden_cache_random_ != num_random ||
       golden_cache_det_hash_ != det_hash) {
-    golden_cache_ = ComputeSignatures(num_random, deterministic, std::nullopt);
+    golden_cache_.clear();
+    SessionStreamSource source(config_, netlist_.CoreInputs().size(),
+                               expander_, num_random, deterministic);
+    ErrorSignatureSink sink(
+        netlist_.CoreOutputs().size(),
+        SessionWindowLayout(config_, source.TotalPatterns()), {},
+        /*track_golden=*/true,
+        [&](std::uint32_t, std::uint64_t golden,
+            std::span<const std::uint64_t>) {
+          golden_cache_.push_back(golden);
+        });
+    runner_.Run(source, sink);
     golden_cache_random_ = num_random;
     golden_cache_det_hash_ = det_hash;
     golden_cache_valid_ = true;
@@ -162,25 +70,14 @@ const std::vector<std::uint64_t>& StumpsSession::GoldenSignatures(
 SessionResult StumpsSession::Run(
     std::uint64_t num_random, std::span<const EncodedPattern> deterministic,
     const std::optional<sim::StuckAtFault>& injected_fault) {
+  if (injected_fault) {
+    return std::move(RunBatch(num_random, deterministic,
+                              {&*injected_fault, 1})
+                         .front());
+  }
   SessionResult result;
   result.total_patterns = num_random + deterministic.size();
-  const auto& golden = GoldenSignatures(num_random, deterministic);
-
-  if (!injected_fault) {
-    result.window_signatures = golden;
-    return result;
-  }
-
-  result.window_signatures =
-      ComputeSignatures(num_random, deterministic, injected_fault);
-  for (std::size_t w = 0; w < result.window_signatures.size(); ++w) {
-    if (result.window_signatures[w] != golden[w]) {
-      result.fail_data.push_back(
-          {static_cast<std::uint32_t>(w), result.window_signatures[w],
-           golden[w]});
-      result.pass = false;
-    }
-  }
+  result.window_signatures = GoldenSignatures(num_random, deterministic);
   return result;
 }
 
@@ -188,32 +85,29 @@ std::vector<SessionResult> StumpsSession::RunBatch(
     std::uint64_t num_random, std::span<const EncodedPattern> deterministic,
     std::span<const sim::StuckAtFault> faults) {
   const auto& golden = GoldenSignatures(num_random, deterministic);
-  const std::size_t num_outputs = netlist_.CoreOutputs().size();
-  const std::uint64_t total = num_random + deterministic.size();
-  const std::uint64_t window = config_.EffectiveWindow(total);
-
-  std::vector<SignatureAbsorber> absorbers(
-      faults.size(), SignatureAbsorber(config_.misr_width, window,
-                                       config_.reset_misr_per_window));
+  std::vector<SessionResult> results(faults.size());
+  for (SessionResult& r : results) {
+    r.total_patterns = num_random + deterministic.size();
+    r.window_signatures.reserve(golden.size());
+  }
   SessionStreamSource source(config_, netlist_.CoreInputs().size(), expander_,
                              num_random, deterministic);
-  BatchSignatureSink sink(faults, absorbers, num_outputs);
+  ErrorSignatureSink sink(
+      netlist_.CoreOutputs().size(),
+      SessionWindowLayout(config_, source.TotalPatterns()), faults,
+      /*track_golden=*/false,
+      [&](std::uint32_t w, std::uint64_t, std::span<const std::uint64_t> errors) {
+        for (std::size_t i = 0; i < errors.size(); ++i) {
+          SessionResult& r = results[i];
+          const std::uint64_t observed = golden[w] ^ errors[i];
+          r.window_signatures.push_back(observed);
+          if (errors[i] != 0) {
+            r.fail_data.push_back({w, observed, golden[w]});
+            r.pass = false;
+          }
+        }
+      });
   runner_.Run(source, sink);
-
-  std::vector<SessionResult> results(faults.size());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    absorbers[i].Close();
-    SessionResult& r = results[i];
-    r.total_patterns = total;
-    r.window_signatures = std::move(absorbers[i].Signatures());
-    for (std::size_t w = 0; w < r.window_signatures.size(); ++w) {
-      if (r.window_signatures[w] != golden[w]) {
-        r.fail_data.push_back({static_cast<std::uint32_t>(w),
-                               r.window_signatures[w], golden[w]});
-        r.pass = false;
-      }
-    }
-  }
   return results;
 }
 

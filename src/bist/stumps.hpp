@@ -60,9 +60,17 @@ struct StumpsConfig {
   /// circuit sweep (W in {1, 2, 4, 8, 16}). Signatures are bit-identical
   /// for every width.
   std::size_t sim_block_width = 4;
-  /// FFR-collapse + dominator-cut detection shortcuts in the fault
-  /// simulators (bit-identical signatures; off = ablation/validation).
+  /// FFR-collapse + dominator-cut detection shortcuts, forwarded to the
+  /// session's campaign runner. Signatures come from full propagations
+  /// (sim::FaultView::OutputErrors) either way, so the setting changes
+  /// neither the signatures nor the work of Run/RunBatch.
   bool structural_shortcuts = true;
+
+  /// Throws std::invalid_argument naming the field unless the signature
+  /// layout is usable: signature_window >= 1 and misr_width in [1, 64].
+  /// StumpsSession, SignatureDiagnosis and FaultDictionary call it on
+  /// construction.
+  void Validate() const;
 
   /// Scan cycles needed to apply one pattern: shift in (longest chain) plus
   /// one capture cycle. Shift-out overlaps the next shift-in.
@@ -97,18 +105,18 @@ class StumpsSession {
 
   /// Runs `num_random` pseudo-random patterns followed by the expansion of
   /// `deterministic` seeds. If `injected_fault` is set the CUT behaves
-  /// faulty; fail data is produced by comparing against the golden run
-  /// (computed on demand and cached).
+  /// faulty (a RunBatch of one); fail data is produced by comparing against
+  /// the golden run (computed on demand and cached).
   SessionResult Run(std::uint64_t num_random,
                     std::span<const EncodedPattern> deterministic,
                     const std::optional<sim::StuckAtFault>& injected_fault);
 
   /// Runs one faulty session per entry of `faults` in a single streaming
-  /// pass over the pattern stream: every block is simulated once and the
-  /// per-fault MISRs advance fault-partitioned across the pool
-  /// (StumpsConfig::sim_threads). Result i is bit-identical to
-  /// Run(num_random, deterministic, faults[i]) for every thread count and
-  /// block width.
+  /// pass over the pattern stream: every block is simulated once and each
+  /// fault's window error signatures accumulate fault-partitioned across
+  /// the pool (StumpsConfig::sim_threads; see bist::ErrorSignatureSink).
+  /// Result i is bit-identical to Run(num_random, deterministic, faults[i])
+  /// for every thread count and block width.
   std::vector<SessionResult> RunBatch(
       std::uint64_t num_random, std::span<const EncodedPattern> deterministic,
       std::span<const sim::StuckAtFault> faults);
@@ -130,10 +138,6 @@ class StumpsSession {
   }
 
  private:
-  std::vector<std::uint64_t> ComputeSignatures(
-      std::uint64_t num_random, std::span<const EncodedPattern> deterministic,
-      const std::optional<sim::StuckAtFault>& injected_fault);
-
   const netlist::Netlist& netlist_;
   StumpsConfig config_;
   ReseedingEncoder expander_;

@@ -119,9 +119,9 @@ class CampaignRunner::EngineT final : public Engine {
       block.Store(out.data());
     }
 
-    std::vector<PatternWord> FaultyResponse(
+    std::span<const OutputError> OutputErrors(
         const StuckAtFault& fault) override {
-      return sim_.FaultyResponse(fault);
+      return sim_.OutputErrors(fault, mask_);
     }
 
    private:

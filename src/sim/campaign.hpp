@@ -92,10 +92,11 @@ class FaultView {
   virtual void DetectLanes(const StuckAtFault& fault,
                            std::span<PatternWord> out) = 0;
 
-  /// Faulty response at all core outputs: Lanes() contiguous words (lane 0
-  /// first) per output, in core-output order. Lane bits past the block fill
-  /// are unspecified — iterate with CampaignBlock::LaneCount.
-  virtual std::vector<PatternWord> FaultyResponse(
+  /// Sparse output error of `fault` under the block: the nonzero (core
+  /// output, lane) words of faulty XOR fault-free response, masked to the
+  /// block fill (see FaultSimulatorT::OutputErrors). The span lives in the
+  /// worker slot's scratch and is valid until the slot's next call.
+  virtual std::span<const OutputError> OutputErrors(
       const StuckAtFault& fault) = 0;
 };
 

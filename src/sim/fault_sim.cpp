@@ -47,7 +47,24 @@ FaultSimulatorT<W>::FaultSimulatorT(const Netlist& netlist,
       in_queue_(netlist.NodeCount(), 0),
       obs_(structural_shortcuts ? netlist.NodeCount() : 0, Word::Zero()),
       obs_epoch_(structural_shortcuts ? netlist.NodeCount() : 0, kNoEpoch) {
-  for (NodeId id : netlist.CoreOutputs()) ++observed_count_[id];
+  const auto outs = netlist.CoreOutputs();
+  for (NodeId id : outs) ++observed_count_[id];
+  output_begin_.assign(netlist.NodeCount() + 1, 0);
+  for (std::size_t n = 0; n < netlist.NodeCount(); ++n) {
+    output_begin_[n + 1] = output_begin_[n] + observed_count_[n];
+  }
+  output_pos_.resize(outs.size());
+  std::vector<std::uint32_t> fill(output_begin_.begin(),
+                                  output_begin_.end() - 1);
+  for (std::size_t j = 0; j < outs.size(); ++j) {
+    output_pos_[fill[outs[j]]++] = static_cast<std::uint32_t>(j);
+  }
+  ppo_pos_.assign(netlist.NodeCount(), 0);
+  const auto flops = netlist.Flops();
+  for (std::size_t i = 0; i < flops.size(); ++i) {
+    ppo_pos_[flops[i]] =
+        static_cast<std::uint32_t>(netlist.PrimaryOutputs().size() + i);
+  }
 }
 
 template <std::size_t W>
@@ -310,6 +327,40 @@ WideWord<W> FaultSimulatorT<W>::DetectBlock(const StuckAtFault& fault) {
   const Word det = Propagate(fault);
   Reset();
   return det;
+}
+
+template <std::size_t W>
+std::span<const OutputError> FaultSimulatorT<W>::OutputErrors(
+    const StuckAtFault& fault, const Word& mask) {
+  errors_.clear();
+  const auto emit = [&](std::span<const std::uint32_t> positions,
+                        const Word& diff) {
+    for (std::size_t l = 0; l < W; ++l) {
+      const PatternWord bits = diff.lane[l] & mask.lane[l];
+      if (bits == 0) continue;
+      for (const std::uint32_t j : positions) {
+        errors_.push_back({j, static_cast<std::uint32_t>(l), bits});
+      }
+    }
+  };
+
+  if (netlist_.TypeOf(fault.node) == GateType::Dff && !fault.IsStem()) {
+    // A flop D-branch fault corrupts only the value that flop captures: its
+    // own PPO position, even when the driver feeds other outputs too.
+    const NodeId driver = netlist_.FaninsOf(fault.node)[0];
+    emit({&ppo_pos_[fault.node], 1},
+         good_->BlockOf(driver) ^ MaskWide<W>(fault.stuck_value));
+    return errors_;
+  }
+  Propagate(fault);
+  for (NodeId id : touched_) {
+    if (observed_count_[id]) {
+      emit({&output_pos_[output_begin_[id]], observed_count_[id]},
+           fval_[id] ^ good_->BlockOf(id));
+    }
+  }
+  Reset();
+  return errors_;
 }
 
 template <std::size_t W>

@@ -25,6 +25,12 @@
 // unshortcut event-driven propagation (tests/test_structure.cpp asserts
 // this on seeded random netlists).
 //
+// Response consumers (MISR signatures) do not need the faulty response
+// itself, only where it differs from the fault-free one: OutputErrors()
+// returns that difference sparsely — the nonzero (core output, lane) words
+// of faulty XOR good, read off the propagation's touched set.
+// FaultyResponse() keeps the dense response as a reference for tests.
+//
 // `FaultSimulator` (= FaultSimulatorT<1>) is the classic 64-way simulator;
 // its DetectWord()/FaultyResponse() results are unchanged. A wide block is
 // equivalent to W sequential narrow blocks: every lane carries exactly the
@@ -41,6 +47,15 @@
 #include "sim/pattern_set.hpp"
 
 namespace bistdse::sim {
+
+/// One nonzero word of a fault's output error (faulty XOR fault-free
+/// response): bit k of `bits` is set iff pattern lane*64+k of the block
+/// sees a flipped value at core output `output`.
+struct OutputError {
+  std::uint32_t output;  ///< Position in Netlist::CoreOutputs().
+  std::uint32_t lane;
+  PatternWord bits;
+};
 
 template <std::size_t W>
 class FaultSimulatorT {
@@ -76,12 +91,23 @@ class FaultSimulatorT {
     return DetectBlock(fault).lane[0];
   }
 
+  /// Sparse output error of `fault` under the current block: one entry per
+  /// nonzero (core output, lane) word of faulty XOR good, lane bits outside
+  /// `mask` cleared, in no particular order. A core output position gets
+  /// its own entry even when one node drives several positions; a flop
+  /// D-branch fault errs only at that flop's PPO position. Always one event
+  /// propagation (a shortcut detect pre-check measured slower: it mostly
+  /// adds stem-observability work for blocks that detect the fault anyway).
+  /// The span points into this simulator's scratch and is valid until its
+  /// next OutputErrors() call.
+  std::span<const OutputError> OutputErrors(const StuckAtFault& fault,
+                                            const Word& mask);
+
   /// Faulty response at all core outputs under the current block, W
   /// contiguous words (lane 0 first) per output — the same layout as
-  /// LogicSimulatorT<W>::CoreOutputValues(). Used by the diagnosis engine
-  /// to build per-fault response signatures. Always a full propagation:
-  /// the response needs faulty values at every output, not just a detect
-  /// mask, so the structural shortcuts do not apply.
+  /// LogicSimulatorT<W>::CoreOutputValues(). Always a full propagation with
+  /// no shortcut; kept as the dense reference the sparse OutputErrors() is
+  /// tested against.
   std::vector<PatternWord> FaultyResponse(const StuckAtFault& fault);
 
   bool StructuralShortcuts() const { return shortcuts_; }
@@ -133,6 +159,12 @@ class FaultSimulatorT {
   std::vector<std::uint8_t> is_touched_;
   std::vector<netlist::NodeId> touched_;
   std::vector<std::uint32_t> observed_count_;  // #observation points per node
+  // Core-output positions read from node n: output_pos_[output_begin_[n] ..
+  // output_begin_[n + 1]). ppo_pos_[f] is the PPO position of flop node f.
+  std::vector<std::uint32_t> output_begin_;
+  std::vector<std::uint32_t> output_pos_;
+  std::vector<std::uint32_t> ppo_pos_;
+  std::vector<OutputError> errors_;  ///< OutputErrors() scratch.
   std::vector<std::vector<netlist::NodeId>> level_buckets_;
   std::vector<std::uint8_t> in_queue_;
   // Member scratch (hoisted out of the per-fault hot path so propagation

@@ -36,6 +36,14 @@ inline std::uint64_t ParseU64(std::string_view field, std::string_view text) {
   return value;
 }
 
+/// Decimal unsigned 32-bit integer: ParseU64's rules, and values above
+/// UINT32_MAX are rejected instead of wrapping.
+inline std::uint32_t ParseU32(std::string_view field, std::string_view text) {
+  const std::uint64_t value = ParseU64(field, text);
+  if (value > UINT32_MAX) detail::ThrowInvalid(field, text);
+  return static_cast<std::uint32_t>(value);
+}
+
 /// Finite decimal real (negative values allowed). Rejects empty text,
 /// whitespace, trailing characters, out-of-range magnitudes, inf and nan.
 inline double ParseReal(std::string_view field, std::string_view text) {

@@ -76,6 +76,43 @@ TEST(Diagnosis, NoFailDataGivesZeroScores) {
   }
 }
 
+TEST(Diagnosis, OutOfRangeWindowsCountTowardTheUnionOnly) {
+  // 64 patterns in windows of 32: two windows, one bitmask word. Window 63
+  // is inside the word but past the session; 100000 is past the word too.
+  // Both are failing windows no candidate predicts: they count toward the
+  // union (once per distinct index) and stage 2 replays them with no
+  // patterns, so either index ranks identically.
+  auto nl = bistdse::testing::MakeSmallRandom(67, 150);
+  StumpsConfig cfg;
+  cfg.signature_window = 32;
+  StumpsSession session(nl, cfg);
+  const auto faults = CollapsedFaults(nl);
+  std::vector<FailDatum> fail_data;
+  for (std::size_t fi = 0; fi < faults.size() && fail_data.empty(); ++fi) {
+    fail_data = session.Run(64, {}, faults[fi]).fail_data;
+  }
+  ASSERT_FALSE(fail_data.empty());
+
+  const SignatureDiagnosis diag(nl, cfg, 64, {});
+  ASSERT_EQ(diag.WindowCount(), 2u);
+  const auto with_window = [&](std::uint32_t w) {
+    auto data = fail_data;
+    data.insert(data.begin(), {{w, 0x5a5a, 0}, {w, 0x1234, 0}});
+    return diag.Diagnose(data, faults, faults.size());
+  };
+  const auto in_row = with_window(63);
+  const auto past_row = with_window(100000);
+  ASSERT_EQ(in_row.size(), faults.size());
+  ASSERT_EQ(past_row.size(), in_row.size());
+  for (std::size_t r = 0; r < in_row.size(); ++r) {
+    EXPECT_EQ(past_row[r].fault, in_row[r].fault) << "rank " << r;
+    EXPECT_EQ(past_row[r].score, in_row[r].score) << "rank " << r;
+  }
+  // The unpredicted window is evidence against every candidate.
+  EXPECT_LT(past_row.front().score,
+            diag.Diagnose(fail_data, faults, 1).front().score);
+}
+
 TEST(Diagnosis, WindowCount) {
   auto nl = bistdse::testing::MakeSmallRandom(67, 100);
   StumpsConfig cfg = DiagConfig();

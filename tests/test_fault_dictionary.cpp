@@ -557,6 +557,61 @@ TEST(FaultDictionaryIo, CorruptedAndTruncatedFilesAreRejected) {
   EXPECT_THROW(FaultDictionary::Load(path + ".missing"), std::runtime_error);
 }
 
+TEST(FaultDictionaryIo, UnusableOrMismatchedMisrWidthIsRejected) {
+  const auto nl = bistdse::testing::MakeSmallRandom(79, 100);
+  auto faults = sim::CollapsedFaults(nl);
+  faults.resize(16);
+  StumpsConfig config = DictConfig();
+  config.misr_width = 16;
+  const std::string path = ::testing::TempDir() + "dict_misr_width.fdict";
+  FaultDictionary(nl, config, 48, {}, faults).Save(path);
+  const std::string file_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }();
+  // The header's misr_width (a u32 at byte 100), with the header checksum
+  // (FNV-1a over bytes [0, 144), stored at 144) recomputed so the artifact
+  // passes every other check.
+  const auto with_misr_width = [&](std::uint32_t width) {
+    std::string bad = file_bytes;
+    std::memcpy(bad.data() + 100, &width, sizeof width);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < 144; ++i) {
+      h = (h ^ static_cast<unsigned char>(bad[i])) * 0x100000001b3ULL;
+    }
+    std::memcpy(bad.data() + 144, &h, sizeof h);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+  };
+
+  for (const std::uint32_t width : {0u, 65u}) {
+    with_misr_width(width);
+    for (const bool mapped : {false, true}) {
+      try {
+        (void)(mapped ? FaultDictionary::Map(path)
+                      : FaultDictionary::Load(path));
+        ADD_FAILURE() << "misr_width " << width << " accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("misr_width"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // A valid width that disagrees with the session config the dictionary is
+  // extended under is refused before anything is rebuilt.
+  with_misr_width(32);
+  FaultDictionary dict = FaultDictionary::Load(path);
+  try {
+    dict.Extend(nl, config, 96, {});
+    ADD_FAILURE() << "Extend accepted a mismatched misr_width";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("misr_width"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dict.TotalPatterns(), 48u);
+  std::remove(path.c_str());
+}
+
 TEST(FaultDictionaryConfig, RejectsPlainMisr) {
   auto nl = bistdse::testing::MakeSmallRandom(73, 100);
   StumpsConfig config = DictConfig();

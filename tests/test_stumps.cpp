@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "bist/diagnosis.hpp"
+#include "bist/fault_dictionary.hpp"
 #include "bist/stumps.hpp"
 #include "sim/fault.hpp"
 #include "sim/fault_sim.hpp"
@@ -140,6 +142,39 @@ TEST(Stumps, ResponseDataBytes) {
   StumpsSession session(nl, cfg);
   // 100 patterns, window 16 -> 7 windows x 4 bytes.
   EXPECT_EQ(session.ResponseDataBytes(100), 7u * 4u);
+}
+
+TEST(Stumps, EnginesRejectUnusableSignatureLayouts) {
+  auto nl = bistdse::testing::MakeSmallRandom(53, 100);
+  const auto faults = CollapsedFaults(nl);
+  struct Case {
+    std::uint32_t window;
+    std::uint32_t misr_width;
+    const char* field;
+  };
+  for (const Case& c : {Case{0, 32, "signature_window"},
+                        Case{16, 0, "misr_width"},
+                        Case{16, 65, "misr_width"}}) {
+    StumpsConfig cfg = SmallConfig();
+    cfg.signature_window = c.window;
+    cfg.misr_width = c.misr_width;
+    const auto expect_rejected = [&](const char* engine, auto construct) {
+      try {
+        construct();
+        ADD_FAILURE() << engine << " accepted " << c.field;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << engine << ": " << e.what();
+      }
+    };
+    // A zero window with an empty session is the EffectiveWindow() == 0
+    // case that used to divide by zero.
+    expect_rejected("StumpsSession", [&] { StumpsSession s(nl, cfg); });
+    expect_rejected("SignatureDiagnosis",
+                    [&] { SignatureDiagnosis d(nl, cfg, 0, {}); });
+    expect_rejected("FaultDictionary",
+                    [&] { FaultDictionary d(nl, cfg, 0, {}, faults); });
+  }
 }
 
 }  // namespace

@@ -68,6 +68,11 @@ struct Flags {
     if (it == values.end()) return fallback;
     return ParseOrExit([&] { return util::ParseU64("--" + name, it->second); });
   }
+  std::uint32_t U32(const std::string& name, std::uint32_t fallback) const {
+    auto it = values.find(name);
+    if (it == values.end()) return fallback;
+    return ParseOrExit([&] { return util::ParseU32("--" + name, it->second); });
+  }
   double Real(const std::string& name, double fallback) const {
     auto it = values.find(name);
     if (it == values.end()) return fallback;
@@ -91,6 +96,18 @@ std::size_t BlockWidthFlag(const Flags& flags, std::uint64_t fallback) {
     std::exit(2);
   }
   return static_cast<std::size_t>(w);
+}
+
+/// The paper's STUMPS configuration with --window applied, validated at
+/// parse time: a window the engines reject (0) exits 2 naming the field.
+bist::StumpsConfig SessionConfigFlags(const Flags& flags) {
+  bist::StumpsConfig config = casestudy::PaperStumpsConfig();
+  config.signature_window = flags.U32("window", 32);
+  ParseOrExit([&] {
+    config.Validate();
+    return 0;
+  });
+  return config;
 }
 
 Flags ParseFlags(int argc, char** argv, int first) {
@@ -388,9 +405,7 @@ int RunDiagnose(const Flags& flags) {
   spec.num_flops = 128;
   const auto cut = netlist::GenerateRandomCircuit(spec);
 
-  bist::StumpsConfig config = casestudy::PaperStumpsConfig();
-  config.signature_window =
-      static_cast<std::uint32_t>(flags.U64("window", 32));
+  bist::StumpsConfig config = SessionConfigFlags(flags);
   bist::DiagnosisEvalOptions options;
   options.num_random_patterns = flags.U64("patterns", 512);
   options.max_samples = flags.U64("samples", 60);
@@ -417,9 +432,7 @@ int RunStumps(const Flags& flags) {
   auto spec = casestudy::ScaledCutSpec(flags.U64("seed", 1));
   const auto cut = netlist::GenerateRandomCircuit(spec);
 
-  bist::StumpsConfig config = casestudy::PaperStumpsConfig();
-  config.signature_window =
-      static_cast<std::uint32_t>(flags.U64("window", 32));
+  bist::StumpsConfig config = SessionConfigFlags(flags);
   // 0 = all cores; signatures are bit-identical for every thread count.
   config.sim_threads = flags.U64("threads", 0);
   // W*64 patterns per fault-simulation sweep; bit-identical for every W.
@@ -481,13 +494,6 @@ int RunStumps(const Flags& flags) {
 // the ranking returns as a segmented reply. SIGHUP (with --reload FILE) or
 // --reload-after N rolls the dictionary generation over while serving.
 
-bist::StumpsConfig DictStumpsConfig(const Flags& flags) {
-  bist::StumpsConfig config = casestudy::PaperStumpsConfig();
-  config.signature_window =
-      static_cast<std::uint32_t>(flags.U64("window", 32));
-  return config;
-}
-
 netlist::Netlist DictCut(const Flags& flags) {
   auto spec = casestudy::ScaledCutSpec(flags.U64("seed", 3));
   spec.num_gates = 1500;
@@ -534,7 +540,7 @@ int RunDictBuild(const Flags& flags) {
     return 2;
   }
   const auto cut = DictCut(flags);
-  const auto config = DictStumpsConfig(flags);
+  const auto config = SessionConfigFlags(flags);
   const std::uint64_t patterns = flags.U64("patterns", 512);
 
   const auto all_faults = sim::CollapsedFaults(cut);
@@ -581,7 +587,7 @@ int RunDictQuery(const Flags& flags) {
           .count();
 
   const auto cut = DictCut(flags);
-  const auto config = DictStumpsConfig(flags);
+  const auto config = SessionConfigFlags(flags);
   if (dict.NetlistHash() != cut.ContentHash() ||
       dict.ConfigHash() != bist::SessionStreamConfigHash(config)) {
     std::fprintf(stderr,
@@ -662,7 +668,7 @@ int RunDictServe(const Flags& flags) {
   }
 
   const auto cut = DictCut(flags);
-  const auto config = DictStumpsConfig(flags);
+  const auto config = SessionConfigFlags(flags);
   const auto* shard0 = store.Find({"ecu-0", "p1"});
   if (shard0->NetlistHash() != cut.ContentHash() ||
       shard0->ConfigHash() != bist::SessionStreamConfigHash(config)) {
