@@ -12,6 +12,7 @@
 // Arg: output path (default BENCH_campaign.json).
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,9 @@ struct Row {
   std::string campaign;
   std::size_t block_width;
   std::size_t threads;  // 0 = full pool width
-  bool shortcuts;
+  /// Structural shortcuts of the drop campaign; the signature engines read
+  /// full propagations and have no such setting.
+  std::optional<bool> shortcuts;
   double wall_seconds;
   double patterns_per_second;
   double speedup_vs_serial;
@@ -80,6 +83,11 @@ int main(int argc, char** argv) {
   // threading independently.
   const Config configs[] = {{1, 1, false}, {4, 1, false}, {4, 1, true},
                             {16, 1, true}, {4, 0, true},  {16, 0, true}};
+  // The signature engines: the same (width, threads) pairs, serial first.
+  struct Shape {
+    std::size_t width, threads;
+  };
+  const Shape shapes[] = {{1, 1}, {4, 1}, {16, 1}, {4, 0}, {16, 0}};
   std::vector<Row> rows;
   bool all_identical = true;
 
@@ -127,11 +135,10 @@ int main(int argc, char** argv) {
 
     std::vector<bist::SessionResult> reference;
     double serial_wall = 0.0;
-    for (const Config& c : configs) {
+    for (const Shape& c : shapes) {
       bist::StumpsConfig config = stumps_config;
       config.sim_block_width = c.width;
       config.sim_threads = c.threads;
-      config.structural_shortcuts = c.shortcuts;
       bist::StumpsSession session(cut, config);
       session.GoldenSignatures(num_patterns, {});  // prime outside the timer
       const auto t0 = std::chrono::steady_clock::now();
@@ -152,7 +159,7 @@ int main(int argc, char** argv) {
       // Throughput counts session-patterns: every fault replays the stream.
       const double session_patterns =
           static_cast<double>(num_patterns) * static_cast<double>(batch.size());
-      rows.push_back({"stumps_batch", c.width, c.threads, c.shortcuts, wall,
+      rows.push_back({"stumps_batch", c.width, c.threads, std::nullopt, wall,
                       session_patterns / wall, serial_wall / wall, identical});
     }
   }
@@ -166,11 +173,9 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<bist::FaultDictionary> reference;
     double serial_wall = 0.0;
-    for (const Config& c : configs) {
-      bist::StumpsConfig dict_config = stumps_config;
-      dict_config.structural_shortcuts = c.shortcuts;
+    for (const Shape& c : shapes) {
       const auto t0 = std::chrono::steady_clock::now();
-      bist::FaultDictionary dict(cut, dict_config, dict_patterns, {},
+      bist::FaultDictionary dict(cut, stumps_config, dict_patterns, {},
                                  dict_faults, c.threads, c.width);
       const double wall = Seconds(t0);
 
@@ -188,17 +193,19 @@ int main(int argc, char** argv) {
         }
       }
       all_identical &= identical;
-      rows.push_back({"dictionary", c.width, c.threads, c.shortcuts, wall,
+      rows.push_back({"dictionary", c.width, c.threads, std::nullopt, wall,
                       static_cast<double>(dict_patterns) / wall,
                       serial_wall / wall, identical});
     }
   }
 
   for (const Row& r : rows) {
-    std::printf("%-12s W=%-2zu threads=%zu shortcuts=%-3s: %8.3f s, "
+    const char* shortcuts =
+        !r.shortcuts ? "" : *r.shortcuts ? " shortcuts=on " : " shortcuts=off";
+    std::printf("%-12s W=%-2zu threads=%zu%-14s: %8.3f s, "
                 "%12.0f patterns/s, speedup %.2fx%s\n",
-                r.campaign.c_str(), r.block_width, r.threads,
-                r.shortcuts ? "on" : "off", r.wall_seconds,
+                r.campaign.c_str(), r.block_width, r.threads, shortcuts,
+                r.wall_seconds,
                 r.patterns_per_second, r.speedup_vs_serial,
                 r.bit_identical ? "" : "  [MISMATCH]");
   }
@@ -220,14 +227,17 @@ int main(int argc, char** argv) {
                workers, static_cast<unsigned long long>(num_patterns));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    const char* shortcuts = !r.shortcuts   ? ""
+                            : *r.shortcuts ? "\"shortcuts\": true, "
+                                           : "\"shortcuts\": false, ";
     std::fprintf(out,
                  "    {\"campaign\": \"%s\", \"block_width\": %zu, "
-                 "\"threads\": %zu, \"shortcuts\": %s, "
+                 "\"threads\": %zu, %s"
                  "\"wall_seconds\": %.6f, "
                  "\"patterns_per_second\": %.1f, \"speedup_vs_serial\": %.3f, "
                  "\"bit_identical\": %s}%s\n",
-                 r.campaign.c_str(), r.block_width, r.threads,
-                 r.shortcuts ? "true" : "false", r.wall_seconds,
+                 r.campaign.c_str(), r.block_width, r.threads, shortcuts,
+                 r.wall_seconds,
                  r.patterns_per_second, r.speedup_vs_serial,
                  r.bit_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");

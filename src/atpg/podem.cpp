@@ -40,111 +40,149 @@ Value3 EvalGate3(GateType type, std::span<const Value3> fanins) {
   return Value3::X;
 }
 
+namespace {
+
+constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+}  // namespace
+
 Podem::Podem(const Netlist& netlist, std::uint32_t backtrack_limit)
     : netlist_(netlist),
       backtrack_limit_(backtrack_limit),
-      input_index_of_(netlist.NodeCount(), static_cast<std::uint32_t>(-1)) {
+      good_(netlist.NodeCount(), Value3::X),
+      faulty_(netlist.NodeCount(), Value3::X),
+      input_index_of_(netlist.NodeCount(), static_cast<std::uint32_t>(-1)),
+      topo_index_(netlist.NodeCount(), static_cast<std::uint32_t>(-1)),
+      d_slot_(netlist.NodeCount(), kNoSlot),
+      level_buckets_(netlist.MaxLevel() + 1),
+      in_queue_(netlist.NodeCount(), 0),
+      min_level_(netlist.MaxLevel() + 1),
+      visited_(netlist.NodeCount(), 0) {
   if (!netlist.IsFinalized())
     throw std::invalid_argument("netlist must be finalized");
   const auto inputs = netlist.CoreInputs();
   for (std::size_t i = 0; i < inputs.size(); ++i)
     input_index_of_[inputs[i]] = static_cast<std::uint32_t>(i);
+  const auto order = netlist.TopologicalOrder();
+  for (std::size_t i = 0; i < order.size(); ++i)
+    topo_index_[order[i]] = static_cast<std::uint32_t>(i);
 }
 
-std::pair<Value3, Value3> Podem::EvaluateNode(netlist::NodeId id) const {
+void Podem::SetPlanes(NodeId id, Value3 good, Value3 faulty) {
+  trail_.push_back({id, good_[id], faulty_[id]});
+  WritePlanes(id, good, faulty);
+}
+
+void Podem::WritePlanes(NodeId id, Value3 good, Value3 faulty) {
+  good_[id] = good;
+  faulty_[id] = faulty;
+  const bool carries_d =
+      good != Value3::X && faulty != Value3::X && good != faulty;
+  const std::uint32_t slot = d_slot_[id];
+  if (carries_d == (slot != kNoSlot)) return;
+  const bool observed = netlist_.Structure().IsObserved(id);
+  if (carries_d) {
+    d_slot_[id] = static_cast<std::uint32_t>(d_nodes_.size());
+    d_nodes_.push_back(id);
+    observed_d_ += observed;
+  } else {
+    const NodeId last = d_nodes_.back();
+    d_nodes_[slot] = last;
+    d_slot_[last] = slot;
+    d_nodes_.pop_back();
+    d_slot_[id] = kNoSlot;
+    observed_d_ -= observed;
+  }
+}
+
+void Podem::UndoTo(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const TrailEntry e = trail_.back();
+    trail_.pop_back();
+    WritePlanes(e.node, e.good, e.faulty);
+  }
+}
+
+std::pair<Value3, Value3> Podem::EvaluateNode(NodeId id) {
   const auto fanins = netlist_.FaninsOf(id);
-  std::vector<Value3> gvals, fvals;
-  gvals.reserve(fanins.size());
-  fvals.reserve(fanins.size());
+  gvals_.clear();
+  fvals_.clear();
   for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
-    gvals.push_back(good_[fanins[pin]]);
+    gvals_.push_back(good_[fanins[pin]]);
     Value3 fv = faulty_[fanins[pin]];
     if (id == fault_.node && static_cast<int>(pin) == fault_.fanin_index) {
       fv = FromBool(fault_.stuck_value);
     }
-    fvals.push_back(fv);
+    fvals_.push_back(fv);
   }
-  Value3 g = EvalGate3(netlist_.TypeOf(id), gvals);
-  Value3 f = EvalGate3(netlist_.TypeOf(id), fvals);
+  Value3 g = EvalGate3(netlist_.TypeOf(id), gvals_);
+  Value3 f = EvalGate3(netlist_.TypeOf(id), fvals_);
   if (id == fault_.node && fault_.IsStem()) f = FromBool(fault_.stuck_value);
   return {g, f};
 }
 
-void Podem::AssignAndPropagate(std::uint32_t input_index, Value3 value) {
-  assignment_[input_index] = value;
-  const netlist::NodeId input = netlist_.CoreInputs()[input_index];
-  good_[input] = value;
-  faulty_[input] = (fault_.IsStem() && input == fault_.node)
-                       ? FromBool(fault_.stuck_value)
-                       : value;
+void Podem::Enqueue(NodeId id) {
+  if (in_queue_[id]) return;
+  in_queue_[id] = 1;
+  const std::uint32_t lvl = netlist_.LevelOf(id);
+  level_buckets_[lvl].push_back(id);
+  min_level_ = std::min(min_level_, lvl);
+  max_level_ = std::max(max_level_, lvl);
+}
 
-  if (level_buckets_.size() != netlist_.MaxLevel() + 1) {
-    level_buckets_.assign(netlist_.MaxLevel() + 1, {});
-    in_queue_.assign(netlist_.NodeCount(), 0);
-  }
-
-  std::uint32_t min_level = netlist_.MaxLevel() + 1;
-  std::uint32_t max_level = 0;
-  auto enqueue_fanouts = [&](netlist::NodeId id) {
-    for (netlist::NodeId out : netlist_.FanoutsOf(id)) {
-      if (netlist_.TypeOf(out) == GateType::Dff) continue;
-      if (in_queue_[out]) continue;
-      in_queue_[out] = 1;
-      const std::uint32_t lvl = netlist_.LevelOf(out);
-      level_buckets_[lvl].push_back(out);
-      min_level = std::min(min_level, lvl);
-      max_level = std::max(max_level, lvl);
-    }
-  };
-  enqueue_fanouts(input);
-
-  for (std::uint32_t lvl = min_level; lvl <= max_level && lvl < level_buckets_.size(); ++lvl) {
-    auto& bucket = level_buckets_[lvl];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const netlist::NodeId id = bucket[i];
-      in_queue_[id] = 0;
-      const auto [g, f] = EvaluateNode(id);
-      if (g == good_[id] && f == faulty_[id]) continue;
-      good_[id] = g;
-      faulty_[id] = f;
-      enqueue_fanouts(id);
-    }
-    bucket.clear();
+void Podem::EnqueueFanouts(NodeId id) {
+  for (NodeId out : netlist_.FanoutsOf(id)) {
+    if (netlist_.TypeOf(out) != GateType::Dff) Enqueue(out);
   }
 }
 
-void Podem::SimulateBothPlanes() {
-  const auto inputs = netlist_.CoreInputs();
-  good_.assign(netlist_.NodeCount(), Value3::X);
-  faulty_.assign(netlist_.NodeCount(), Value3::X);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    good_[inputs[i]] = assignment_[i];
-    faulty_[inputs[i]] = assignment_[i];
-  }
-
-  // Inject stem faults at source nodes directly.
-  if (fault_.IsStem()) faulty_[fault_.node] = FromBool(fault_.stuck_value);
-
-  std::vector<Value3> vals;
-  for (NodeId id : netlist_.TopologicalOrder()) {
-    const auto fanins = netlist_.FaninsOf(id);
-    vals.clear();
-    for (NodeId f : fanins) vals.push_back(good_[f]);
-    good_[id] = EvalGate3(netlist_.TypeOf(id), vals);
-
-    vals.clear();
-    for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
-      Value3 v = faulty_[fanins[pin]];
-      if (id == fault_.node && static_cast<int>(pin) == fault_.fanin_index)
-        v = FromBool(fault_.stuck_value);
-      vals.push_back(v);
+void Podem::PropagateEvents() {
+  // Fanouts sit at strictly higher levels, so each node is evaluated once,
+  // after all of its changed fanins.
+  for (std::uint32_t lvl = min_level_; lvl <= max_level_; ++lvl) {
+    auto& bucket = level_buckets_[lvl];
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const NodeId id = bucket[i];
+      in_queue_[id] = 0;
+      const auto [g, f] = EvaluateNode(id);
+      if (g == good_[id] && f == faulty_[id]) continue;
+      SetPlanes(id, g, f);
+      EnqueueFanouts(id);
     }
-    Value3 fv = EvalGate3(netlist_.TypeOf(id), vals);
-    if (id == fault_.node && fault_.IsStem()) fv = FromBool(fault_.stuck_value);
-    faulty_[id] = fv;
+    bucket.clear();
   }
-  // Re-force stems on source nodes (Input/Dff) that the loop above skipped.
-  if (fault_.IsStem()) faulty_[fault_.node] = FromBool(fault_.stuck_value);
+  min_level_ = netlist_.MaxLevel() + 1;
+  max_level_ = 0;
+}
+
+void Podem::InjectFault() {
+  // With every core input at X both planes are X everywhere (every gate has
+  // a fanin and maps all-X fanins to X), so the fault site's own events are
+  // the whole difference to a full simulation of the faulty circuit.
+  const NodeId site = fault_.node;
+  const GateType type = netlist_.TypeOf(site);
+  if (fault_.IsStem()) {
+    if (type == GateType::Input || type == GateType::Dff) {
+      SetPlanes(site, good_[site], FromBool(fault_.stuck_value));
+      EnqueueFanouts(site);
+    } else {
+      Enqueue(site);
+    }
+  } else if (type != GateType::Dff) {
+    Enqueue(site);  // the forced pin may fix the gate's faulty output
+  }
+  PropagateEvents();
+}
+
+void Podem::AssignAndPropagate(std::uint32_t input_index, Value3 value) {
+  assignment_[input_index] = value;
+  const NodeId input = netlist_.CoreInputs()[input_index];
+  SetPlanes(input, value,
+            (fault_.IsStem() && input == fault_.node)
+                ? FromBool(fault_.stuck_value)
+                : value);
+  EnqueueFanouts(input);
+  PropagateEvents();
 }
 
 bool Podem::Detected() const {
@@ -153,16 +191,10 @@ bool Podem::Detected() const {
     const Value3 g = good_[netlist_.FaninsOf(fault_.node)[0]];
     return g != Value3::X && g != FromBool(fault_.stuck_value);
   }
-  for (NodeId id : netlist_.CoreOutputs()) {
-    if (good_[id] != Value3::X && faulty_[id] != Value3::X &&
-        good_[id] != faulty_[id]) {
-      return true;
-    }
-  }
-  return false;
+  return observed_d_ > 0;
 }
 
-std::optional<std::pair<NodeId, Value3>> Podem::Objective() {
+std::optional<std::pair<NodeId, Value3>> Podem::Objective() const {
   // Flop D-branch: single objective — drive the D net to the opposite value.
   if (!fault_.IsStem() && netlist_.TypeOf(fault_.node) == GateType::Dff) {
     const NodeId driver = netlist_.FaninsOf(fault_.node)[0];
@@ -179,33 +211,37 @@ std::optional<std::pair<NodeId, Value3>> Podem::Objective() {
   if (good_[site_net] == Value3::X) return std::make_pair(site_net, want);
   if (good_[site_net] != want) return std::nullopt;  // unactivatable here
 
-  // Propagation: pick a D-frontier gate and set one of its X inputs to the
-  // non-controlling value. For a branch fault the site gate itself is in the
-  // frontier: its faulted pin carries D by the forced value, even though the
-  // driver net's planes agree.
-  for (NodeId id : netlist_.TopologicalOrder()) {
-    if (good_[id] != Value3::X && faulty_[id] != Value3::X) continue;
-    bool has_d_input = false;
-    if (id == fault_.node && !fault_.IsStem()) {
-      has_d_input = true;  // activation was checked above
-    }
+  // Propagation: pick the D-frontier gate first in topological order — a
+  // gate with an undetermined plane, a D input and an X good-plane input —
+  // and set its first X input to the non-controlling value. Every such gate
+  // is a combinational fanout of a D node or, for a branch fault, the site
+  // gate itself: its faulted pin carries D by the forced value, even though
+  // the driver net's planes agree.
+  NodeId gate = netlist::kInvalidNode;
+  NodeId input = netlist::kInvalidNode;  // first X input of `gate`
+  std::uint32_t gate_pos = static_cast<std::uint32_t>(-1);
+  auto consider = [&](NodeId id) {
+    if (topo_index_[id] >= gate_pos) return;
+    if (good_[id] != Value3::X && faulty_[id] != Value3::X) return;
     for (NodeId f : netlist_.FaninsOf(id)) {
-      if (has_d_input) break;
-      if (good_[f] != Value3::X && faulty_[f] != Value3::X &&
-          good_[f] != faulty_[f]) {
-        has_d_input = true;
+      if (good_[f] == Value3::X) {
+        gate = id;
+        input = f;
+        gate_pos = topo_index_[id];
+        return;
       }
     }
-    if (!has_d_input) continue;
-    const GateType type = netlist_.TypeOf(id);
-    for (NodeId f : netlist_.FaninsOf(id)) {
-      if (good_[f] != Value3::X) continue;
-      const int ctrl = netlist::ControllingValue(type);
-      const Value3 v = ctrl < 0 ? Value3::Zero : Not3(FromBool(ctrl == 1));
-      return std::make_pair(f, v);
+  };
+  if (!fault_.IsStem()) consider(fault_.node);  // activation checked above
+  for (NodeId d : d_nodes_) {
+    for (NodeId out : netlist_.FanoutsOf(d)) {
+      if (netlist_.TypeOf(out) != GateType::Dff) consider(out);
     }
   }
-  return std::nullopt;  // no D-frontier gate with an X input
+  if (gate == netlist::kInvalidNode) return std::nullopt;
+  const int ctrl = netlist::ControllingValue(netlist_.TypeOf(gate));
+  const Value3 v = ctrl < 0 ? Value3::Zero : Not3(FromBool(ctrl == 1));
+  return std::make_pair(input, v);
 }
 
 std::optional<std::pair<std::uint32_t, Value3>> Podem::Backtrace(
@@ -257,21 +293,13 @@ std::optional<std::pair<std::uint32_t, Value3>> Podem::Backtrace(
   }
 }
 
-bool Podem::XPathExists() const {
+bool Podem::XPathExists() {
   // A fault effect can still reach an observation point if some node that
-  // carries D (planes differ) or X faulty value has a forward path of
-  // X-valued nodes to a core output. Conservative check: BFS from D-carrying
-  // nodes through X nodes.
-  std::vector<std::uint8_t> carries_d(netlist_.NodeCount(), 0);
-  std::vector<NodeId> frontier;
-  for (NodeId id = 0; id < netlist_.NodeCount(); ++id) {
-    if (good_[id] != Value3::X && faulty_[id] != Value3::X &&
-        good_[id] != faulty_[id]) {
-      carries_d[id] = 1;
-      frontier.push_back(id);
-    }
-  }
-  if (frontier.empty()) {
+  // carries D has a forward path of nodes not yet fixed identically in both
+  // planes to a core output. Plain reachability, so the DFS may start from
+  // the D set in any order.
+  stack_.assign(d_nodes_.begin(), d_nodes_.end());
+  if (stack_.empty()) {
     const NodeId site_net =
         fault_.IsStem() ? fault_.node
                         : netlist_.FaninsOf(fault_.node)[fault_.fanin_index];
@@ -283,29 +311,27 @@ bool Podem::XPathExists() const {
     if (!fault_.IsStem() && netlist_.TypeOf(fault_.node) != GateType::Dff &&
         (good_[fault_.node] == Value3::X ||
          faulty_[fault_.node] == Value3::X)) {
-      carries_d[fault_.node] = 1;
-      frontier.push_back(fault_.node);
+      stack_.push_back(fault_.node);
     }
-    if (frontier.empty()) return false;
+    if (stack_.empty()) return false;
   }
 
-  std::vector<std::uint8_t> visited(netlist_.NodeCount(), 0);
-  std::vector<std::uint8_t> observed(netlist_.NodeCount(), 0);
-  for (NodeId id : netlist_.CoreOutputs()) observed[id] = 1;
-
-  while (!frontier.empty()) {
-    const NodeId id = frontier.back();
-    frontier.pop_back();
-    if (observed[id]) return true;
+  if (++epoch_ == 0) {  // stamp wrap-around: clear the marks once
+    std::fill(visited_.begin(), visited_.end(), 0);
+    epoch_ = 1;
+  }
+  const netlist::StructuralInfo& structure = netlist_.Structure();
+  while (!stack_.empty()) {
+    const NodeId id = stack_.back();
+    stack_.pop_back();
+    if (structure.IsObserved(id)) return true;
     for (NodeId out : netlist_.FanoutsOf(id)) {
       if (netlist_.TypeOf(out) == GateType::Dff) continue;
-      if (visited[out]) continue;
-      visited[out] = 1;
-      // Propagation is possible through nodes whose value is not yet fixed
-      // identically in both planes.
+      if (visited_[out] == epoch_) continue;
+      visited_[out] = epoch_;
       if (good_[out] == Value3::X || faulty_[out] == Value3::X ||
           good_[out] != faulty_[out]) {
-        frontier.push_back(out);
+        stack_.push_back(out);
       }
     }
   }
@@ -325,12 +351,18 @@ PodemResult Podem::Generate(const sim::StuckAtFault& fault,
 
 PodemResult Podem::GenerateImpl(const sim::StuckAtFault& fault,
                                 const TestCube* hint) {
+  UndoTo(0);  // back to the all-X state of the fault-free circuit
   fault_ = fault;
   assignment_.assign(netlist_.CoreInputs().size(), Value3::X);
   decisions_.clear();
   PodemResult result;
 
-  SimulateBothPlanes();
+  InjectFault();
+  auto decide = [&](std::uint32_t idx, Value3 value) {
+    decisions_.push_back(
+        {idx, value, false, static_cast<std::uint32_t>(trail_.size())});
+    AssignAndPropagate(idx, value);
+  };
   if (hint) {
     // Seed the hint's care bits as ordinary decisions: usually they carry
     // the region's shared activation/propagation conditions and the search
@@ -339,9 +371,7 @@ PodemResult Podem::GenerateImpl(const sim::StuckAtFault& fault,
     for (std::size_t i = 0; i < hint->bits.size(); ++i) {
       if (Detected()) break;
       if (hint->bits[i] == Value3::X || assignment_[i] != Value3::X) continue;
-      const auto idx = static_cast<std::uint32_t>(i);
-      decisions_.push_back({idx, hint->bits[i], false});
-      AssignAndPropagate(idx, hint->bits[i]);
+      decide(static_cast<std::uint32_t>(i), hint->bits[i]);
     }
   }
   for (;;) {
@@ -362,34 +392,36 @@ PodemResult Podem::GenerateImpl(const sim::StuckAtFault& fault,
       dead_end = true;
     }
 
-    if (dead_end) {
-      // Backtrack: flip the most recent unflipped decision.
-      for (;;) {
-        if (decisions_.empty()) {
-          result.outcome = PodemOutcome::Untestable;
-          return result;
-        }
-        Decision& d = decisions_.back();
-        if (!d.flipped) {
-          d.flipped = true;
-          d.value = Not3(d.value);
-          assignment_[d.input_index] = d.value;
-          ++result.backtracks;
-          break;
-        }
-        assignment_[d.input_index] = Value3::X;
-        decisions_.pop_back();
-      }
-      if (result.backtracks > backtrack_limit_) {
-        result.outcome = PodemOutcome::Aborted;
-        return result;
-      }
-      SimulateBothPlanes();  // un-refining X values needs a full recompute
+    if (!dead_end) {
+      decide(next->first, next->second);
       continue;
     }
 
-    decisions_.push_back({next->first, next->second, false});
-    AssignAndPropagate(next->first, next->second);
+    // Backtrack: flip the most recent unflipped decision.
+    for (;;) {
+      if (decisions_.empty()) {
+        result.outcome = PodemOutcome::Untestable;
+        return result;
+      }
+      Decision& d = decisions_.back();
+      if (!d.flipped) {
+        d.flipped = true;
+        d.value = Not3(d.value);
+        ++result.backtracks;
+        break;
+      }
+      assignment_[d.input_index] = Value3::X;
+      decisions_.pop_back();
+    }
+    if (result.backtracks > backtrack_limit_) {
+      result.outcome = PodemOutcome::Aborted;
+      return result;
+    }
+    // Undo the flipped decision's implications (and those of every decision
+    // above it), then imply its new value.
+    const Decision& d = decisions_.back();
+    UndoTo(d.trail_mark);
+    AssignAndPropagate(d.input_index, d.value);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bistdse::bist {
@@ -29,6 +30,12 @@ struct BistProfile {
 inline constexpr std::uint64_t kFailDataBytes = 638;
 
 std::string ToString(const BistProfile& p);
+
+/// A scaled data size, rounded down to whole bytes. Throws
+/// std::invalid_argument naming `field` (the scale that produced it) when
+/// `bytes` is negative, not a number or above 2^64-1, where the conversion
+/// to an integer would be undefined.
+std::uint64_t ScaledDataBytes(double bytes, std::string_view field);
 
 /// Renders a profile set as an aligned text table with Table I's columns.
 std::string FormatProfileTable(const std::vector<BistProfile>& profiles);

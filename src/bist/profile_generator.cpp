@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "bist/campaign_sources.hpp"
 #include "bist/pattern_source.hpp"
@@ -28,6 +30,18 @@ std::string ToString(const BistProfile& p) {
                 p.fault_coverage_percent, p.runtime_ms,
                 static_cast<unsigned long long>(p.data_bytes));
   return buf;
+}
+
+std::uint64_t ScaledDataBytes(double bytes, std::string_view field) {
+  // 2^64 is the first double above UINT64_MAX; the negated test also
+  // rejects NaN.
+  if (!(bytes >= 0.0 && bytes < 18446744073709551616.0)) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  ": scaled data size %g B is outside [0, 2^64-1]", bytes);
+    throw std::invalid_argument(std::string(field) + buf);
+  }
+  return static_cast<std::uint64_t>(bytes);
 }
 
 std::string FormatProfileTable(const std::vector<BistProfile>& profiles) {
@@ -66,6 +80,23 @@ std::string FormatProfileTable(const std::vector<BistProfile>& profiles) {
   return out;
 }
 
+void ProfileGeneratorConfig::Validate() const {
+  if (coverage_targets_percent.size() != fill_seeds.size())
+    throw std::invalid_argument(
+        "fill_seeds: one fill seed per coverage target required");
+  if (prp_counts.empty())
+    throw std::invalid_argument("prp_counts must not be empty");
+  if (coverage_targets_percent.empty())
+    throw std::invalid_argument("coverage_targets_percent must not be empty");
+  for (std::size_t i = 1; i < prp_counts.size(); ++i) {
+    if (prp_counts[i] <= prp_counts[i - 1])
+      throw std::invalid_argument("prp_counts must be strictly ascending");
+  }
+  if (!std::isfinite(byte_scale) || byte_scale < 0.0)
+    throw std::invalid_argument("byte_scale must be finite and >= 0 (got " +
+                                std::to_string(byte_scale) + ")");
+}
+
 ProfileGenerator::ProfileGenerator(const Netlist& netlist,
                                    ProfileGeneratorConfig config)
     : netlist_(netlist),
@@ -76,12 +107,7 @@ ProfileGenerator::ProfileGenerator(const Netlist& netlist,
                   .threads = config_.threads,
                   .narrow_warmup_patterns = config_.narrow_warmup_patterns,
                   .structural_shortcuts = config_.structural_shortcuts}) {
-  if (config_.coverage_targets_percent.size() != config_.fill_seeds.size())
-    throw std::invalid_argument("one fill seed per coverage target required");
-  if (config_.prp_counts.empty() || config_.coverage_targets_percent.empty())
-    throw std::invalid_argument("empty profile matrix");
-  if (!std::is_sorted(config_.prp_counts.begin(), config_.prp_counts.end()))
-    throw std::invalid_argument("prp_counts must be ascending");
+  config_.Validate();
   faults_ = sim::CollapsedFaults(netlist_);
   stats_.total_collapsed_faults = faults_.size();
 }
@@ -300,9 +326,9 @@ BistProfile ProfileGenerator::GenerateVariant(
   const std::uint64_t response_bytes =
       StumpsSession(netlist_, config_.stumps)
           .ResponseDataBytes(prps + prefix);
-  prof.data_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(encoded_bytes + response_bytes) *
-      config_.byte_scale);
+  prof.data_bytes = ScaledDataBytes(
+      static_cast<double>(encoded_bytes + response_bytes) * config_.byte_scale,
+      "byte_scale");
   return prof;
 }
 

@@ -33,7 +33,8 @@ struct ProfileGeneratorConfig {
   std::uint32_t podem_backtrack_limit = 100;
   /// Multiplies reported data bytes; used to present numbers at the paper's
   /// CUT magnitude (371,900 collapsed faults) when profiling a scaled-down
-  /// synthetic CUT. 1.0 = raw measurement.
+  /// synthetic CUT. 1.0 = raw measurement. A scaled size above 2^64-1
+  /// bytes throws std::invalid_argument naming byte_scale.
   double byte_scale = 1.0;
   /// Also measure launch-on-capture transition coverage per profile
   /// (extension; adds TDF fault simulation time). Measurement is capped at
@@ -62,6 +63,12 @@ struct ProfileGeneratorConfig {
   /// each other's random phase — including the fresh generator GenerateOne
   /// spawns for a session longer than the configured maximum. Not owned.
   sim::CampaignMemo* memo = nullptr;
+
+  /// Throws std::invalid_argument naming the field unless the profile matrix
+  /// is usable: one fill seed per coverage target, non-empty prp_counts and
+  /// coverage_targets_percent, prp_counts strictly ascending, and byte_scale
+  /// finite and >= 0. ProfileGenerator calls it on construction.
+  void Validate() const;
 };
 
 struct ProfileGenerationStats {

@@ -34,10 +34,8 @@ StumpsSession::StumpsSession(const Netlist& netlist, StumpsConfig config)
       config_(config),
       expander_(static_cast<std::uint32_t>(netlist.CoreInputs().size())),
       runner_(netlist,
-              sim::CampaignConfig{
-                  .block_width = config.sim_block_width,
-                  .threads = config.sim_threads,
-                  .structural_shortcuts = config.structural_shortcuts}) {
+              sim::CampaignConfig{.block_width = config.sim_block_width,
+                                  .threads = config.sim_threads}) {
   if (!netlist.IsFinalized())
     throw std::invalid_argument("netlist must be finalized");
   config_.Validate();

@@ -60,11 +60,6 @@ struct StumpsConfig {
   /// circuit sweep (W in {1, 2, 4, 8, 16}). Signatures are bit-identical
   /// for every width.
   std::size_t sim_block_width = 4;
-  /// FFR-collapse + dominator-cut detection shortcuts, forwarded to the
-  /// session's campaign runner. Signatures come from full propagations
-  /// (sim::FaultView::OutputErrors) either way, so the setting changes
-  /// neither the signatures nor the work of Run/RunBatch.
-  bool structural_shortcuts = true;
 
   /// Throws std::invalid_argument naming the field unless the signature
   /// layout is usable: signature_window >= 1 and misr_width in [1, 64].

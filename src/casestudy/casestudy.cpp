@@ -65,8 +65,8 @@ std::vector<bist::BistProfile> ScaledTableI(double data_scale,
   if (count < profiles.size()) profiles.resize(count);
   for (bist::BistProfile& p : profiles) {
     p.data_bytes = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(p.data_bytes) * data_scale));
+        1, bist::ScaledDataBytes(static_cast<double>(p.data_bytes) * data_scale,
+                                 "data_scale"));
   }
   return profiles;
 }

@@ -30,7 +30,8 @@ std::vector<bist::BistProfile> PaperTableI();
 /// coverage untouched), truncated to the first `count` profiles. The
 /// frame-accurate session executor uses this to keep full-subnet simulations
 /// fast while preserving the profiles' relative shape; data_scale = 1 is
-/// Table I itself.
+/// Table I itself. Throws std::invalid_argument naming data_scale when a
+/// scaled size is negative or exceeds 2^64-1 bytes.
 std::vector<bist::BistProfile> ScaledTableI(double data_scale,
                                             std::size_t count = 36);
 

@@ -209,29 +209,25 @@ TEST(CampaignConsumers, StumpsSignaturesBitIdentical) {
   ASSERT_GE(faults.size(), 8u);
 
   auto run_session = [&](std::size_t width, std::size_t threads,
-                         bool shortcuts, const StuckAtFault& fault) {
+                         const StuckAtFault& fault) {
     bist::StumpsConfig config;
     config.sim_block_width = width;
     config.sim_threads = threads;
-    config.structural_shortcuts = shortcuts;
     bist::StumpsSession session(netlist, config);
     return session.Run(256, {}, fault);
   };
 
-  const auto reference = run_session(1, 1, false, faults[3]);
-  for (const bool shortcuts : {true, false}) {
-    for (const GridPoint& g : kGrid) {
-      const auto result = run_session(g.width, g.threads, shortcuts, faults[3]);
-      EXPECT_EQ(result.window_signatures, reference.window_signatures)
-          << "W=" << g.width << " threads=" << g.threads << " shortcuts="
-          << shortcuts;
-      ASSERT_EQ(result.fail_data.size(), reference.fail_data.size());
-      for (std::size_t i = 0; i < result.fail_data.size(); ++i) {
-        EXPECT_EQ(result.fail_data[i].window_index,
-                  reference.fail_data[i].window_index);
-        EXPECT_EQ(result.fail_data[i].observed_signature,
-                  reference.fail_data[i].observed_signature);
-      }
+  const auto reference = run_session(1, 1, faults[3]);
+  for (const GridPoint& g : kGrid) {
+    const auto result = run_session(g.width, g.threads, faults[3]);
+    EXPECT_EQ(result.window_signatures, reference.window_signatures)
+        << "W=" << g.width << " threads=" << g.threads;
+    ASSERT_EQ(result.fail_data.size(), reference.fail_data.size());
+    for (std::size_t i = 0; i < result.fail_data.size(); ++i) {
+      EXPECT_EQ(result.fail_data[i].window_index,
+                reference.fail_data[i].window_index);
+      EXPECT_EQ(result.fail_data[i].observed_signature,
+                reference.fail_data[i].observed_signature);
     }
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "casestudy/casestudy.hpp"
 #include "test_helpers.hpp"
 
@@ -22,6 +24,16 @@ TEST(TableI, HasAllThirtySixProfiles) {
   EXPECT_EQ(profiles[0].data_bytes, 2399185u);
   EXPECT_EQ(profiles[3].data_bytes, 455061u);
   EXPECT_DOUBLE_EQ(profiles[32].runtime_ms, 965.35);
+}
+
+TEST(TableI, ScaledRejectsUnrepresentableSizes) {
+  const auto quarter = ScaledTableI(0.25, 4);
+  ASSERT_EQ(quarter.size(), 4u);
+  EXPECT_EQ(quarter[0].data_bytes, 2399185u / 4);
+  for (const auto& p : ScaledTableI(0.0)) EXPECT_EQ(p.data_bytes, 1u);
+  EXPECT_THROW(ScaledTableI(-1.0), std::invalid_argument);
+  EXPECT_THROW(ScaledTableI(1e300), std::invalid_argument);
+  EXPECT_THROW(ScaledTableI(std::nan("")), std::invalid_argument);
 }
 
 TEST(TableI, RuntimeTracksPatternCount) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "bist/profile_generator.hpp"
 #include "test_helpers.hpp"
 
@@ -88,6 +91,49 @@ TEST(ProfileGeneratorConfigTest, Validation) {
   bad = SmallConfig();
   bad.prp_counts.clear();
   EXPECT_THROW(ProfileGenerator(nl, bad), std::invalid_argument);
+  bad = SmallConfig();
+  bad.coverage_targets_percent.clear();
+  bad.fill_seeds.clear();
+  EXPECT_THROW(ProfileGenerator(nl, bad), std::invalid_argument);
+  // A repeated count is not strictly ascending.
+  bad = SmallConfig();
+  bad.prp_counts = {64, 256, 256};
+  EXPECT_THROW(bad.Validate(), std::invalid_argument);
+  EXPECT_THROW(ProfileGenerator(nl, bad), std::invalid_argument);
+  for (const double scale : {-1.0, -1e-9, std::nan(""), HUGE_VAL}) {
+    bad = SmallConfig();
+    bad.byte_scale = scale;
+    EXPECT_THROW(ProfileGenerator(nl, bad), std::invalid_argument) << scale;
+  }
+  // Each message names its field.
+  bad = SmallConfig();
+  bad.byte_scale = -1.0;
+  try {
+    bad.Validate();
+    ADD_FAILURE() << "negative byte_scale accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("byte_scale"), std::string::npos);
+  }
+  ProfileGeneratorConfig ok = SmallConfig();
+  ok.byte_scale = 0.0;
+  EXPECT_NO_THROW(ok.Validate());
+}
+
+TEST(ProfileGeneratorScaling, OverflowingByteScaleThrows) {
+  // Finite and valid, but every scaled size exceeds 2^64-1 bytes: the
+  // conversion must throw instead of producing an arbitrary count.
+  auto nl = bistdse::testing::MakeSmallRandom(75, 200);
+  ProfileGeneratorConfig cfg = SmallConfig();
+  cfg.prp_counts = {64};
+  cfg.coverage_targets_percent = {100.0};
+  cfg.fill_seeds = {3};
+  cfg.byte_scale = 1e300;
+  ProfileGenerator generator(nl, cfg);
+  EXPECT_THROW(generator.GenerateAll(), std::invalid_argument);
+  EXPECT_EQ(ScaledDataBytes(18446744073709549568.0, "s"),
+            18446744073709549568ull);  // the largest double below 2^64
+  EXPECT_THROW(ScaledDataBytes(18446744073709551616.0, "s"),
+               std::invalid_argument);
 }
 
 TEST(ProfileGeneratorScaling, ByteScaleMultiplies) {

@@ -58,17 +58,12 @@ z = AND(n1, n2)
 struct Grid {
   std::size_t width;
   std::size_t threads;
-  bool shortcuts;
 };
 
 std::vector<Grid> FullGrid() {
   std::vector<Grid> grid;
   for (const std::size_t width : {1, 4, 16}) {
-    for (const std::size_t threads : {1, 4}) {
-      for (const bool shortcuts : {true, false}) {
-        grid.push_back({width, threads, shortcuts});
-      }
-    }
+    for (const std::size_t threads : {1, 4}) grid.push_back({width, threads});
   }
   return grid;
 }
@@ -128,14 +123,13 @@ struct Fixture {
   static constexpr std::uint32_t kWindow = 24;
 
   StumpsConfig Config(std::uint32_t misr_width, bool strong,
-                      const Grid& g = {1, 1, true}) const {
+                      const Grid& g = {1, 1}) const {
     StumpsConfig config;
     config.signature_window = kWindow;
     config.misr_width = misr_width;
     config.reset_misr_per_window = strong;
     config.sim_block_width = g.width;
     config.sim_threads = g.threads;
-    config.structural_shortcuts = g.shortcuts;
     return config;
   }
 };
@@ -260,8 +254,7 @@ void ExpectSessionsMatchOracle(const Fixture& fx) {
         const std::string where =
             "strong=" + std::to_string(strong) + " misr=" +
             std::to_string(misr_width) + " W=" + std::to_string(g.width) +
-            " threads=" + std::to_string(g.threads) +
-            " shortcuts=" + std::to_string(g.shortcuts);
+            " threads=" + std::to_string(g.threads);
         bist::StumpsSession session(fx.nl, fx.Config(misr_width, strong, g));
         const auto golden = session.Run(Fixture::kRandom, fx.det, std::nullopt);
         ASSERT_EQ(golden.window_signatures, oracle.golden.signatures) << where;
@@ -345,7 +338,6 @@ TEST(SignatureOracle, DictionaryMatchesOracleAfterBuildAndExtend) {
       const StumpsConfig config = fx.Config(misr_width, true);
       const std::span<const EncodedPattern> det = fx.det;
       for (const Grid& g : FullGrid()) {
-        if (!g.shortcuts) continue;  // the dictionary always runs them
         const std::string where = "misr=" + std::to_string(misr_width) +
                                   " W=" + std::to_string(g.width) +
                                   " threads=" + std::to_string(g.threads);
@@ -469,7 +461,6 @@ TEST(SignatureOracle, SignatureDiagnosisMatchesOracle) {
       queries.push_back(std::move(hostile));
 
       for (const Grid& g : FullGrid()) {
-        if (!g.shortcuts) continue;
         const bist::SignatureDiagnosis diagnosis(
             fx.nl, fx.Config(misr_width, true), Fixture::kRandom, fx.det,
             g.width, g.threads);

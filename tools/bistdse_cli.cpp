@@ -47,8 +47,9 @@ using namespace bistdse;
 
 namespace {
 
-/// Runs a strict util:: parser over a flag value; a malformed value exits 2
-/// with a message naming the flag (`invalid --threads 'abc'`).
+/// Runs a strict util:: parser over a flag value, or a check of the values
+/// parsed; a malformed or unusable value exits 2 with the message naming the
+/// flag or field (`invalid --threads 'abc'`).
 template <typename Parse>
 auto ParseOrExit(Parse parse) {
   try {
@@ -150,7 +151,7 @@ int Usage() {
       "  diagnose --seed N [--patterns N] [--samples N] [--window N]\n"
       "           [--threads K] [--block-width W]\n"
       "  stumps   --seed N [--patterns N] [--faults N] [--window N]\n"
-      "           [--threads K] [--block-width W] [--no-shortcuts]\n"
+      "           [--threads K] [--block-width W]\n"
       "  dict build --out FILE --seed N [--patterns N] [--window N]\n"
       "           [--max-faults N] [--threads K] [--block-width W]\n"
       "  dict query --in FILE --seed N [--window N] [--mmap] [--samples N]\n"
@@ -329,8 +330,10 @@ int RunCorpus(const Flags& flags) {
   corpus.fd_fraction = flags.Real("fd-fraction", 0.35);
   // Scaled profiles keep the frame-level campaigns tractable; --data-scale 1
   // replays full Table-I pattern sets.
-  corpus.profile_pool = casestudy::ScaledTableI(
-      flags.Real("data-scale", 1.0 / 256), flags.U64("profiles", 4));
+  corpus.profile_pool = ParseOrExit([&] {
+    return casestudy::ScaledTableI(flags.Real("data-scale", 1.0 / 256),
+                                   flags.U64("profiles", 4));
+  });
 
   if (flags.Has("spec")) {
     std::printf("| topology | ecus | buses (fd) | sensors | actuators | "
@@ -393,8 +396,14 @@ int RunProfiles(const Flags& flags) {
   } else {
     config.prp_counts = {500, 1000, 5000, 20000};
   }
+  ParseOrExit([&] {
+    config.Validate();
+    return 0;
+  });
   bist::ProfileGenerator generator(cut, config);
-  const auto profiles = generator.GenerateAll();
+  // A --scale that overflows a byte count shows only once a profile is
+  // measured; it exits 2 naming the field as well.
+  const auto profiles = ParseOrExit([&] { return generator.GenerateAll(); });
   std::printf("%s", bist::FormatProfileTable(profiles).c_str());
   return 0;
 }
@@ -437,8 +446,6 @@ int RunStumps(const Flags& flags) {
   config.sim_threads = flags.U64("threads", 0);
   // W*64 patterns per fault-simulation sweep; bit-identical for every W.
   config.sim_block_width = BlockWidthFlag(flags, 4);
-  // Ablation knob: disable the FFR/dominator detection shortcuts.
-  config.structural_shortcuts = !flags.Has("no-shortcuts");
 
   const std::uint64_t num_random = flags.U64("patterns", 2048);
   const auto all_faults = sim::CollapsedFaults(cut);
