@@ -15,7 +15,6 @@
 
 #include "bench_util.hpp"
 #include "can/mirroring.hpp"
-#include "can/simulator.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
 #include "dse/exploration.hpp"

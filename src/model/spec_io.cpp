@@ -1,10 +1,13 @@
 #include "model/spec_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace bistdse::model {
 
@@ -12,6 +15,12 @@ namespace {
 
 [[noreturn]] void Fail(std::size_t line, const std::string& msg) {
   throw std::runtime_error("spec line " + std::to_string(line) + ": " + msg);
+}
+
+std::string Number(double value) {
+  std::ostringstream ss;
+  ss << value;
+  return ss.str();
 }
 
 ResourceKind KindFromString(const std::string& s, std::size_t line) {
@@ -51,15 +60,25 @@ ParsedSpec ParseSpec(std::istream& in) {
     if (!(ss >> keyword)) continue;
 
     if (keyword == "resource") {
-      std::string name, kind;
+      std::string name, kind, bitrate_text;
       double base_cost = 0, cost_per_byte = 0, bitrate = 500e3;
       if (!(ss >> name >> kind >> base_cost >> cost_per_byte))
         Fail(lineno, "resource needs: name kind base_cost cost_per_byte");
-      ss >> bitrate;  // optional
+      if (ss >> bitrate_text) {  // optional
+        try {
+          bitrate = util::ParseReal("bitrate", bitrate_text);
+        } catch (const std::invalid_argument& e) {
+          Fail(lineno, "resource " + name + ": " + e.what());
+        }
+      }
+      const ResourceKind resource_kind = KindFromString(kind, lineno);
+      if (resource_kind == ResourceKind::Bus && !(bitrate > 0.0)) {
+        Fail(lineno, "bus " + name + ": bitrate must be finite and > 0, got " +
+                         bitrate_text);
+      }
       if (resources.count(name)) Fail(lineno, "duplicate resource " + name);
       resources[name] = result.spec.Architecture().AddResource(
-          {name, KindFromString(kind, lineno), base_cost, cost_per_byte,
-           bitrate});
+          {name, resource_kind, base_cost, cost_per_byte, bitrate});
     } else if (keyword == "link") {
       std::string a, b;
       if (!(ss >> a >> b)) Fail(lineno, "link needs two resources");
@@ -85,6 +104,18 @@ ParsedSpec ParseSpec(std::istream& in) {
       if (!(ss >> name >> sender >> receivers >> payload >> period))
         Fail(lineno, "message needs: name sender receivers payload period");
       if (!tasks.count(sender)) Fail(lineno, "unknown task " + sender);
+      // The limits can::CanBus::AddMessage enforces, checked here so a bad
+      // spec names its line instead of failing deep in the analysis.
+      if (!std::isfinite(period) || !(period > 0.0)) {
+        Fail(lineno, "message " + name +
+                         ": period must be finite and > 0, got " +
+                         Number(period));
+      }
+      if (payload > 8) {
+        Fail(lineno, "message " + name +
+                         ": payload must be at most 8 bytes, got " +
+                         std::to_string(payload));
+      }
       Message m;
       m.name = name;
       m.sender = tasks[sender];

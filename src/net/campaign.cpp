@@ -100,12 +100,12 @@ CampaignReport RunAdversarialCampaign(
     const CampaignScheduleSpec& schedule) {
   CampaignReport campaign;
   const auto rounds = MakeCampaignSchedule(schedule);
+  const SessionExecutor executor(spec, augmentation, base);
+  std::vector<SessionExecutionReport> reports =
+      executor.ExecuteRounds(impl, rounds);
   for (std::size_t r = 0; r < rounds.size(); ++r) {
-    SessionExecutorOptions options = base;
-    options.faults = rounds[r];
-    const SessionExecutor executor(spec, augmentation, options);
     CampaignRound round = JudgeExecution(
-        executor.Execute(impl), rounds[r], r == 0,
+        std::move(reports[r]), rounds[r], r == 0,
         schedule.zero_loss_block_slack_ms, base.transport.block_size);
     campaign.all_completed &= round.completed;
     campaign.all_q_bounded &= round.q_bounded;

@@ -9,16 +9,25 @@
 // firing — this is how the segmented transport rides the mirrored copies of
 // a shut-off ECU's functional messages without ever changing their timing.
 //
-// Unlike can::CanSimulator (single bus, closed-form critical instant), the
-// engine runs open-ended in phases, spans bus segments, and reports the
+// The engine runs open-ended in phases, spans bus segments, and reports the
 // outcome of every frame to its producer, which is what the retry path of
-// the transport layer needs.
+// the transport layer needs. On a single bus with every slot released at
+// t = 0 it replays the critical instant of the analytical WCRT model
+// (can::CanBus::ResponseTime); per-slot first releases give staggered
+// phases such as can::PlanReleaseOffsets.
+//
+// Event core: releases and gateway hop arrivals wait in one binary heap;
+// each bus holds its in-flight frame and completion in place, and its ready
+// frames in a vector sorted by descending CAN id. Every event carries the
+// order stamp its parent took from one counter, and Run processes the
+// smallest (time, order) among the heap top and the busy buses — exactly
+// the sequence of a single event queue, without a heap operation or an
+// allocation per frame (docs/PERF.md, "Network engine: event core and
+// parallel sessions").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -76,12 +85,17 @@ class NetworkEngine {
   explicit NetworkEngine(FaultInjector* injector = nullptr,
                          EventTrace* trace = nullptr,
                          bool trace_frames = false)
-      : injector_(injector), trace_(trace), trace_frames_(trace_frames) {}
+      : injector_(injector),
+        trace_(trace),
+        trace_frames_(trace != nullptr && trace_frames) {}
 
+  /// Adds a bus segment; the bitrate must be finite and positive.
   BusIndex AddBus(std::string name, double bitrate_bps);
 
   /// Registers a slot and schedules its first release. `path` and `hop_ids`
-  /// must be non-empty and of equal size. Returns the slot index.
+  /// must be non-empty and of equal size, the period finite and positive,
+  /// and the first release finite and not before NowMs(). Slots may be added
+  /// between Run calls. Returns the slot index.
   std::size_t AddSlot(PeriodicSlot slot);
 
   void SetGatewayDelayMs(double delay_ms) { gateway_delay_ms_ = delay_ms; }
@@ -103,14 +117,14 @@ class NetworkEngine {
   double BusBusyMs(BusIndex bus) const { return buses_[bus].busy_ms; }
 
  private:
-  enum class EventKind : std::uint8_t { Release, HopArrival, BusFree };
+  enum class EventKind : std::uint8_t { Release, HopArrival };
 
   struct Event {
     double time_ms;
     std::uint64_t order;  ///< FIFO tie-break for determinism.
     EventKind kind;
     std::uint32_t slot;
-    std::uint32_t hop;  ///< For BusFree: the bus index.
+    std::uint32_t hop;
 
     bool operator>(const Event& other) const {
       if (time_ms != other.time_ms) return time_ms > other.time_ms;
@@ -119,18 +133,23 @@ class NetworkEngine {
   };
 
   struct PendingFrame {
-    std::uint32_t slot;
-    std::uint32_t hop;
-    double release_ms;
+    std::uint32_t slot = 0;
+    std::uint32_t hop = 0;
+    can::CanId id = 0;  ///< slots_[slot].hop_ids[hop], the arbitration key.
+    double release_ms = 0.0;
     FrameMeta meta;
   };
 
   struct Bus {
     std::string name;
     double bitrate_bps;
-    std::map<can::CanId, PendingFrame> ready;  ///< Priority order by id.
-    std::optional<PendingFrame> in_flight;
+    /// Queued frames, at most one per CAN id, sorted by descending id:
+    /// back() wins arbitration.
+    std::vector<PendingFrame> ready;
     bool busy = false;
+    PendingFrame in_flight;  ///< Valid while busy.
+    double end_ms = 0.0;     ///< Completion time of in_flight.
+    std::uint64_t end_order = 0;  ///< Its order stamp, taken in TryStart.
     double busy_ms = 0.0;
   };
 
@@ -146,13 +165,15 @@ class NetworkEngine {
 
   FaultInjector* injector_;
   EventTrace* trace_;
-  bool trace_frames_;
+  bool trace_frames_;  ///< Per-frame events on: a trace and the flag.
   double gateway_delay_ms_ = 1.0;
   double now_ms_ = 0.0;
   std::uint64_t order_counter_ = 0;
   std::vector<Bus> buses_;
   std::vector<PeriodicSlot> slots_;
   std::vector<std::vector<SlotHopStats>> stats_;
+  /// Frame time of each (slot, hop) on its segment, fixed at AddSlot.
+  std::vector<std::vector<double>> frame_ms_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
 };
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "bist/profile.hpp"
 #include "can/mirroring.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bistdse::net {
 
@@ -33,7 +35,7 @@ SessionExecutor::SessionExecutor(const model::Specification& spec,
 SessionExecution SessionExecutor::ExecuteOne(
     const model::Implementation& impl, const dse::RoutedBusNetwork& routed,
     const dse::SessionPlan& plan, std::uint64_t transfer_id_base,
-    EventTrace* trace) const {
+    const FaultInjectorConfig& faults, EventTrace* trace) const {
   const auto& app = spec_.Application();
   const auto& arch = spec_.Architecture();
   const std::vector<ResourceId> bound_at = impl.BoundResources(spec_);
@@ -70,7 +72,7 @@ SessionExecution SessionExecutor::ExecuteOne(
     }
   }
 
-  FaultInjectorConfig fault_config = options_.faults;
+  FaultInjectorConfig fault_config = faults;
   fault_config.seed += transfer_id_base;  // Independent stream per session.
   FaultInjector injector(fault_config);
   NetworkEngine engine(&injector, trace, options_.trace_frames);
@@ -272,24 +274,67 @@ SessionExecution SessionExecutor::ExecuteOne(
 
 SessionExecutionReport SessionExecutor::Execute(
     const model::Implementation& impl, EventTrace* trace) const {
-  SessionExecutionReport report;
+  return std::move(ExecuteRounds(impl, {options_.faults}, trace).front());
+}
+
+std::vector<SessionExecutionReport> SessionExecutor::ExecuteRounds(
+    const model::Implementation& impl,
+    const std::vector<FaultInjectorConfig>& rounds, EventTrace* trace) const {
   const auto plans = dse::PlanSessions(spec_, augmentation_, impl,
                                        options_.plan);
   const dse::RoutedBusNetwork routed =
       dse::BuildRoutedBusNetwork(spec_, impl, options_.id_stride);
 
+  // Transfer ids (and through them the injector seeds) in plan order:
+  // 1, 3, 5, ... over the feasible plans, as one serial pass assigns them.
+  std::vector<std::uint64_t> transfer_ids(plans.size(), 0);
   std::uint64_t next_transfer_id = 1;
-  for (const dse::SessionPlan& plan : plans) {
-    SessionExecution session;
-    if (!plan.feasible) {
-      session.plan = plan;
-      session.executed = false;
-      session.failure = "rejected: no mirrored bandwidth (Eq. 1 diverges)";
-    } else {
-      session = ExecuteOne(impl, routed, plan, next_transfer_id, trace);
-      next_transfer_id += 2;
-    }
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    if (!plans[p].feasible) continue;
+    transfer_ids[p] = next_transfer_id;
+    next_transfer_id += 2;
+  }
 
+  // One task per (round, plan), never grouped: session lengths are skewed.
+  // Each task writes only its own index.
+  const std::size_t tasks = rounds.size() * plans.size();
+  std::vector<SessionExecution> sessions(tasks);
+  std::vector<EventTrace> traces(trace != nullptr ? tasks : 0);
+  std::vector<std::exception_ptr> errors(tasks);
+  util::ThreadPool::Global().ParallelFor(
+      0, tasks, tasks, [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t t = begin; t < end; ++t) {
+          const std::size_t round = t / plans.size(), p = t % plans.size();
+          SessionExecution& session = sessions[t];
+          if (!plans[p].feasible) {
+            session.plan = plans[p];
+            session.executed = false;
+            session.failure =
+                "rejected: no mirrored bandwidth (Eq. 1 diverges)";
+            continue;
+          }
+          try {
+            session = ExecuteOne(impl, routed, plans[p], transfer_ids[p],
+                                 rounds[round],
+                                 trace != nullptr ? &traces[t] : nullptr);
+          } catch (...) {
+            errors[t] = std::current_exception();
+          }
+        }
+      });
+
+  // Serial merge in (round, plan) order: the trace, then the first error,
+  // then the per-round totals.
+  for (std::size_t t = 0; t < tasks; ++t) {
+    if (trace != nullptr) {
+      for (const TraceEvent& e : traces[t].Events()) trace->Record(e);
+    }
+    if (errors[t]) std::rethrow_exception(errors[t]);
+  }
+  std::vector<SessionExecutionReport> reports(rounds.size());
+  for (std::size_t t = 0; t < tasks; ++t) {
+    SessionExecutionReport& report = reports[t / plans.size()];
+    SessionExecution& session = sessions[t];
     report.all_completed &= session.completed;
     report.all_wcrt_dominated &= session.wcrt_dominated;
     if (session.executed && session.completed && !session.plan.patterns_local &&
@@ -309,7 +354,7 @@ SessionExecutionReport SessionExecutor::Execute(
         session.download.corrupted + session.upload.corrupted;
     report.sessions.push_back(std::move(session));
   }
-  return report;
+  return reports;
 }
 
 void AttachOperationalValidation(const SessionExecutionReport& report,

@@ -98,16 +98,30 @@ class SessionExecutor {
 
   /// Plans every selected BIST session of `impl` and executes each one in
   /// its own discrete-event network (one ECU is shut off at a time, as in
-  /// the paper's operational model). Infeasible plans (no mirrored
-  /// bandwidth) are reported as rejected, not silently skipped.
+  /// the paper's operational model) under the options' fault config.
+  /// Infeasible plans (no mirrored bandwidth) are reported as rejected, not
+  /// silently skipped. The one-round case of ExecuteRounds.
   SessionExecutionReport Execute(const model::Implementation& impl,
                                  EventTrace* trace = nullptr) const;
+
+  /// Executes every session once per fault config of `rounds` and returns
+  /// one report per config, in order. Sessions share nothing, so each
+  /// (round, session) runs as its own task on util::ThreadPool::Global();
+  /// reports, transfer ids, injector seeds and `trace` (each session's
+  /// events appended in (round, session) order) equal those of executing
+  /// them one after another, and an exception is the one the first failing
+  /// session in that order throws.
+  std::vector<SessionExecutionReport> ExecuteRounds(
+      const model::Implementation& impl,
+      const std::vector<FaultInjectorConfig>& rounds,
+      EventTrace* trace = nullptr) const;
 
  private:
   SessionExecution ExecuteOne(const model::Implementation& impl,
                               const dse::RoutedBusNetwork& routed,
                               const dse::SessionPlan& plan,
                               std::uint64_t transfer_id_base,
+                              const FaultInjectorConfig& faults,
                               EventTrace* trace) const;
 
   const model::Specification& spec_;

@@ -15,6 +15,8 @@
 #include "arch/corpus.hpp"
 #include "arch/topology.hpp"
 #include "casestudy/casestudy.hpp"
+#include "dse/decoder.hpp"
+#include "execution_hash.hpp"
 #include "net/campaign.hpp"
 #include "test_helpers.hpp"
 
@@ -383,6 +385,57 @@ TEST(Campaign, JudgeFlagsEachInvariant) {
   // A mirrored sample over its own bound is not a non-intrusiveness hit.
   report.sessions[0].wcrt[0].mirrored = true;
   EXPECT_TRUE(net::JudgeExecution(report, {}, true).non_intrusive);
+}
+
+// Pin: every field of every SessionExecution of a 3-round campaign on a
+// generated 3-bus topology, recorded from the serial executor on the
+// map-and-heap engine. Every ECU runs its last profile with its patterns on
+// a remote memory, so each session downloads over mirrored slots.
+TEST(Campaign, GeneratedTopologyExecutionsArePinned) {
+  CorpusSpec corpus;
+  corpus.seed = 1;
+  corpus.min_ecus = corpus.max_ecus = 20;
+  corpus.min_buses = corpus.max_buses = 3;
+  corpus.profile_pool = casestudy::ScaledTableI(1.0 / 256, 4);
+  const Topology topo =
+      GenerateTopology(SampleTopologySpec(corpus, 1), TopologySeed(corpus, 1));
+  ASSERT_EQ(topo.buses.size(), 3u);
+
+  dse::SatDecoder decoder(topo.spec, topo.augmentation);
+  moea::Genotype g;
+  g.priorities.assign(decoder.GenotypeSize(), 0.5);
+  g.phases.assign(decoder.GenotypeSize(), 0);
+  const auto mappings = topo.spec.Mappings();
+  for (const auto& [ecu, programs] : topo.augmentation.programs_by_ecu) {
+    const auto& prog = programs.back();
+    for (std::size_t m : topo.spec.MappingsOfTask(prog.test_task)) {
+      g.phases[m] = 1;
+      g.priorities[m] = 0.9;
+    }
+    for (std::size_t m : topo.spec.MappingsOfTask(prog.data_task)) {
+      const bool remote = mappings[m].resource != ecu;
+      g.phases[m] = remote ? 1 : 0;
+      g.priorities[m] = remote ? 0.8 : 0.1;
+    }
+  }
+  const auto impl = decoder.Decode(g);
+  ASSERT_TRUE(impl.has_value());
+
+  net::CampaignScheduleSpec schedule;
+  schedule.rounds = 3;
+  const net::CampaignReport campaign = net::RunAdversarialCampaign(
+      topo.spec, topo.augmentation, *impl, net::SessionExecutorOptions{},
+      schedule);
+  ASSERT_EQ(campaign.rounds.size(), 4u);
+  EXPECT_TRUE(campaign.Passed());
+  std::size_t executed = 0;
+  for (const auto& s : campaign.rounds[0].report.sessions) {
+    executed += s.executed && !s.plan.patterns_local;
+  }
+  EXPECT_EQ(executed, 13u);
+  testing::ExecutionHasher hash;
+  hash.Campaign(campaign);
+  EXPECT_EQ(hash.Value(), 0x981688c6a8c5d789ULL);
 }
 
 // --- end-to-end sweep ------------------------------------------------------

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bus_engine.hpp"
 #include "can/bus.hpp"
 #include "can/mirroring.hpp"
-#include "can/simulator.hpp"
 
 namespace bistdse::can {
 namespace {
@@ -125,7 +125,7 @@ TEST(CanBus, UnknownIdGivesNullopt) {
 // Property: the analytical WCRT bound dominates every simulated response
 // time, and the bound is tight for the synchronous release case of the
 // highest-priority messages.
-TEST(CanSimulator, AnalysisBoundsSimulation) {
+TEST(BusSimulation, AnalysisBoundsSimulation) {
   CanBus bus("b", 500e3);
   bus.AddMessage(Msg(1, 2, 5));
   bus.AddMessage(Msg(2, 8, 10));
@@ -134,55 +134,28 @@ TEST(CanSimulator, AnalysisBoundsSimulation) {
   bus.AddMessage(Msg(5, 1, 50));
   ASSERT_TRUE(bus.Schedulable());
 
-  CanSimulator simulator(bus);
-  const auto sim = simulator.Run(5000.0);
-  for (const auto& [key, stats] : sim.per_message) {
+  const auto sim = testing::RunBusOnEngine(bus, 5000.0);
+  ASSERT_EQ(sim.per_id.size(), 5u);
+  for (const auto& [id, stats] : sim.per_id) {
     ASSERT_GT(stats.frames_sent, 0u);
-    const auto bound = bus.ResponseTime(key.id);
+    const auto bound = bus.ResponseTime(id);
     ASSERT_TRUE(bound.has_value());
     EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
-        << "id " << key.id;
+        << "id " << id;
   }
   EXPECT_GT(sim.Utilization(), 0.0);
   EXPECT_LE(sim.Utilization(), 1.0 + 1e-9);
 }
 
-TEST(CanSimulator, StaggeredOffsetsReduceResponses) {
+TEST(BusSimulation, StaggeredOffsetsReduceResponses) {
   CanBus bus("b", 500e3);
   bus.AddMessage(Msg(1, 8, 2));
   bus.AddMessage(Msg(2, 8, 2));
   bus.AddMessage(Msg(3, 8, 2));
-  CanSimulator simulator(bus);
-  const auto sync = simulator.Run(1000.0);
+  const auto sync = testing::RunBusOnEngine(bus, 1000.0);
   const auto staggered =
-      simulator.Run(1000.0, {{1, 0.0}, {2, 0.6}, {3, 1.2}});
+      testing::RunBusOnEngine(bus, 1000.0, {{1, 0.0}, {2, 0.6}, {3, 1.2}});
   EXPECT_LE(staggered.Of(3).max_response_ms, sync.Of(3).max_response_ms);
-}
-
-// Regression: stats used to be keyed by CAN id alone, so merging the results
-// of two segments silently fused messages that reuse an id (gateways re-map
-// ids per bus, making reuse the common case, not the exception).
-TEST(CanSimulator, StatsKeyedByBusAndId) {
-  CanBus body("body", 500e3);
-  body.AddMessage(Msg(1, 8, 10, "speed"));
-  CanBus chassis("chassis", 500e3);
-  chassis.AddMessage(Msg(1, 2, 5, "brake"));  // same id, different message
-
-  auto merged = CanSimulator(body).Run(1000.0);
-  merged.Merge(CanSimulator(chassis).Run(1000.0));
-
-  ASSERT_EQ(merged.per_message.size(), 2u);
-  const auto& body_stats = merged.per_message.at({"body", 1});
-  const auto& chassis_stats = merged.per_message.at({"chassis", 1});
-  EXPECT_EQ(body_stats.frames_sent, 100u);
-  EXPECT_EQ(chassis_stats.frames_sent, 200u);
-  EXPECT_NE(body_stats.max_response_ms, chassis_stats.max_response_ms);
-
-  // The id-only accessor refuses to guess between the two buses...
-  EXPECT_THROW(merged.Of(1), std::logic_error);
-  // ...and merging the same segment twice is a hard error, not a clobber.
-  EXPECT_THROW(merged.Merge(CanSimulator(body).Run(1.0)), std::logic_error);
-  EXPECT_THROW(merged.Of(999), std::out_of_range);
 }
 
 TEST(Mirroring, Eq1TransferTime) {
@@ -265,15 +238,14 @@ TEST(Mirroring, PlannedOffsetsReduceObservedResponses) {
   bus.AddMessage(Msg(2, 8, 2));
   bus.AddMessage(Msg(3, 8, 2));
   bus.AddMessage(Msg(4, 8, 4));
-  CanSimulator simulator(bus);
-  const auto sync = simulator.Run(2000.0);
+  const auto sync = testing::RunBusOnEngine(bus, 2000.0);
   const auto offsets = PlanReleaseOffsets(bus);
-  const auto planned = simulator.Run(2000.0, offsets);
+  const auto planned = testing::RunBusOnEngine(bus, 2000.0, offsets);
   // The lowest-priority message benefits most from de-phasing.
   EXPECT_LT(planned.Of(4).max_response_ms, sync.Of(4).max_response_ms);
   // Offsets never violate the analytical bounds.
-  for (const auto& [key, stats] : planned.per_message) {
-    const auto bound = bus.ResponseTime(key.id);
+  for (const auto& [id, stats] : planned.per_id) {
+    const auto bound = bus.ResponseTime(id);
     ASSERT_TRUE(bound.has_value());
     EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9);
   }
@@ -299,9 +271,8 @@ TEST(Mirroring, SimulationConfirmsTimingTransparency) {
   }
   for (const CanMessage& m : mirrored) swapped.AddMessage(m);
 
-  CanSimulator sim_base(base), sim_swapped(swapped);
-  const auto rb = sim_base.Run(2000.0);
-  const auto rs = sim_swapped.Run(2000.0);
+  const auto rb = testing::RunBusOnEngine(base, 2000.0);
+  const auto rs = testing::RunBusOnEngine(swapped, 2000.0);
   for (CanId id : {0u, 32u, 64u}) {
     EXPECT_DOUBLE_EQ(rs.Of(id).max_response_ms, rb.Of(id).max_response_ms)
         << "id " << id;

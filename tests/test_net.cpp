@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -86,6 +87,68 @@ TEST(NetworkEngine, RejectsMalformedSlots) {
   EXPECT_THROW(engine.AddSlot(Slot(Msg(1, 8, 10), {bus, bus}, {1, 2},
                                    reinterpret_cast<SlotClient*>(0x1))),
                std::invalid_argument);
+  // Periods and first releases must be finite: NaN fails every comparison,
+  // so a `<= 0` check alone lets it through.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double period : {-1.0, nan, inf}) {
+    EXPECT_THROW(engine.AddSlot(Slot(Msg(1, 8, period), {bus}, {1})),
+                 std::invalid_argument)
+        << period;
+  }
+  for (double first : {-0.5, nan, inf}) {
+    EXPECT_THROW(
+        engine.AddSlot(Slot(Msg(1, 8, 10), {bus}, {1}, nullptr, first)),
+        std::invalid_argument)
+        << first;
+  }
+  // A first release must not lie before NowMs(): the engine would process
+  // it in the past.
+  engine.AddSlot(Slot(Msg(1, 8, 10), {bus}, {1}));
+  engine.Run(25.0);
+  EXPECT_THROW(
+      engine.AddSlot(Slot(Msg(2, 8, 10), {bus}, {2}, nullptr, 24.0)),
+      std::invalid_argument);
+  EXPECT_NO_THROW(
+      engine.AddSlot(Slot(Msg(2, 8, 10), {bus}, {2}, nullptr, 25.0)));
+  EXPECT_EQ(engine.SlotCount(), 2u);
+}
+
+// A bitrate that is not finite and positive would give non-positive or NaN
+// frame times, and completions scheduled before NowMs().
+TEST(NetworkEngine, RejectsUnusableBitrates) {
+  NetworkEngine engine;
+  for (double bitrate : {0.0, -500e3, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(engine.AddBus("b", bitrate), std::invalid_argument)
+        << bitrate;
+  }
+  EXPECT_EQ(engine.AddBus("b", 125e3), 0u);
+}
+
+// CAN ids are only unique per segment: equal ids on two buses of one engine
+// are different messages with separate SlotHopStats.
+TEST(NetworkEngine, EqualIdsOnTwoBusesKeepSeparateStats) {
+  NetworkEngine engine;
+  const BusIndex body = engine.AddBus("body", 500e3);
+  const BusIndex chassis = engine.AddBus("chassis", 500e3);
+  const std::size_t speed = engine.AddSlot(Slot(Msg(1, 8, 10), {body}, {1}));
+  engine.AddSlot(Slot(Msg(0, 8, 5), {chassis}, {0}));  // delays brake only
+  const std::size_t brake = engine.AddSlot(Slot(Msg(1, 2, 5), {chassis}, {1}));
+  engine.Run(999.0);
+
+  const SlotHopStats& body_stats = engine.StatsOf(speed, 0);
+  const SlotHopStats& chassis_stats = engine.StatsOf(brake, 0);
+  EXPECT_EQ(body_stats.frames_sent, 100u);
+  EXPECT_EQ(chassis_stats.frames_sent, 200u);
+  const double speed_ms = Msg(1, 8, 10).FrameTimeMs(500e3);
+  EXPECT_NEAR(body_stats.max_response_ms, speed_ms, 1e-9);
+  EXPECT_NEAR(chassis_stats.max_response_ms,
+              Msg(0, 8, 5).FrameTimeMs(500e3) +
+                  Msg(1, 2, 5).FrameTimeMs(500e3),
+              1e-9);
+  EXPECT_NE(body_stats.max_response_ms, chassis_stats.max_response_ms);
+  EXPECT_NEAR(engine.BusBusyMs(body), 100 * speed_ms, 1e-9);
 }
 
 TEST(SegmentedTransfer, ZeroLossRateMatchesSlotGoodput) {

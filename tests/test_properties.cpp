@@ -2,12 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "atpg/podem.hpp"
+#include "bus_engine.hpp"
 #include "atpg/tpg.hpp"
 #include <set>
 
 #include "bist/reseeding.hpp"
 #include "can/mirroring.hpp"
-#include "can/simulator.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
 #include "model/implementation.hpp"
@@ -121,13 +121,12 @@ TEST_P(CanBoundProperty, AnalysisDominatesSimulation) {
   }
   if (!bus.Schedulable()) GTEST_SKIP() << "random set unschedulable";
 
-  can::CanSimulator simulator(bus);
-  const auto sim_result = simulator.Run(2000.0);
-  for (const auto& [key, stats] : sim_result.per_message) {
-    const auto bound = bus.ResponseTime(key.id);
+  const auto sim_result = testing::RunBusOnEngine(bus, 2000.0);
+  for (const auto& [id, stats] : sim_result.per_id) {
+    const auto bound = bus.ResponseTime(id);
     ASSERT_TRUE(bound.has_value());
     EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
-        << "id " << key.id << " seed " << GetParam();
+        << "id " << id << " seed " << GetParam();
   }
 }
 
@@ -171,25 +170,25 @@ TEST_P(MirroredSwapProperty, MirroringIsInvisibleAndBounded) {
   const auto mirrored = can::MakeMirroredMessages(ecu, 1);
   for (const can::CanMessage& m : mirrored) swapped.AddMessage(m);
 
-  const auto rb = can::CanSimulator(base).Run(2000.0);
-  const auto rs = can::CanSimulator(swapped).Run(2000.0);
+  const auto rb = testing::RunBusOnEngine(base, 2000.0);
+  const auto rs = testing::RunBusOnEngine(swapped, 2000.0);
 
   // (1) Analysis still dominates simulation on the swapped bus.
-  for (const auto& [key, stats] : rs.per_message) {
-    const auto bound = swapped.ResponseTime(key.id);
-    ASSERT_TRUE(bound.has_value()) << "id " << key.id;
+  for (const auto& [id, stats] : rs.per_id) {
+    const auto bound = swapped.ResponseTime(id);
+    ASSERT_TRUE(bound.has_value()) << "id " << id;
     EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
-        << "id " << key.id << " seed " << GetParam();
+        << "id " << id << " seed " << GetParam();
   }
 
   // (2) Non-swapped messages observe exactly the same worst response.
   std::set<can::CanId> swapped_ids;
   for (const can::CanMessage& m : ecu) swapped_ids.insert(m.id);
-  for (const auto& [key, stats] : rb.per_message) {
-    if (swapped_ids.count(key.id) > 0) continue;
-    EXPECT_DOUBLE_EQ(rs.Of(key.id).max_response_ms, stats.max_response_ms)
-        << "id " << key.id << " seed " << GetParam();
-    EXPECT_EQ(rs.Of(key.id).frames_sent, stats.frames_sent);
+  for (const auto& [id, stats] : rb.per_id) {
+    if (swapped_ids.count(id) > 0) continue;
+    EXPECT_DOUBLE_EQ(rs.Of(id).max_response_ms, stats.max_response_ms)
+        << "id " << id << " seed " << GetParam();
+    EXPECT_EQ(rs.Of(id).frames_sent, stats.frames_sent);
   }
   // And each mirror inherits its original's observed worst response.
   for (const can::CanMessage& m : ecu) {

@@ -15,7 +15,9 @@
 #include "dse/decoder.hpp"
 #include "dse/objectives.hpp"
 #include "dse/session_plan.hpp"
+#include "execution_hash.hpp"
 #include "model/implementation.hpp"
+#include "net/campaign.hpp"
 #include "net/session_executor.hpp"
 
 namespace bistdse::net {
@@ -311,6 +313,129 @@ TEST(SessionExecutor, NoMirroredBandwidthIsExplicitlyRejected) {
   EXPECT_FALSE(report.all_completed);
   EXPECT_NE(report.sessions.front().failure.find("no mirrored bandwidth"),
             std::string::npos);
+}
+
+// Three ECUs on two segments (500 and 250 kbit/s) behind a gateway, each
+// sending one fast functional message; two of the messages cross the
+// gateway. Short mirrored transfers keep a frame-level trace small.
+struct TwoSegmentSystem {
+  model::Specification spec;
+  model::BistAugmentation augmentation;
+  model::Implementation impl;
+
+  TwoSegmentSystem() {
+    using namespace model;
+    auto& arch = spec.Architecture();
+    const ResourceId gw =
+        arch.AddResource({"gw", ResourceKind::Gateway, 20.0, 0.0005, 0});
+    const ResourceId can0 =
+        arch.AddResource({"can0", ResourceKind::Bus, 3.0, 0, 500e3});
+    const ResourceId can1 =
+        arch.AddResource({"can1", ResourceKind::Bus, 3.0, 0, 250e3});
+    const ResourceId ecus[] = {
+        arch.AddResource({"ecu0", ResourceKind::Ecu, 10.0, 0.001, 0}),
+        arch.AddResource({"ecu1", ResourceKind::Ecu, 10.0, 0.001, 0}),
+        arch.AddResource({"ecu2", ResourceKind::Ecu, 10.0, 0.001, 0})};
+    arch.AddLink(gw, can0);
+    arch.AddLink(gw, can1);
+    arch.AddLink(ecus[0], can0);
+    arch.AddLink(ecus[1], can0);
+    arch.AddLink(ecus[2], can1);
+
+    auto& app = spec.Application();
+    TaskId tasks[4];
+    for (int t = 0; t < 4; ++t) {
+      tasks[t] = app.AddTask(
+          {.name = "t" + std::to_string(t), .kind = TaskKind::Functional});
+    }
+    // (sender, receiver, payload, period): t3 runs on the gateway.
+    const struct {
+      int from, to;
+      std::uint32_t bytes;
+      double period_ms;
+    } messages[] = {{0, 3, 8, 2.0}, {1, 2, 4, 5.0}, {2, 0, 6, 2.5},
+                    {3, 1, 2, 10.0}};
+    for (const auto& m : messages) {
+      Message msg;
+      msg.name = "m" + std::to_string(m.from) + std::to_string(m.to);
+      msg.sender = tasks[m.from];
+      msg.receivers = {tasks[m.to]};
+      msg.payload_bytes = m.bytes;
+      msg.period_ms = m.period_ms;
+      app.AddMessage(msg);
+    }
+    for (int e = 0; e < 3; ++e) spec.AddMapping(tasks[e], ecus[e]);
+    spec.AddMapping(tasks[3], gw);
+
+    std::map<ResourceId, std::vector<bist::BistProfile>> profiles;
+    for (ResourceId ecu : ecus) {
+      bist::BistProfile profile;
+      profile.profile_number = 4;
+      profile.num_random_patterns = 500;
+      profile.fault_coverage_percent = 95.73;
+      profile.runtime_ms = 1.71;
+      profile.data_bytes = 1200;
+      profiles[ecu] = {profile};
+    }
+    augmentation = AugmentWithBist(spec, profiles);
+
+    // Bind everything; pattern memories go to the gateway.
+    for (std::size_t i = 0; i < spec.Mappings().size(); ++i) {
+      const auto& opt = spec.Mappings()[i];
+      bool local_memory = false;
+      for (const auto& [ecu, programs] : augmentation.programs_by_ecu) {
+        local_memory |= opt.task == programs[0].data_task && opt.resource != gw;
+      }
+      if (!local_memory) impl.binding.push_back(i);
+    }
+    if (!CompleteRoutingAndAllocation(spec, RouteTable(spec.Architecture()),
+                                      impl)) {
+      throw std::logic_error("two-segment system must route");
+    }
+  }
+};
+
+// Pins: what the executor computes. The hashes cover every field of every
+// SessionExecution of a 3-round adversarial campaign and every event of a
+// frame-traced lossy Execute; they were recorded from the serial executor
+// on the map-and-heap engine, so sessions run on the pool and the split
+// event queue must reproduce them exactly.
+TEST(SessionExecutor, CampaignExecutionsArePinned) {
+  auto cs = ScaledCaseStudy();
+  dse::SatDecoder decoder(cs.spec, cs.augmentation);
+  const auto impl = Forced(cs, decoder, /*local=*/false);
+
+  CampaignScheduleSpec schedule;
+  schedule.rounds = 3;
+  const CampaignReport campaign = RunAdversarialCampaign(
+      cs.spec, cs.augmentation, impl, SessionExecutorOptions{}, schedule);
+  ASSERT_EQ(campaign.rounds.size(), 4u);
+  EXPECT_TRUE(campaign.Passed());
+  testing::ExecutionHasher hash;
+  hash.Campaign(campaign);
+  EXPECT_EQ(hash.Value(), 0xa6c63df0bc63b2edULL);
+}
+
+TEST(SessionExecutor, FrameTracedExecutionIsPinned) {
+  TwoSegmentSystem sys;
+  SessionExecutorOptions options;
+  options.faults.drop_rate = 0.01;
+  options.faults.seed = 7;
+  options.trace_frames = true;
+  SessionExecutor executor(sys.spec, sys.augmentation, options);
+  EventTrace trace;
+  const auto report = executor.Execute(sys.impl, &trace);
+  ASSERT_EQ(report.sessions.size(), 3u);
+  EXPECT_TRUE(report.all_completed);
+  EXPECT_GT(report.total_retransmissions, 0u);
+  EXPECT_GT(trace.CountKind(TraceEventKind::GatewayForward), 0u);
+  testing::ExecutionHasher report_hash;
+  report_hash.Report(report);
+  testing::ExecutionHasher trace_hash;
+  trace_hash.Trace(trace.Events());
+  EXPECT_EQ(trace.Events().size(), 12715u);
+  EXPECT_EQ(report_hash.Value(), 0x35f77db5e29eb531ULL);
+  EXPECT_EQ(trace_hash.Value(), 0x11c941fc2a92ce70ULL);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "dse/exploration.hpp"
 #include "model/spec_io.hpp"
@@ -104,6 +105,62 @@ TEST(SpecIo, ReportsErrorsWithLineNumbers) {
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+/// The message ParseSpecString throws for `text`, or "" if it parses.
+std::string ParseError(const std::string& text) {
+  try {
+    ParseSpecString(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Values the timing analysis and the network engine cannot use are
+// rejected at the spec line that holds them, naming the field.
+TEST(SpecIo, RejectsUnusableBusAndMessageFields) {
+  const std::string bus = "resource can0 bus 1 0 ";
+  EXPECT_NE(ParseError(bus + "fast\n").find("line 1: resource can0: invalid "
+                                            "bitrate 'fast'"),
+            std::string::npos);
+  EXPECT_NE(ParseError(bus + "500k\n").find("invalid bitrate '500k'"),
+            std::string::npos);
+  for (const char* rate : {"0", "-500000"}) {
+    EXPECT_NE(ParseError(bus + rate + "\n")
+                  .find("bus can0: bitrate must be finite and > 0"),
+              std::string::npos)
+        << rate;
+  }
+  EXPECT_NE(ParseError("resource gw gateway 1 0 nan\n").find("invalid bitrate"),
+            std::string::npos);
+  // A non-bus resource ignores its (valid) bitrate, as before.
+  EXPECT_EQ(ParseError("resource gw gateway 1 0 0\n"), "");
+
+  const std::string tasks = "task a\ntask b\n";
+  EXPECT_NE(ParseError(tasks + "message m a b 2 0\n")
+                .find("line 3: message m: period must be finite and > 0"),
+            std::string::npos);
+  EXPECT_NE(ParseError(tasks + "message m a b 2 -5\n")
+                .find("message m: period must be finite and > 0, got -5"),
+            std::string::npos);
+  EXPECT_NE(ParseError(tasks + "message m a b 9 10\n")
+                .find("message m: payload must be at most 8 bytes, got 9"),
+            std::string::npos);
+  EXPECT_NE(ParseError(tasks + "message m a b 4294967295 10\n")
+                .find("payload must be at most 8 bytes, got 4294967295"),
+            std::string::npos);
+  EXPECT_EQ(ParseError(tasks + "message m a b 8 0.5\n"), "");
+}
+
+TEST(SpecIo, MissingFileNamesThePath) {
+  try {
+    ParseSpecFile("no/such/dir/missing.spec");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open no/such/dir/missing.spec"),
+              std::string::npos);
   }
 }
 

@@ -216,9 +216,14 @@ int SimulateSessions(const model::Specification& spec,
 int RunExplore(const Flags& flags) {
   casestudy::CaseStudy cs;
   if (flags.Has("spec")) {
-    auto parsed = model::ParseSpecFile(flags.Str("spec", ""));
-    cs.augmentation = parsed.Augment();
-    cs.spec = std::move(parsed.spec);
+    try {
+      auto parsed = model::ParseSpecFile(flags.Str("spec", ""));
+      cs.augmentation = parsed.Augment();
+      cs.spec = std::move(parsed.spec);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "explore: %s\n", e.what());
+      return 2;
+    }
   } else {
     cs = flags.Has("future") ? casestudy::BuildFutureCaseStudy()
                              : casestudy::BuildCaseStudy();
@@ -832,14 +837,21 @@ int RunPlan(const Flags& flags) {
     std::fprintf(stderr, "plan requires --spec and --impl\n");
     return 2;
   }
-  auto parsed = model::ParseSpecFile(flags.Str("spec", ""));
-  const auto augmentation = parsed.Augment();
-  std::ifstream impl_in(flags.Str("impl", ""));
-  if (!impl_in) {
-    std::fprintf(stderr, "cannot open %s\n", flags.Str("impl", "").c_str());
-    return 1;
+  model::ParsedSpec parsed;
+  model::BistAugmentation augmentation;
+  model::Implementation impl;
+  try {
+    parsed = model::ParseSpecFile(flags.Str("spec", ""));
+    augmentation = parsed.Augment();
+    std::ifstream impl_in(flags.Str("impl", ""));
+    if (!impl_in) {
+      throw std::runtime_error("cannot open " + flags.Str("impl", ""));
+    }
+    impl = model::ReadImplementation(parsed.spec, impl_in);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "plan: %s\n", e.what());
+    return 2;
   }
-  const auto impl = model::ReadImplementation(parsed.spec, impl_in);
   const auto violations = model::ValidateImplementation(parsed.spec, impl);
   if (!violations.empty()) {
     std::fprintf(stderr, "implementation infeasible: %s\n",
