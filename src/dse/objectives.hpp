@@ -47,9 +47,6 @@ struct Objectives {
   /// completes. Such implementations carry an infinite shut-off time (they
   /// are dominated away) and this counter makes the rejection explicit.
   std::uint32_t sessions_without_bandwidth = 0;
-  /// Sessions failing the frame-accurate operational cross-check. Only
-  /// filled when the optional net::MakeSessionVerdictStage() is registered.
-  std::uint32_t failed_sessions = 0;
 
   /// MOEA view: all minimized (quality negated). With
   /// `include_transition_quality` the vector has four dimensions (the

@@ -20,12 +20,6 @@ void WriteFrontCsv(const ExplorationResult& result, std::ostream& out) {
   }
 }
 
-std::string FrontCsvString(const ExplorationResult& result) {
-  std::ostringstream ss;
-  WriteFrontCsv(result, ss);
-  return ss.str();
-}
-
 std::string DescribeImplementation(const model::Specification& spec,
                                    const model::BistAugmentation& augmentation,
                                    const ExplorationEntry& entry) {

@@ -14,7 +14,6 @@ namespace bistdse::dse {
 
 /// CSV header + rows: cost, quality, shut-off, memory split, BIST counts.
 void WriteFrontCsv(const ExplorationResult& result, std::ostream& out);
-std::string FrontCsvString(const ExplorationResult& result);
 
 /// Human-readable description of one implementation.
 std::string DescribeImplementation(const model::Specification& spec,

@@ -93,22 +93,6 @@ Genotype UniformCrossover(const Genotype& a, const Genotype& b,
   return child;
 }
 
-Genotype OnePointCrossover(const Genotype& a, const Genotype& b,
-                           util::SplitMix64& rng) {
-  if (a.Size() != b.Size())
-    throw std::invalid_argument("genotype size mismatch");
-  const std::size_t cut = a.Size() == 0 ? 0 : rng.Below(a.Size() + 1);
-  Genotype child;
-  child.priorities.resize(a.Size());
-  child.phases.resize(a.Size());
-  for (std::size_t i = 0; i < a.Size(); ++i) {
-    const Genotype& source = i < cut ? a : b;
-    child.priorities[i] = source.priorities[i];
-    child.phases[i] = source.phases[i];
-  }
-  return child;
-}
-
 void Mutate(Genotype& genotype, double rate, util::SplitMix64& rng) {
   for (std::size_t i = 0; i < genotype.Size(); ++i) {
     if (!rng.Chance(rate)) continue;

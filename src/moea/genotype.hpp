@@ -51,12 +51,6 @@ Genotype RandomGenotypeBiased(std::size_t n, double bias,
 Genotype UniformCrossover(const Genotype& a, const Genotype& b,
                           util::SplitMix64& rng);
 
-/// One-point crossover: genes [0, cut) from `a`, the rest from `b`. Keeps
-/// co-located genes (e.g. one ECU's profile block) together more often than
-/// uniform crossover.
-Genotype OnePointCrossover(const Genotype& a, const Genotype& b,
-                           util::SplitMix64& rng);
-
 /// Per-gene mutation: with `rate`, redraw the priority and flip the phase
 /// with probability 1/2.
 void Mutate(Genotype& genotype, double rate, util::SplitMix64& rng);

@@ -1,7 +1,6 @@
 #include "moea/indicators.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace bistdse::moea {
@@ -94,25 +93,6 @@ double Hypervolume(std::span<const ObjectiveVector> front,
       throw std::invalid_argument("dimensionality mismatch");
   }
   return HypervolumeRec(NonDominatedSubset(front), reference);
-}
-
-double AdditiveEpsilon(std::span<const ObjectiveVector> a,
-                       std::span<const ObjectiveVector> b) {
-  if (a.empty() || b.empty())
-    throw std::invalid_argument("epsilon indicator needs non-empty sets");
-  double eps = -std::numeric_limits<double>::infinity();
-  for (const auto& pb : b) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& pa : a) {
-      double worst = -std::numeric_limits<double>::infinity();
-      for (std::size_t d = 0; d < pb.size(); ++d) {
-        worst = std::max(worst, pa[d] - pb[d]);
-      }
-      best = std::min(best, worst);
-    }
-    eps = std::max(eps, best);
-  }
-  return eps;
 }
 
 }  // namespace bistdse::moea

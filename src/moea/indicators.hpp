@@ -1,6 +1,5 @@
-// Multi-objective quality indicators: exact hypervolume for 2 and 3
-// objectives and the additive epsilon indicator. Objectives are minimized;
-// the reference point must be dominated by every front member.
+// Multi-objective quality indicator: exact hypervolume. Objectives are
+// minimized; the reference point must be dominated by every front member.
 #pragma once
 
 #include <span>
@@ -16,11 +15,6 @@ namespace bistdse::moea {
 /// part.
 double Hypervolume(std::span<const ObjectiveVector> front,
                    const ObjectiveVector& reference);
-
-/// Additive epsilon indicator I_eps+(A, B): the smallest eps such that every
-/// point of B is weakly dominated by some point of A shifted by eps.
-double AdditiveEpsilon(std::span<const ObjectiveVector> a,
-                       std::span<const ObjectiveVector> b);
 
 /// Strips dominated and duplicate points.
 std::vector<ObjectiveVector> NonDominatedSubset(

@@ -215,8 +215,9 @@ TEST(Report, CsvHasHeaderAndRows) {
   cfg.seed = 2;
   Explorer explorer(cs.spec, cs.augmentation, cfg);
   const auto result = explorer.Run();
-  const std::string csv = FrontCsvString(result);
-  std::istringstream ss(csv);
+  std::ostringstream csv;
+  WriteFrontCsv(result, csv);
+  std::istringstream ss(csv.str());
   std::string header;
   std::getline(ss, header);
   EXPECT_NE(header.find("cost,test_quality_percent"), std::string::npos);

@@ -15,7 +15,6 @@
 #include "dse/parallel.hpp"
 #include "moea/nsga2.hpp"
 #include "moea/spea2.hpp"
-#include "net/session_objective.hpp"
 
 namespace bistdse::dse {
 namespace {
@@ -269,26 +268,6 @@ TEST(Stages, EngineDerivesDimensionalityFromStageList) {
   const auto evaluated = session.Evaluate(genotype);
   ASSERT_TRUE(evaluated.has_value());
   EXPECT_EQ(evaluated->vector.size(), 4u);
-}
-
-TEST(Stages, SessionVerdictStagePlugsIn) {
-  auto cs = SmallCaseStudy();
-  EvaluationEngineConfig cfg;
-  cfg.stages = DefaultStages(false);
-  cfg.stages.push_back(net::MakeSessionVerdictStage());
-  EvaluationEngine engine(cs.spec, cs.augmentation, cfg);
-  EXPECT_EQ(engine.ObjectiveDimensions(), 4u);
-
-  auto session = engine.NewSession();
-  // No BIST selected -> no sessions -> none can fail.
-  moea::Genotype genotype;
-  genotype.priorities.assign(session.GenotypeSize(), 0.5);
-  genotype.phases.assign(session.GenotypeSize(), 0);
-  const auto evaluated = session.Evaluate(genotype);
-  ASSERT_TRUE(evaluated.has_value());
-  EXPECT_EQ(evaluated->objectives.failed_sessions, 0u);
-  ASSERT_EQ(evaluated->vector.size(), 4u);
-  EXPECT_EQ(evaluated->vector.back(), 0.0);
 }
 
 }  // namespace

@@ -110,14 +110,6 @@ TEST(Indicators, HypervolumeGrowsWithBetterFront) {
   EXPECT_GT(Hypervolume(better, {5, 5}), Hypervolume(worse, {5, 5}));
 }
 
-TEST(Indicators, AdditiveEpsilon) {
-  std::vector<ObjectiveVector> a = {{1, 1}};
-  std::vector<ObjectiveVector> b = {{2, 2}};
-  EXPECT_DOUBLE_EQ(AdditiveEpsilon(a, b), -1.0);  // a strictly better
-  EXPECT_DOUBLE_EQ(AdditiveEpsilon(b, a), 1.0);
-  EXPECT_DOUBLE_EQ(AdditiveEpsilon(a, a), 0.0);
-}
-
 TEST(Genotype, DecisionOrderSortsByPriority) {
   Genotype g;
   g.priorities = {0.2, 0.9, 0.5};

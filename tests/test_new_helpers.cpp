@@ -5,7 +5,6 @@
 #include "casestudy/casestudy.hpp"
 #include "dse/exploration.hpp"
 #include "dse/report.hpp"
-#include "moea/genotype.hpp"
 #include "sim/fault_sim.hpp"
 #include "test_helpers.hpp"
 
@@ -23,23 +22,6 @@ TEST(CountDetectedFaults, FullCoverageOnC17Exhaustive) {
   const auto faults = sim::CollapsedFaults(nl);
   EXPECT_EQ(sim::CountDetectedFaults(nl, patterns, faults), faults.size());
   EXPECT_EQ(sim::CountDetectedFaults(nl, {}, faults), 0u);
-}
-
-TEST(OnePointCrossover, RespectsCutSemantics) {
-  util::SplitMix64 rng(3);
-  moea::Genotype a = moea::RandomGenotype(50, rng);
-  moea::Genotype b = moea::RandomGenotype(50, rng);
-  const auto child = moea::OnePointCrossover(a, b, rng);
-  // The child must be a prefix of a followed by a suffix of b.
-  std::size_t cut = 0;
-  while (cut < 50 && child.priorities[cut] == a.priorities[cut]) ++cut;
-  for (std::size_t i = cut; i < 50; ++i) {
-    EXPECT_EQ(child.priorities[i], b.priorities[i]) << i;
-    EXPECT_EQ(child.phases[i], b.phases[i]) << i;
-  }
-  moea::Genotype mismatched = moea::RandomGenotype(10, rng);
-  EXPECT_THROW(moea::OnePointCrossover(a, mismatched, rng),
-               std::invalid_argument);
 }
 
 TEST(SummarizeFront, NamesHeadlineAndCounts) {

@@ -18,13 +18,14 @@
 //   bistdse_cli dict build --seed 3 --patterns 512 --out cut.fdict
 //   bistdse_cli dict query --in cut.fdict --seed 3 --mmap --samples 20
 //   bistdse_cli dict serve --in cut.fdict --seed 3 --shards 4 --queries 256
+//
+// Run with no arguments for every command's flags (the tables at the end of
+// this file).
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,18 +39,22 @@
 #include "dse/partial_networking.hpp"
 #include "dse/session_plan.hpp"
 #include "dse/report.hpp"  // WriteFrontCsv, DescribeImplementation, SummarizeFront
+#include "flags.hpp"
 #include "model/spec_io.hpp"
 #include "net/session_executor.hpp"
 #include "serve/server.hpp"
 #include "util/parse.hpp"
 
 using namespace bistdse;
+using tools::Flags;
 
 namespace {
 
-/// Runs a strict util:: parser over a flag value, or a check of the values
-/// parsed; a malformed or unusable value exits 2 with the message naming the
-/// flag or field (`invalid --threads 'abc'`).
+constexpr std::string_view kProgram = "bistdse_cli";
+
+/// Runs a check of values the flag parser cannot judge alone (a --prps list,
+/// a config's Validate(), a scaled byte count); an unusable value exits 2
+/// with the message naming the flag or field.
 template <typename Parse>
 auto ParseOrExit(Parse parse) {
   try {
@@ -59,31 +64,6 @@ auto ParseOrExit(Parse parse) {
     std::exit(2);
   }
 }
-
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  bool Has(const std::string& name) const { return values.count(name) > 0; }
-  std::uint64_t U64(const std::string& name, std::uint64_t fallback) const {
-    auto it = values.find(name);
-    if (it == values.end()) return fallback;
-    return ParseOrExit([&] { return util::ParseU64("--" + name, it->second); });
-  }
-  std::uint32_t U32(const std::string& name, std::uint32_t fallback) const {
-    auto it = values.find(name);
-    if (it == values.end()) return fallback;
-    return ParseOrExit([&] { return util::ParseU32("--" + name, it->second); });
-  }
-  double Real(const std::string& name, double fallback) const {
-    auto it = values.find(name);
-    if (it == values.end()) return fallback;
-    return ParseOrExit([&] { return util::ParseReal("--" + name, it->second); });
-  }
-  std::string Str(const std::string& name, const std::string& fallback) const {
-    auto it = values.find(name);
-    return it == values.end() ? fallback : it->second;
-  }
-};
 
 /// Parse-time validation of --block-width: reject unsupported widths with a
 /// message naming the value and the supported set, instead of letting the
@@ -109,66 +89,6 @@ bist::StumpsConfig SessionConfigFlags(const Flags& flags) {
     return 0;
   });
   return config;
-}
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg);
-      std::exit(2);
-    }
-    const std::string name = arg + 2;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags.values[name] = argv[++i];
-    } else {
-      flags.values[name] = "1";  // boolean flag
-    }
-  }
-  return flags;
-}
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: bistdse_cli <command> [flags]\n"
-      "  explore  --evals N --pop N --seed N [--future] [--spec FILE]\n"
-      "           [--algorithm nsga2|spea2] [--mutation-rate X] [--threads K]\n"
-      "           [--csv FILE] [--islands K] [--plan]\n"
-      "           [--report K] [--deadline MS] [--min-quality PCT]\n"
-      "           [--simulate-sessions] [--frame-loss P] [--trace-out FILE]\n"
-      "  corpus   --count N --seed N [--spec] [--min-ecus N] [--max-ecus N]\n"
-      "           [--min-buses N] [--max-buses N] [--fd-fraction P]\n"
-      "           [--profiles K] [--data-scale X] [--evals N] [--pop N]\n"
-      "           [--min-quality PCT] [--rounds N] [--max-drop P]\n"
-      "           [--max-corrupt P] [--max-reorder P]\n"
-      "           (--spec: print the sampled topology structures and stop;\n"
-      "            exit 0: every campaign round upheld the PERF.md\n"
-      "            invariants; 1: violation or incomplete session)\n"
-      "  profiles --seed N [--prps A,B,C] [--scale X] [--threads K]\n"
-      "           [--block-width W] [--no-shortcuts]\n"
-      "  diagnose --seed N [--patterns N] [--samples N] [--window N]\n"
-      "           [--threads K] [--block-width W]\n"
-      "  stumps   --seed N [--patterns N] [--faults N] [--window N]\n"
-      "           [--threads K] [--block-width W]\n"
-      "  dict build --out FILE --seed N [--patterns N] [--window N]\n"
-      "           [--max-faults N] [--threads K] [--block-width W]\n"
-      "  dict query --in FILE --seed N [--window N] [--mmap] [--samples N]\n"
-      "           [--top-k K]\n"
-      "  dict serve --in FILE --seed N [--window N] [--mmap] [--shards S]\n"
-      "           [--queries N] [--samples N] [--top-k K] [--threads K]\n"
-      "           [--max-inflight N] [--frame-loss P] [--corrupt P]\n"
-      "           [--reorder P] [--period MS] [--trace-out FILE]\n"
-      "           [--reload FILE] [--reload-after N]\n"
-      "           (exit 0: all answered; 1: rejected/failed/unanswered\n"
-      "            requests; 2: usage; 3: artifact or trace open error.\n"
-      "            --reload FILE arms SIGHUP-triggered dictionary rollover;\n"
-      "            --reload-after N triggers it after N answered requests)\n"
-      "  (--block-width W: W in {1, 2, 4, 8, 16}, validated at parse time)\n"
-      "  plan     --spec FILE --impl FILE [--deadline MS]\n"
-      "           [--simulate-sessions] [--frame-loss P] [--trace-out FILE]\n");
-  return 2;
 }
 
 // --simulate-sessions: frame-accurate replay of every planned BIST session
@@ -547,10 +467,6 @@ std::size_t RankOf(const std::vector<bist::DiagnosisCandidate>& ranked,
 }
 
 int RunDictBuild(const Flags& flags) {
-  if (!flags.Has("out")) {
-    std::fprintf(stderr, "dict build requires --out\n");
-    return 2;
-  }
   const auto cut = DictCut(flags);
   const auto config = SessionConfigFlags(flags);
   const std::uint64_t patterns = flags.U64("patterns", 512);
@@ -584,10 +500,6 @@ int RunDictBuild(const Flags& flags) {
 }
 
 int RunDictQuery(const Flags& flags) {
-  if (!flags.Has("in")) {
-    std::fprintf(stderr, "dict query requires --in\n");
-    return 2;
-  }
   const std::string path = flags.Str("in", "");
   const bool mapped = flags.Has("mmap");
 
@@ -661,10 +573,6 @@ bist::DictionaryStore LoadShardedStore(const std::string& path,
 }
 
 int RunDictServe(const Flags& flags) {
-  if (!flags.Has("in")) {
-    std::fprintf(stderr, "dict serve requires --in\n");
-    return 2;
-  }
   const std::string path = flags.Str("in", "");
   const bool mapped = flags.Has("mmap");
   const std::size_t shards = std::max<std::uint64_t>(1, flags.U64("shards", 4));
@@ -817,26 +725,20 @@ int RunDictServe(const Flags& flags) {
   return stats.answered == stats.submitted ? 0 : 1;
 }
 
-int RunDict(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string sub = argv[2];
-  const Flags flags = ParseFlags(argc, argv, 3);
+/// The dict commands report a failed artifact or trace operation as
+/// "<command>: <what>" and exit status 1.
+template <int (*kRun)(const Flags&)>
+int ExitOneOnError(const Flags& flags) {
   try {
-    if (sub == "build") return RunDictBuild(flags);
-    if (sub == "query") return RunDictQuery(flags);
-    if (sub == "serve") return RunDictServe(flags);
+    return kRun(flags);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "dict %s: %s\n", sub.c_str(), e.what());
+    std::fprintf(stderr, "%s: %s\n",
+                 std::string(flags.Command().name).c_str(), e.what());
     return 1;
   }
-  return Usage();
 }
 
 int RunPlan(const Flags& flags) {
-  if (!flags.Has("spec") || !flags.Has("impl")) {
-    std::fprintf(stderr, "plan requires --spec and --impl\n");
-    return 2;
-  }
   model::ParsedSpec parsed;
   model::BistAugmentation augmentation;
   model::Implementation impl;
@@ -882,18 +784,180 @@ int RunPlan(const Flags& flags) {
   return 0;
 }
 
+// --- flag tables ----------------------------------------------------------
+//
+// Every flag each command reads, with its kind: the parser rejects any other
+// flag, and the usage text is printed from these tables.
+
+using enum tools::FlagKind;
+
+constexpr tools::FlagSpec kExploreFlags[] = {
+    {"evals", kU64},
+    {"pop", kU64},
+    {"seed", kU64},
+    {"future", kBool},
+    {"spec", kString},
+    {"algorithm", kString, "nsga2|spea2"},
+    {"mutation-rate", kReal},
+    {"threads", kU64, "K"},
+    {"csv", kString},
+    {"islands", kU64, "K"},
+    {"plan", kBool},
+    {"report", kU64, "K"},
+    {"deadline", kReal, "MS"},
+    {"min-quality", kReal, "PCT"},
+    {"simulate-sessions", kBool},
+    {"frame-loss", kReal, "P"},
+    {"trace-out", kString},
+};
+
+constexpr tools::FlagSpec kCorpusFlags[] = {
+    {"count", kU64},
+    {"seed", kU64},
+    {"spec", kBool},
+    {"min-ecus", kU64},
+    {"max-ecus", kU64},
+    {"min-buses", kU64},
+    {"max-buses", kU64},
+    {"fd-fraction", kReal, "P"},
+    {"profiles", kU64, "K"},
+    {"data-scale", kReal},
+    {"evals", kU64},
+    {"pop", kU64},
+    {"min-quality", kReal, "PCT"},
+    {"rounds", kU64},
+    {"max-drop", kReal, "P"},
+    {"max-corrupt", kReal, "P"},
+    {"max-reorder", kReal, "P"},
+};
+
+constexpr tools::FlagSpec kProfilesFlags[] = {
+    {"seed", kU64},
+    {"prps", kString, "A,B,C"},
+    {"scale", kReal},
+    {"threads", kU64, "K"},
+    {"block-width", kU64, "W"},
+    {"no-shortcuts", kBool},
+};
+
+constexpr tools::FlagSpec kDiagnoseFlags[] = {
+    {"seed", kU64},
+    {"patterns", kU64},
+    {"samples", kU64},
+    {"window", kU32},
+    {"threads", kU64, "K"},
+    {"block-width", kU64, "W"},
+};
+
+constexpr tools::FlagSpec kStumpsFlags[] = {
+    {"seed", kU64},
+    {"patterns", kU64},
+    {"faults", kU64},
+    {"window", kU32},
+    {"threads", kU64, "K"},
+    {"block-width", kU64, "W"},
+};
+
+constexpr tools::FlagSpec kDictBuildFlags[] = {
+    {"out", kString, "", true},
+    {"seed", kU64},
+    {"patterns", kU64},
+    {"window", kU32},
+    {"max-faults", kU64},
+    {"threads", kU64, "K"},
+    {"block-width", kU64, "W"},
+};
+
+constexpr tools::FlagSpec kDictQueryFlags[] = {
+    {"in", kString, "", true},
+    {"seed", kU64},
+    {"window", kU32},
+    {"mmap", kBool},
+    {"samples", kU64},
+    {"top-k", kU64, "K"},
+};
+
+constexpr tools::FlagSpec kDictServeFlags[] = {
+    {"in", kString, "", true},
+    {"seed", kU64},
+    {"window", kU32},
+    {"mmap", kBool},
+    {"shards", kU64, "S"},
+    {"queries", kU64},
+    {"samples", kU64},
+    {"top-k", kU64, "K"},
+    {"threads", kU64, "K"},
+    {"max-inflight", kU64},
+    {"frame-loss", kReal, "P"},
+    {"corrupt", kReal, "P"},
+    {"reorder", kReal, "P"},
+    {"period", kReal, "MS"},
+    {"trace-out", kString},
+    {"reload", kString},
+    {"reload-after", kU64},
+};
+
+constexpr tools::FlagSpec kPlanFlags[] = {
+    {"spec", kString, "", true},
+    {"impl", kString, "", true},
+    {"deadline", kReal, "MS"},
+    {"simulate-sessions", kBool},
+    {"frame-loss", kReal, "P"},
+    {"seed", kU64},
+    {"trace-out", kString},
+};
+
+struct Command {
+  tools::CommandSpec spec;
+  int (*run)(const Flags&);
+};
+
+const Command kCommands[] = {
+    {{"explore", kExploreFlags}, RunExplore},
+    {{"corpus", kCorpusFlags,
+      "--spec: print the sampled topology structures and stop; exit 0: "
+      "every campaign round upheld the PERF.md invariants; 1: violation or "
+      "incomplete session"},
+     RunCorpus},
+    {{"profiles", kProfilesFlags}, RunProfiles},
+    {{"diagnose", kDiagnoseFlags}, RunDiagnose},
+    {{"stumps", kStumpsFlags}, RunStumps},
+    {{"dict build", kDictBuildFlags}, ExitOneOnError<RunDictBuild>},
+    {{"dict query", kDictQueryFlags}, ExitOneOnError<RunDictQuery>},
+    {{"dict serve", kDictServeFlags,
+      "exit 0: all answered; 1: rejected/failed/unanswered requests; 2: "
+      "usage; 3: artifact or trace open error. --reload FILE arms "
+      "SIGHUP-triggered dictionary rollover; --reload-after N triggers it "
+      "after N answered requests"},
+     ExitOneOnError<RunDictServe>},
+    {{"plan", kPlanFlags}, RunPlan},
+};
+
+int Usage() {
+  std::fprintf(stderr, "usage:\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(stderr, "%s",
+                 tools::FormatUsage(kProgram, command.spec).c_str());
+  }
+  std::fprintf(stderr, "  (--block-width W: W in {%s})\n",
+               sim::SupportedBlockWidthList().c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "dict") return RunDict(argc, argv);
-  const Flags flags = ParseFlags(argc, argv, 2);
-  if (command == "explore") return RunExplore(flags);
-  if (command == "corpus") return RunCorpus(flags);
-  if (command == "profiles") return RunProfiles(flags);
-  if (command == "diagnose") return RunDiagnose(flags);
-  if (command == "stumps") return RunStumps(flags);
-  if (command == "plan") return RunPlan(flags);
+  // A command is one word ("explore") or two ("dict build").
+  const std::string one = argc > 1 ? argv[1] : "";
+  const std::string two = argc > 2 ? one + " " + argv[2] : "";
+  for (const Command& command : kCommands) {
+    const int words = command.spec.name == one   ? 1
+                      : command.spec.name == two ? 2
+                                                 : 0;
+    if (words > 0) {
+      return command.run(tools::ParseFlagsOrExit(kProgram, command.spec, argc,
+                                                 argv, 1 + words));
+    }
+  }
   return Usage();
 }

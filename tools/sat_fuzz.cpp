@@ -23,16 +23,14 @@
 // Usage: sat_fuzz [--iters N] [--seed S]   (defaults: 200 iterations, seed 1)
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "sat/solver.hpp"
-#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -258,26 +256,20 @@ void ReportMismatch(const Instance& inst, const Policy& policy,
                static_cast<unsigned long long>(iter + 1));
 }
 
+constexpr bistdse::tools::FlagSpec kFlags[] = {
+    {"iters", bistdse::tools::FlagKind::kU64},
+    {"seed", bistdse::tools::FlagKind::kU64, "S"},
+};
+constexpr bistdse::tools::CommandSpec kCommand{
+    "", kFlags, "defaults: 200 iterations, seed 1"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t iters = 200;
-  std::uint64_t seed = 1;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-        iters = bistdse::util::ParseU64("--iters", argv[++i]);
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        seed = bistdse::util::ParseU64("--seed", argv[++i]);
-      } else {
-        std::fprintf(stderr, "usage: sat_fuzz [--iters N] [--seed S]\n");
-        return 2;
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "sat_fuzz: %s\n", e.what());
-    return 2;
-  }
+  const auto flags =
+      bistdse::tools::ParseFlagsOrExit("sat_fuzz", kCommand, argc, argv, 1);
+  const std::uint64_t iters = flags.U64("iters", 200);
+  const std::uint64_t seed = flags.U64("seed", 1);
 
   struct FuzzConfig {
     const char* name;
