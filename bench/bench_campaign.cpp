@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "bist/campaign_sources.hpp"
 #include "bist/fault_dictionary.hpp"
@@ -24,7 +25,6 @@
 #include "netlist/random_circuit.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault_sim.hpp"
-#include "sim/wide_word_simd.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace bistdse;
@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
   };
   const Shape shapes[] = {{1, 1}, {4, 1}, {16, 1}, {4, 0}, {16, 0}};
   std::vector<Row> rows;
-  bool all_identical = true;
 
   // --- PRPG drop campaign (profile coverage curves) -----------------------
   {
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
         serial_wall = stats.wall_seconds;
       }
       const bool identical = first_detect == reference;
-      all_identical &= identical;
       rows.push_back({"prpg_drop", c.width, c.threads, c.shortcuts,
                       stats.wall_seconds, stats.PatternsPerSecond(),
                       serial_wall / stats.wall_seconds, identical});
@@ -155,7 +153,6 @@ int main(int argc, char** argv) {
               results[i].window_signatures == reference[i].window_signatures;
         }
       }
-      all_identical &= identical;
       // Throughput counts session-patterns: every fault replays the stream.
       const double session_patterns =
           static_cast<double>(num_patterns) * static_cast<double>(batch.size());
@@ -192,61 +189,39 @@ int main(int argc, char** argv) {
           }
         }
       }
-      all_identical &= identical;
       rows.push_back({"dictionary", c.width, c.threads, std::nullopt, wall,
                       static_cast<double>(dict_patterns) / wall,
                       serial_wall / wall, identical});
     }
   }
 
+  bench::Report report("campaign");
+  report.Run().Set("patterns", num_patterns);
   for (const Row& r : rows) {
-    const char* shortcuts =
-        !r.shortcuts ? "" : *r.shortcuts ? " shortcuts=on " : " shortcuts=off";
+    const char* shortcuts = !r.shortcuts   ? ""
+                            : *r.shortcuts ? " shortcuts=on"
+                                           : " shortcuts=off";
     std::printf("%-12s W=%-2zu threads=%zu%-14s: %8.3f s, "
                 "%12.0f patterns/s, speedup %.2fx%s\n",
                 r.campaign.c_str(), r.block_width, r.threads, shortcuts,
                 r.wall_seconds,
                 r.patterns_per_second, r.speedup_vs_serial,
                 r.bit_identical ? "" : "  [MISMATCH]");
+    bench::Row& row = report.AddRow("results")
+                          .Set("campaign", r.campaign)
+                          .Set("block_width", r.block_width)
+                          .Set("threads", r.threads);
+    if (r.shortcuts) row.Set("shortcuts", *r.shortcuts);
+    row.Set("wall_seconds", r.wall_seconds)
+        .Set("patterns_per_second", r.patterns_per_second)
+        .Set("speedup_vs_serial", r.speedup_vs_serial)
+        .Set("bit_identical", r.bit_identical);
+    // Hard gate: bit-identity across every configuration. Speedups stay
+    // informational — a zero-worker pool legitimately runs everything inline.
+    report.Equal("bit_identical[" + r.campaign +
+                     " W=" + std::to_string(r.block_width) +
+                     " threads=" + std::to_string(r.threads) + shortcuts + "]",
+                 r.bit_identical, true);
   }
-
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"campaign\",\n"
-               "  \"cpu\": \"%s\",\n"
-               "  \"simd_backend\": \"%s\",\n"
-               "  \"pool_workers\": %zu,\n"
-               "  \"patterns\": %llu,\n"
-               "  \"results\": [\n",
-               sim::simd::CpuFeatureString().c_str(), sim::simd::SimdBackendName(),
-               workers, static_cast<unsigned long long>(num_patterns));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    const char* shortcuts = !r.shortcuts   ? ""
-                            : *r.shortcuts ? "\"shortcuts\": true, "
-                                           : "\"shortcuts\": false, ";
-    std::fprintf(out,
-                 "    {\"campaign\": \"%s\", \"block_width\": %zu, "
-                 "\"threads\": %zu, %s"
-                 "\"wall_seconds\": %.6f, "
-                 "\"patterns_per_second\": %.1f, \"speedup_vs_serial\": %.3f, "
-                 "\"bit_identical\": %s}%s\n",
-                 r.campaign.c_str(), r.block_width, r.threads, shortcuts,
-                 r.wall_seconds,
-                 r.patterns_per_second, r.speedup_vs_serial,
-                 r.bit_identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("campaign benchmark written to %s\n", path);
-
-  // Hard gate: bit-identity across every configuration. Speedups stay
-  // informational — a zero-worker pool legitimately runs everything inline.
-  return all_identical ? 0 : 1;
+  return report.Finish(path);
 }

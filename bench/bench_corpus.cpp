@@ -11,8 +11,10 @@
 //      BISTDSE_CORPUS_ROUNDS (default 3) adversarial rounds per topology.
 // Arg: output path (default BENCH_corpus.json).
 #include <cstdio>
+#include <string>
 
 #include "arch/corpus.hpp"
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
 
@@ -42,51 +44,34 @@ int main(int argc, char** argv) {
   const arch::CorpusSweepReport report = arch::SweepCorpus(corpus, options);
   std::printf("%s", arch::FormatCorpusReport(report).c_str());
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
+  bench::Report out("corpus_sweep");
+  out.Run()
+      .Set("corpus_seed", corpus.seed)
+      .Set("evaluations", options.exploration.evaluations);
+  out.AddRow("sweep")
+      .Set("all_passed", report.all_passed)
+      .Set("rounds_executed", report.rounds_executed);
+  for (const arch::CorpusTopologyResult& t : report.topologies) {
+    out.AddRow("topologies")
+        .Set("name", t.name)
+        .Set("ecus", t.num_ecus)
+        .Set("buses", t.num_buses)
+        .Set("fd_buses", t.fd_buses)
+        .Set("generations", t.generations)
+        .Set("content_hash", bench::Hex(t.content_hash))
+        .Set("pareto_size", t.pareto_size)
+        .Set("quality_percent", t.representative.test_quality_percent)
+        .Set("cost", t.representative.monetary_cost)
+        .Set("explore_seconds", t.explore_seconds)
+        .Set("campaign_seconds", t.campaign_seconds)
+        .Set("rounds", t.campaign.rounds.size())
+        .Set("frames_dropped", t.campaign.total_frames_dropped)
+        .Set("q_bounded", t.campaign.all_q_bounded)
+        .Set("wcrt_dominated", t.campaign.all_wcrt_dominated)
+        .Set("non_intrusive", t.campaign.all_non_intrusive)
+        .Set("passed", t.passed);
+    // An invariant violation anywhere in the corpus fails the sweep leg.
+    out.Equal("passed[" + t.name + "]", t.passed, true);
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"corpus_sweep\",\n"
-               "  \"corpus_seed\": %llu,\n"
-               "  \"evaluations\": %llu,\n"
-               "  \"all_passed\": %s,\n"
-               "  \"rounds_executed\": %zu,\n"
-               "  \"topologies\": [\n",
-               static_cast<unsigned long long>(corpus.seed),
-               static_cast<unsigned long long>(
-                   options.exploration.evaluations),
-               report.all_passed ? "true" : "false", report.rounds_executed);
-  for (std::size_t i = 0; i < report.topologies.size(); ++i) {
-    const arch::CorpusTopologyResult& t = report.topologies[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"ecus\": %zu, \"buses\": %zu, "
-        "\"fd_buses\": %zu, \"generations\": %zu, "
-        "\"content_hash\": \"0x%016llx\", \"pareto_size\": %zu, "
-        "\"quality_percent\": %.2f, \"cost\": %.2f, "
-        "\"explore_seconds\": %.3f, \"campaign_seconds\": %.3f, "
-        "\"rounds\": %zu, \"frames_dropped\": %llu, "
-        "\"q_bounded\": %s, \"wcrt_dominated\": %s, "
-        "\"non_intrusive\": %s, \"passed\": %s}%s\n",
-        t.name.c_str(), t.num_ecus, t.num_buses, t.fd_buses, t.generations,
-        static_cast<unsigned long long>(t.content_hash), t.pareto_size,
-        t.representative.test_quality_percent, t.representative.monetary_cost,
-        t.explore_seconds, t.campaign_seconds, t.campaign.rounds.size(),
-        static_cast<unsigned long long>(t.campaign.total_frames_dropped),
-        t.campaign.all_q_bounded ? "true" : "false",
-        t.campaign.all_wcrt_dominated ? "true" : "false",
-        t.campaign.all_non_intrusive ? "true" : "false",
-        t.passed ? "true" : "false",
-        i + 1 < report.topologies.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("corpus benchmark written to %s\n", path);
-
-  // CI acceptance gate: an invariant violation anywhere in the corpus fails
-  // the sweep leg.
-  return report.all_passed ? 0 : 1;
+  return out.Finish(path);
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "bist/diagnosis.hpp"
 #include "bist/diagnosis_eval.hpp"
@@ -33,24 +34,11 @@
 #include "casestudy/casestudy.hpp"
 #include "netlist/random_circuit.hpp"
 #include "sim/campaign_memo.hpp"
-#include "sim/wide_word_simd.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace bistdse;
 
 namespace {
-
-struct AccuracyRow {
-  std::uint32_t window;
-  bool strong;
-  std::size_t injected, escaped;
-  double top1, top5, mean_rank;
-};
-
-struct BatchRow {
-  std::size_t shards, threads, queries;
-  double wall_seconds, queries_per_second, speedup_vs_resim;
-};
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -89,6 +77,8 @@ int main(int argc, char** argv) {
 
   const auto faults = sim::CollapsedFaults(cut);
   options.sample_stride = std::max<std::size_t>(1, faults.size() / samples);
+  bench::Report report("diagnosis");
+  report.Run().Set("patterns", options.num_random_patterns);
 
   std::printf("\nCUT: %zu gates, %zu collapsed faults; session: %llu random "
               "patterns\n\n",
@@ -103,7 +93,6 @@ int main(int argc, char** argv) {
   std::printf("  -------+-----------+----------+---------+-------+-------+"
               "----------\n");
 
-  std::vector<AccuracyRow> accuracy;
   double strong32_top5 = 0.0, plain32_top5 = 0.0;
   for (const std::uint32_t window : {8u, 32u}) {
     for (const bool strong : {true, false}) {
@@ -116,8 +105,14 @@ int main(int argc, char** argv) {
                   window, strong ? "strong" : "plain", acc.injected,
                   acc.escaped, 100.0 * acc.Top1Rate(), 100.0 * acc.TopkRate(),
                   acc.mean_rank);
-      accuracy.push_back({window, strong, acc.injected, acc.escaped,
-                          acc.Top1Rate(), acc.TopkRate(), acc.mean_rank});
+      report.AddRow("accuracy")
+          .Set("window", window)
+          .Set("strong", strong)
+          .Set("injected", acc.injected)
+          .Set("escaped", acc.escaped)
+          .Set("top1", acc.Top1Rate())
+          .Set("top5", acc.TopkRate())
+          .Set("mean_rank", acc.mean_rank);
       if (window == 32 && strong) strong32_top5 = acc.TopkRate();
       if (window == 32 && !strong) plain32_top5 = acc.TopkRate();
     }
@@ -201,6 +196,15 @@ int main(int argc, char** argv) {
   std::printf("  re-simulation baseline: %zu queries in %.3f s "
               "(%.1f queries/s)\n",
               resim_queries, resim_s, resim_qps);
+  bench::Row& fleet = report.AddRow("fleet")
+                          .Set("dict_faults", dict_faults.size())
+                          .Set("windows", built.WindowCount())
+                          .Set("build_seconds", build_s)
+                          .Set("artifact_bytes", artifact_bytes)
+                          .Set("load_seconds", load_s)
+                          .Set("map_seconds", map_s)
+                          .Set("map_first_query_seconds", map_first_query_s)
+                          .Set("resim_queries_per_second", resim_qps);
 
   // Sharded batch serving across thread counts.
   const std::size_t num_shards =
@@ -219,7 +223,6 @@ int main(int argc, char** argv) {
                        fail_sets[q % fail_sets.size()]});
   }
 
-  std::vector<BatchRow> batches;
   double best_qps = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -227,8 +230,13 @@ int main(int argc, char** argv) {
     const double wall = Seconds(t0);
     const double qps = static_cast<double>(results.size()) / wall;
     best_qps = std::max(best_qps, qps);
-    batches.push_back({num_shards, threads, results.size(), wall, qps,
-                       qps / resim_qps});
+    report.AddRow("fleet.batch")
+        .Set("shards", num_shards)
+        .Set("threads", threads)
+        .Set("queries", results.size())
+        .Set("wall_seconds", wall)
+        .Set("queries_per_second", qps)
+        .Set("speedup_vs_resim", qps / resim_qps);
     std::printf("  batch: %zu shards, threads=%zu: %zu queries in %.3f s "
                 "(%.0f queries/s, %.0fx vs re-sim)\n",
                 num_shards, threads, results.size(), wall, qps,
@@ -258,88 +266,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(memo.Hits()),
               static_cast<unsigned long long>(memo.Hits() + memo.Misses()));
 
-  // --- gates ---------------------------------------------------------------
-  const bool accuracy_ok = strong32_top5 >= plain32_top5 &&
-                           strong32_top5 >= 0.7;
-  const bool speedup_ok = best_qps >= 10.0 * resim_qps;
-  const bool memo_ok = memo.HitRate() > 0.0;
-  std::printf("\nshape checks:\n");
-  std::printf("  strong windows >= plain MISR at window 32 and top-5 >= 70 %% "
-              "... %s\n",
-              accuracy_ok ? "OK" : "VIOLATED");
-  std::printf("  dictionary batch >= 10x re-simulation queries/s "
-              "(%.0f vs %.1f) ... %s\n",
-              best_qps, resim_qps, speedup_ok ? "OK" : "VIOLATED");
-  std::printf("  campaign memo hit rate > 0 ... %s\n",
-              memo_ok ? "OK" : "VIOLATED");
-
-  std::FILE* out = std::fopen(out_path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"diagnosis\",\n"
-               "  \"cpu\": \"%s\",\n"
-               "  \"simd_backend\": \"%s\",\n"
-               "  \"pool_workers\": %zu,\n"
-               "  \"patterns\": %llu,\n"
-               "  \"accuracy\": [\n",
-               sim::simd::CpuFeatureString().c_str(),
-               sim::simd::SimdBackendName(), workers,
-               static_cast<unsigned long long>(options.num_random_patterns));
-  for (std::size_t i = 0; i < accuracy.size(); ++i) {
-    const AccuracyRow& r = accuracy[i];
-    std::fprintf(out,
-                 "    {\"window\": %u, \"strong\": %s, \"injected\": %zu, "
-                 "\"escaped\": %zu, \"top1\": %.4f, \"top5\": %.4f, "
-                 "\"mean_rank\": %.2f}%s\n",
-                 r.window, r.strong ? "true" : "false", r.injected, r.escaped,
-                 r.top1, r.top5, r.mean_rank,
-                 i + 1 < accuracy.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"fleet\": {\n"
-               "    \"dict_faults\": %zu,\n"
-               "    \"windows\": %u,\n"
-               "    \"build_seconds\": %.6f,\n"
-               "    \"artifact_bytes\": %llu,\n"
-               "    \"load_seconds\": %.6f,\n"
-               "    \"map_seconds\": %.6f,\n"
-               "    \"map_first_query_seconds\": %.6f,\n"
-               "    \"resim_queries_per_second\": %.3f,\n"
-               "    \"batch\": [\n",
-               dict_faults.size(), built.WindowCount(), build_s,
-               static_cast<unsigned long long>(artifact_bytes), load_s, map_s,
-               map_first_query_s, resim_qps);
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    const BatchRow& b = batches[i];
-    std::fprintf(out,
-                 "      {\"shards\": %zu, \"threads\": %zu, \"queries\": %zu, "
-                 "\"wall_seconds\": %.6f, \"queries_per_second\": %.1f, "
-                 "\"speedup_vs_resim\": %.1f}%s\n",
-                 b.shards, b.threads, b.queries, b.wall_seconds,
-                 b.queries_per_second, b.speedup_vs_resim,
-                 i + 1 < batches.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "    ],\n"
-               "    \"memo\": {\"hits\": %llu, \"misses\": %llu, "
-               "\"hit_rate\": %.4f, \"cold_seconds\": %.6f, "
-               "\"warm_seconds\": %.6f}\n"
-               "  },\n"
-               "  \"gates\": {\"accuracy_ok\": %s, \"speedup_ok\": %s, "
-               "\"memo_ok\": %s}\n"
-               "}\n",
-               static_cast<unsigned long long>(memo.Hits()),
-               static_cast<unsigned long long>(memo.Misses()), memo.HitRate(),
-               cold_s, warm_s, accuracy_ok ? "true" : "false",
-               speedup_ok ? "true" : "false", memo_ok ? "true" : "false");
-  std::fclose(out);
-  std::printf("diagnosis benchmark written to %s\n", out_path);
+  fleet.Set("memo.hits", memo.Hits())
+      .Set("memo.misses", memo.Misses())
+      .Set("memo.hit_rate", memo.HitRate())
+      .Set("memo.cold_seconds", cold_s)
+      .Set("memo.warm_seconds", warm_s);
   std::remove(artifact.c_str());
 
-  return accuracy_ok && speedup_ok && memo_ok ? 0 : 1;
+  // Strong windows must diagnose at least as well as a plain MISR chain and
+  // reach 70 % top-5, the dictionary batch path must clear 10x the
+  // re-simulation queries/s, and the warm generator must hit the memo.
+  report.AtLeast("accuracy_ok.top5_vs_plain[window=32]", strong32_top5,
+                 plain32_top5);
+  report.AtLeast("accuracy_ok.top5[window=32]", strong32_top5, 0.7);
+  report.AtLeast("speedup_ok", best_qps / resim_qps, 10.0);
+  report.Above("memo_ok", memo.HitRate(), 0.0);
+  return report.Finish(out_path);
 }

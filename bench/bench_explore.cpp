@@ -17,8 +17,10 @@
 //      BISTDSE_EXPLORE_ROUTED_DECODES (default 40) routed-ablation decodes.
 // Arg: output path (default BENCH_explore.json).
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/parallel.hpp"
@@ -28,24 +30,6 @@
 using namespace bistdse;
 
 namespace {
-
-struct Row {
-  std::size_t islands;
-  std::size_t evaluations;
-  std::size_t cache_hits;
-  std::size_t front;
-  double wall_seconds;
-  double throughput;
-  std::uint64_t front_hash;
-  dse::DecoderStats decode;
-
-  double HitRate() const {
-    return evaluations > 0
-               ? static_cast<double>(cache_hits) /
-                     static_cast<double>(evaluations)
-               : 0.0;
-  }
-};
 
 struct Fnv {
   std::uint64_t h = 1469598103934665603ULL;
@@ -73,42 +57,33 @@ std::uint64_t FrontHash(const std::vector<dse::ExplorationEntry>& pareto) {
   return f.h;
 }
 
-void PrintDecodeJson(std::FILE* out, const dse::DecoderStats& d,
-                     const char* indent) {
+double UsPerDecode(const dse::DecoderStats& d) {
+  return d.decodes > 0 ? 1e6 * d.decode_seconds / static_cast<double>(d.decodes)
+                       : 0.0;
+}
+
+/// Adds the decoder and SAT counters to `row` under dotted `prefix` keys.
+void SetDecode(bench::Row& row, const std::string& prefix,
+               const dse::DecoderStats& d) {
   const auto& s = d.solver;
-  const double us_per_decode =
-      d.decodes > 0 ? 1e6 * d.decode_seconds / static_cast<double>(d.decodes)
-                    : 0.0;
-  std::fprintf(
-      out,
-      "{\n"
-      "%s  \"decodes\": %llu, \"infeasible\": %llu,\n"
-      "%s  \"decode_seconds\": %.3f, \"us_per_decode\": %.1f,\n"
-      "%s  \"decisions\": %llu, \"conflicts\": %llu, \"restarts\": %llu,\n"
-      "%s  \"learned_clauses\": %llu, \"reduced_clauses\": %llu,\n"
-      "%s  \"propagations\": %llu, \"binary_propagations\": %llu, "
-      "\"pb_propagations\": %llu,\n"
-      "%s  \"inprocess_runs\": %llu, \"probes\": %llu, "
-      "\"probed_literals\": %llu,\n"
-      "%s  \"eliminated_equivalences\": %llu, \"subsumed_clauses\": %llu, "
-      "\"strengthened_clauses\": %llu\n"
-      "%s}",
-      indent, static_cast<unsigned long long>(d.decodes),
-      static_cast<unsigned long long>(d.infeasible), indent, d.decode_seconds,
-      us_per_decode, indent, static_cast<unsigned long long>(s.decisions),
-      static_cast<unsigned long long>(s.conflicts),
-      static_cast<unsigned long long>(s.restarts), indent,
-      static_cast<unsigned long long>(s.learned_clauses),
-      static_cast<unsigned long long>(s.reduced_clauses), indent,
-      static_cast<unsigned long long>(s.propagations),
-      static_cast<unsigned long long>(s.binary_propagations),
-      static_cast<unsigned long long>(s.pb_propagations), indent,
-      static_cast<unsigned long long>(s.inprocess_runs),
-      static_cast<unsigned long long>(s.probes),
-      static_cast<unsigned long long>(s.probed_literals), indent,
-      static_cast<unsigned long long>(s.eliminated_equivalences),
-      static_cast<unsigned long long>(s.subsumed_clauses),
-      static_cast<unsigned long long>(s.strengthened_clauses), indent);
+  row.Set(prefix + "decodes", d.decodes)
+      .Set(prefix + "infeasible", d.infeasible)
+      .Set(prefix + "decode_seconds", d.decode_seconds)
+      .Set(prefix + "us_per_decode", UsPerDecode(d))
+      .Set(prefix + "decisions", s.decisions)
+      .Set(prefix + "conflicts", s.conflicts)
+      .Set(prefix + "restarts", s.restarts)
+      .Set(prefix + "learned_clauses", s.learned_clauses)
+      .Set(prefix + "reduced_clauses", s.reduced_clauses)
+      .Set(prefix + "propagations", s.propagations)
+      .Set(prefix + "binary_propagations", s.binary_propagations)
+      .Set(prefix + "pb_propagations", s.pb_propagations)
+      .Set(prefix + "inprocess_runs", s.inprocess_runs)
+      .Set(prefix + "probes", s.probes)
+      .Set(prefix + "probed_literals", s.probed_literals)
+      .Set(prefix + "eliminated_equivalences", s.eliminated_equivalences)
+      .Set(prefix + "subsumed_clauses", s.subsumed_clauses)
+      .Set(prefix + "strengthened_clauses", s.strengthened_clauses);
 }
 
 /// Decodes `count` genotypes from a fixed seed through the routed encoding
@@ -161,40 +136,53 @@ int main(int argc, char** argv) {
   config.population_size = 100;
   config.seed = 1;
 
-  std::vector<Row> rows;
-  const auto run = [&](std::size_t n) {
+  bench::Report report("explore_throughput");
+  report.Run().Set("evaluations_per_island", evals);
+  // Every run must spend its full budget and produce a non-trivial front,
+  // and memoization must be doing real work.
+  const auto run = [&](std::size_t n, bool inprocess) {
+    config.solver.inprocess = inprocess;
     const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, n);
-    rows.push_back({n, result.evaluations, result.eval_cache_hits,
-                    result.pareto.size(), result.wall_seconds,
-                    result.Throughput(), FrontHash(result.pareto),
-                    result.decoder_stats});
-    const Row& r = rows.back();
+    const double hit_rate =
+        result.evaluations > 0 ? static_cast<double>(result.eval_cache_hits) /
+                                     static_cast<double>(result.evaluations)
+                               : 0.0;
+    const std::uint64_t hash = FrontHash(result.pareto);
     std::printf(
         "%zu island(s): %zu evaluations (%.1f %% memoized) in %.2f s -> "
         "%.0f evals/s, front %zu, decode %.1f us/eval\n",
-        n, r.evaluations, 100.0 * r.HitRate(), r.wall_seconds, r.throughput,
-        r.front,
-        r.decode.decodes > 0 ? 1e6 * r.decode.decode_seconds /
-                                   static_cast<double>(r.decode.decodes)
-                             : 0.0);
+        n, result.evaluations, 100.0 * hit_rate, result.wall_seconds,
+        result.Throughput(), result.pareto.size(),
+        UsPerDecode(result.decoder_stats));
+    bench::Row& row = report.AddRow("results")
+                          .Set("islands", n)
+                          .Set("inprocess", inprocess)
+                          .Set("evaluations", result.evaluations)
+                          .Set("evals_per_second", result.Throughput())
+                          .Set("cache_hit_rate", hit_rate)
+                          .Set("front_size", result.pareto.size())
+                          .Set("front_hash", bench::Hex(hash))
+                          .Set("wall_seconds", result.wall_seconds);
+    SetDecode(row, "decode.", result.decoder_stats);
+    const std::string at = "[islands=" + std::to_string(n) +
+                           (inprocess ? "]" : ",inprocess=false]");
+    report.Equal("evaluations" + at, result.evaluations, n * evals);
+    report.AtLeast("front_size" + at, result.pareto.size(), 4);
+    report.Above("cache_hits" + at, result.eval_cache_hits, 0);
+    return hash;
   };
-  run(1);
-  run(islands);
+  const std::uint64_t front_on = run(1, true);
+  run(islands, true);
 
   // Ablation 1 — canonicity gate: the same exploration with every
   // inprocessing transform off must reproduce the front bit-identically
   // (pinned decision order makes the decoded model unique; see sat/).
-  sat::SolverConfig no_inprocess;
-  no_inprocess.inprocess = false;
-  const dse::ExplorationConfig default_config = config;
-  config.solver = no_inprocess;
-  run(1);
-  config = default_config;
-  const bool front_identical = rows[2].front_hash == rows[0].front_hash;
-  std::printf("inprocessing off: front %s (hash 0x%016llx vs 0x%016llx)\n",
-              front_identical ? "bit-identical" : "DIFFERS",
-              static_cast<unsigned long long>(rows[2].front_hash),
-              static_cast<unsigned long long>(rows[0].front_hash));
+  const std::uint64_t front_off = run(1, false);
+  std::printf("inprocessing off: front %s (hash %s vs %s)\n",
+              front_off == front_on ? "bit-identical" : "DIFFERS",
+              bench::Hex(front_off).c_str(), bench::Hex(front_on).c_str());
+  report.Equal("front_hash[islands=1,inprocess=false]", bench::Hex(front_off),
+               bench::Hex(front_on));
 
   // Ablation 2 — the routed encoding (two orders of magnitude more
   // variables per decode) with inprocessing on vs off, same genotypes.
@@ -202,76 +190,30 @@ int main(int argc, char** argv) {
   routed_profiles.resize(2);
   const auto routed_cs = casestudy::BuildCaseStudy(routed_profiles, 42);
   std::uint64_t routed_on_hash = 0, routed_off_hash = 0;
-  const auto routed_on = RoutedDecodeSweep(routed_cs, sat::SolverConfig{},
+  const auto routed_on = RoutedDecodeSweep(routed_cs, {.inprocess = true},
                                            routed_decodes, &routed_on_hash);
-  const auto routed_off = RoutedDecodeSweep(routed_cs, no_inprocess,
+  const auto routed_off = RoutedDecodeSweep(routed_cs, {.inprocess = false},
                                             routed_decodes, &routed_off_hash);
-  const auto per_decode = [](const dse::DecoderStats& d) {
-    return d.decodes > 0
-               ? 1e6 * d.decode_seconds / static_cast<double>(d.decodes)
-               : 0.0;
-  };
   std::printf(
       "routed decode: inprocess on %.0f us/decode, off %.0f us/decode, "
       "models %s\n",
-      per_decode(routed_on), per_decode(routed_off),
+      UsPerDecode(routed_on), UsPerDecode(routed_off),
       routed_on_hash == routed_off_hash ? "bit-identical" : "DIFFER");
+  bench::Row& routed =
+      report.AddRow("routed_ablation")
+          .Set("decodes", routed_decodes)
+          .Set("models_identical", routed_on_hash == routed_off_hash);
+  SetDecode(routed, "inprocess_on.", routed_on);
+  SetDecode(routed, "inprocess_off.", routed_off);
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"explore_throughput\",\n"
-               "  \"evaluations_per_island\": %llu,\n"
-               "  \"results\": [\n",
-               static_cast<unsigned long long>(evals));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"islands\": %zu, \"inprocess\": %s, "
-                 "\"evaluations\": %zu, "
-                 "\"evals_per_second\": %.1f, \"cache_hit_rate\": %.4f, "
-                 "\"front_size\": %zu, \"front_hash\": \"0x%016llx\", "
-                 "\"wall_seconds\": %.3f,\n     \"decode\": ",
-                 r.islands, i == 2 ? "false" : "true", r.evaluations,
-                 r.throughput, r.HitRate(), r.front,
-                 static_cast<unsigned long long>(r.front_hash),
-                 r.wall_seconds);
-    PrintDecodeJson(out, r.decode, "     ");
-    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"routed_ablation\": {\n"
-               "    \"decodes\": %llu,\n"
-               "    \"models_identical\": %s,\n"
-               "    \"inprocess_on\": ",
-               static_cast<unsigned long long>(routed_decodes),
-               routed_on_hash == routed_off_hash ? "true" : "false");
-  PrintDecodeJson(out, routed_on, "    ");
-  std::fprintf(out, ",\n    \"inprocess_off\": ");
-  PrintDecodeJson(out, routed_off, "    ");
-  std::fprintf(out, "\n  }\n}\n");
-  std::fclose(out);
-  std::printf("exploration benchmark written to %s\n", path);
-
-  // CI acceptance gates: every run must spend its full budget and produce a
-  // non-trivial front, memoization must be doing real work, the
-  // inprocessing-off front must be bit-identical (canonicity), and the
-  // routed ablation must decode the same models with inprocessing no slower
-  // than 1.05x the transform-free solver (measured ~0.8x; generous slop for
-  // noisy CI machines).
-  for (const Row& r : rows) {
-    if (r.evaluations != r.islands * evals) return 1;
-    if (r.front < 4) return 1;
-    if (r.cache_hits == 0) return 1;
-  }
-  if (!front_identical) return 1;
-  if (routed_on_hash != routed_off_hash) return 1;
-  if (routed_on.decodes != routed_off.decodes) return 1;
-  if (per_decode(routed_on) > 1.05 * per_decode(routed_off)) return 1;
-  return 0;
+  // The routed ablation must decode the same models with inprocessing no
+  // slower than 1.05x the transform-free solver (measured ~0.8x; generous
+  // slop for noisy CI machines).
+  report.Equal("routed_model_hash[inprocess=false]", bench::Hex(routed_off_hash),
+               bench::Hex(routed_on_hash));
+  report.Equal("routed_decodes[inprocess=false]", routed_off.decodes,
+               routed_on.decodes);
+  report.AtMost("routed_us_per_decode_on_over_off",
+                UsPerDecode(routed_on) / UsPerDecode(routed_off), 1.05);
+  return report.Finish(path);
 }

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "atpg/podem.hpp"
+#include "bench_report.hpp"
 #include "bist/reseeding.hpp"
 #include "can/bus.hpp"
 #include "casestudy/casestudy.hpp"
@@ -20,7 +21,6 @@
 #include "bist/scan_sim.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/parallel_fault_sim.hpp"
-#include "sim/wide_word_simd.hpp"
 #include "sim/transition_fault.hpp"
 #include "util/rng.hpp"
 
@@ -398,11 +398,11 @@ int WritePpsfpJson(const char* path) {
   const auto faults = sim::CollapsedFaults(cut);
   const std::size_t hw = std::max(2u, std::thread::hardware_concurrency());
 
-  struct Cell {
-    std::size_t width, threads;
-    double patterns_per_second;
-  };
-  std::vector<Cell> cells;
+  bench::Report report("ppsfp_detect_throughput");
+  report.Run()
+      .Set("patterns", patterns.size())
+      .Set("collapsed_faults", faults.size());
+  double base = 0.0;  // W=1, 1 thread: the first cell
   for (const std::size_t threads : {std::size_t{1}, hw}) {
     for (const std::size_t w : sim::kSupportedBlockWidths) {
       // Time whole sweeps until the sample is long enough to be stable;
@@ -425,42 +425,17 @@ int WritePpsfpJson(const char* path) {
                       std::chrono::steady_clock::now() - t0)
                       .count();
       } while (elapsed < 0.4 || iters < 3);
-      cells.push_back(
-          {w, threads,
-           static_cast<double>(iters * patterns.size()) / elapsed});
+      const double rate =
+          static_cast<double>(iters * patterns.size()) / elapsed;
+      if (base == 0.0) base = rate;
+      report.AddRow("results")
+          .Set("block_width", w)
+          .Set("threads", threads)
+          .Set("patterns_per_second", rate)
+          .Set("speedup_vs_w1t1", rate / base);
     }
   }
-
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  const double base = cells.front().patterns_per_second;  // W=1, 1 thread
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"ppsfp_detect_throughput\",\n"
-               "  \"cpu\": \"%s\",\n"
-               "  \"simd_backend\": \"%s\",\n"
-               "  \"patterns\": %zu,\n"
-               "  \"collapsed_faults\": %zu,\n"
-               "  \"results\": [\n",
-               sim::simd::CpuFeatureString().c_str(),
-               sim::simd::SimdBackendName(), patterns.size(), faults.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"block_width\": %zu, \"threads\": %zu, "
-                 "\"patterns_per_second\": %.1f, \"speedup_vs_w1t1\": "
-                 "%.3f}%s\n",
-                 cells[i].width, cells[i].threads,
-                 cells[i].patterns_per_second,
-                 cells[i].patterns_per_second / base,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("ppsfp throughput written to %s\n", path);
-  return 0;
+  return report.Finish(path);
 }
 
 }  // namespace

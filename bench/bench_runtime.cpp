@@ -30,13 +30,17 @@ int main() {
   dse::Explorer explorer(cs.spec, cs.augmentation, config);
   const auto result = explorer.Run();
 
+  // Wall-clock figures go to stderr: stdout is pinned byte for byte
+  // (bench/runtime.expected).
   const double per_100k = 100000.0 / result.Throughput();
-  std::printf("\n%zu evaluations in %.2f s  ->  %.0f evaluations/s\n",
-              result.evaluations, result.wall_seconds, result.Throughput());
-  std::printf("extrapolated 100,000 evaluations: %.1f s (%.1f min); paper: "
-              "~29 min\n",
-              per_100k, per_100k / 60.0);
-  std::printf("decoder: %llu decodes, %llu infeasible\n",
+  std::fprintf(stderr,
+               "bench_runtime: %zu evaluations in %.2f s -> %.0f "
+               "evaluations/s; extrapolated 100,000 evaluations: %.1f s "
+               "(%.1f min); paper: ~29 min\n",
+               result.evaluations, result.wall_seconds, result.Throughput(),
+               per_100k, per_100k / 60.0);
+  std::printf("\n%zu evaluations; decoder: %llu decodes, %llu infeasible\n",
+              result.evaluations,
               static_cast<unsigned long long>(result.decoder_stats.decodes),
               static_cast<unsigned long long>(result.decoder_stats.infeasible));
 
@@ -59,10 +63,12 @@ int main() {
     par_config.seed = 100;
     const auto par =
         dse::ExploreParallel(cs.spec, cs.augmentation, par_config, 4);
-    std::printf("\n4 islands x %zu evals: sequential %.2f s, threaded %.2f s "
-                "(speedup %.1fx), merged front %zu\n",
-                island_config.evaluations, seq_s, par.wall_seconds,
-                seq_s / par.wall_seconds, par.pareto.size());
+    std::fprintf(stderr,
+                 "bench_runtime: 4 islands sequential %.2f s, threaded %.2f s "
+                 "(speedup %.1fx)\n",
+                 seq_s, par.wall_seconds, seq_s / par.wall_seconds);
+    std::printf("\n4 islands x %zu evals: merged front %zu\n",
+                island_config.evaluations, par.pareto.size());
   }
 
   // Seed robustness: the front metrics should be stable across MOEA seeds

@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "bist/stumps.hpp"
 #include "netlist/random_circuit.hpp"
@@ -50,16 +52,6 @@ double Percentile(std::vector<double> values, double p) {
   const double frac = rank - static_cast<double>(lo);
   return values[lo] + frac * (values[hi] - values[lo]);
 }
-
-struct Row {
-  double loss_rate;
-  std::uint64_t submitted, answered, rejected, failures;
-  std::uint64_t retransmissions;
-  std::uint32_t generation;
-  double p50_ms, p95_ms, p99_ms;
-  double simulated_ms;
-  double wall_seconds;
-};
 
 }  // namespace
 
@@ -105,7 +97,8 @@ int main(int argc, char** argv) {
     return store;
   };
 
-  std::vector<Row> rows;
+  bench::Report report("diagnosis_server");
+  report.Run().Set("queries", num_queries);
   for (const double loss : {0.0, 0.01, 0.05}) {
     serve::DiagnosisServerConfig server_config;
     server_config.threads = 0;
@@ -152,72 +145,46 @@ int main(int argc, char** argv) {
         latencies.push_back(outcome.answered_ms - outcome.admitted_ms);
       }
     }
-    Row row{loss,
-            stats.submitted,
-            stats.answered,
-            stats.rejected_busy,
-            stats.upload_failures + stats.response_failures,
-            retransmissions,
-            server.Store().Version(),
-            Percentile(latencies, 0.50),
-            Percentile(latencies, 0.95),
-            Percentile(latencies, 0.99),
-            server.NowMs(),
-            wall};
-    rows.push_back(row);
+    const std::uint64_t failures =
+        stats.upload_failures + stats.response_failures;
+    const double p50 = Percentile(latencies, 0.50);
+    const double p95 = Percentile(latencies, 0.95);
+    const double p99 = Percentile(latencies, 0.99);
+    const double simulated_ms = server.NowMs();
+    const double rps = 1e3 * static_cast<double>(stats.answered) / simulated_ms;
 
     std::printf(
         "loss %.0f %%: %llu/%llu answered in %.0f simulated ms (%.3f s "
         "wall, %.0f req/simulated-s) — latency p50 %.1f / p95 %.1f / "
         "p99 %.1f ms, %llu retransmissions, generation v%u\n",
-        100.0 * loss, static_cast<unsigned long long>(row.answered),
-        static_cast<unsigned long long>(row.submitted), row.simulated_ms,
-        wall, 1e3 * static_cast<double>(row.answered) / row.simulated_ms,
-        row.p50_ms, row.p95_ms, row.p99_ms,
-        static_cast<unsigned long long>(row.retransmissions), row.generation);
-  }
+        100.0 * loss, static_cast<unsigned long long>(stats.answered),
+        static_cast<unsigned long long>(stats.submitted), simulated_ms, wall,
+        rps, p50, p95, p99, static_cast<unsigned long long>(retransmissions),
+        server.Store().Version());
+    report.AddRow("results")
+        .Set("frame_loss", loss)
+        .Set("submitted", stats.submitted)
+        .Set("answered", stats.answered)
+        .Set("rejected_busy", stats.rejected_busy)
+        .Set("transfer_failures", failures)
+        .Set("retransmissions", retransmissions)
+        .Set("generation", server.Store().Version())
+        .Set("latency_p50_ms", p50)
+        .Set("latency_p95_ms", p95)
+        .Set("latency_p99_ms", p99)
+        .Set("simulated_ms", simulated_ms)
+        .Set("requests_per_simulated_second", rps)
+        .Set("wall_seconds", wall);
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"diagnosis_server\",\n"
-               "  \"queries\": %llu,\n"
-               "  \"results\": [\n",
-               static_cast<unsigned long long>(num_queries));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        out,
-        "    {\"frame_loss\": %.4f, \"submitted\": %llu, \"answered\": "
-        "%llu, \"rejected_busy\": %llu, \"transfer_failures\": %llu, "
-        "\"retransmissions\": %llu, \"generation\": %u, \"latency_p50_ms\": "
-        "%.3f, \"latency_p95_ms\": %.3f, \"latency_p99_ms\": %.3f, "
-        "\"simulated_ms\": %.1f, \"requests_per_simulated_second\": %.2f, "
-        "\"wall_seconds\": %.4f}%s\n",
-        r.loss_rate, static_cast<unsigned long long>(r.submitted),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.rejected),
-        static_cast<unsigned long long>(r.failures),
-        static_cast<unsigned long long>(r.retransmissions), r.generation,
-        r.p50_ms, r.p95_ms, r.p99_ms, r.simulated_ms,
-        1e3 * static_cast<double>(r.answered) / r.simulated_ms,
-        r.wall_seconds, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("serve benchmark written to %s\n", path);
-
-  // Acceptance gate for CI: every request answered at every loss rate, the
-  // rollover applied, and loss must cost latency, not correctness.
-  for (const Row& r : rows) {
-    if (r.answered != r.submitted || r.rejected != 0 || r.failures != 0) {
-      return 1;
+    // Every request answered at every loss rate and the rollover applied:
+    // loss must cost latency, not correctness.
+    const std::string at = "[frame_loss=" + bench::JsonValue(loss) + "]";
+    report.Equal("answered" + at, stats.answered, stats.submitted);
+    report.Equal("rejected_busy" + at, stats.rejected_busy, 0);
+    report.Equal("transfer_failures" + at, failures, 0);
+    if (reload_mid_run) {
+      report.Equal("generation" + at, server.Store().Version(), 1);
     }
-    if (r.loss_rate >= 0.05 && r.generation != 1) return 1;
   }
-  return 0;
+  return report.Finish(path);
 }

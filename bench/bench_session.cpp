@@ -8,8 +8,9 @@
 // Arg: output path (default BENCH_session.json).
 #include <chrono>
 #include <cstdio>
-#include <vector>
+#include <string>
 
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
@@ -42,16 +43,6 @@ model::Implementation RemoteStorageImpl(const casestudy::CaseStudy& cs,
   return *decoder.Decode(g);
 }
 
-struct Row {
-  double loss_rate;
-  std::size_t sessions;
-  bool all_completed;
-  double max_rel_error;
-  std::uint64_t retransmissions, dropped;
-  double simulated_ms;
-  double wall_seconds;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,71 +59,51 @@ int main(int argc, char** argv) {
   dse::SatDecoder decoder(cs.spec, cs.augmentation);
   const auto impl = RemoteStorageImpl(cs, decoder);
 
-  std::vector<Row> rows;
+  bench::Report report("session_executor");
+  report.Run().Set("iterations", iters);
   for (const double loss : {0.0, 0.01}) {
     net::SessionExecutorOptions options;
     options.faults.drop_rate = loss;
     options.faults.seed = 7;
     net::SessionExecutor executor(cs.spec, cs.augmentation, options);
 
-    net::SessionExecutionReport report;
+    net::SessionExecutionReport result;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) report = executor.Execute(impl);
+    for (std::uint64_t i = 0; i < iters; ++i) result = executor.Execute(impl);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count() /
         static_cast<double>(iters);
-
-    Row row{loss, report.sessions.size(), report.all_completed,
-            report.max_download_rel_error, report.total_retransmissions,
-            report.total_frames_dropped, 0.0, wall};
-    for (const auto& s : report.sessions) row.simulated_ms += s.simulated_total_ms;
-    rows.push_back(row);
+    double simulated_ms = 0.0;
+    for (const auto& s : result.sessions) simulated_ms += s.simulated_total_ms;
 
     std::printf(
         "loss %.2f %%: %zu sessions (%s) in %.3f s wall — %.0f simulated "
         "ms/wall s, max download error %.2f %%, %llu retransmissions\n",
-        100.0 * loss, row.sessions,
-        row.all_completed ? "all completed" : "INCOMPLETE", wall,
-        row.simulated_ms / wall, 100.0 * row.max_rel_error,
-        static_cast<unsigned long long>(row.retransmissions));
-  }
+        100.0 * loss, result.sessions.size(),
+        result.all_completed ? "all completed" : "INCOMPLETE", wall,
+        simulated_ms / wall, 100.0 * result.max_download_rel_error,
+        static_cast<unsigned long long>(result.total_retransmissions));
+    report.AddRow("results")
+        .Set("frame_loss", loss)
+        .Set("sessions", result.sessions.size())
+        .Set("all_completed", result.all_completed)
+        .Set("max_download_rel_error", result.max_download_rel_error)
+        .Set("retransmissions", result.total_retransmissions)
+        .Set("frames_dropped", result.total_frames_dropped)
+        .Set("sessions_per_second",
+             static_cast<double>(result.sessions.size()) / wall)
+        .Set("simulated_ms_per_wall_second", simulated_ms / wall);
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
+    // Every session must complete; at zero loss the simulation must land
+    // within 5 % of Eq. 1 (under injected loss the retries legitimately
+    // stretch the downloads).
+    const std::string at = "[frame_loss=" + bench::JsonValue(loss) + "]";
+    report.Equal("all_completed" + at, result.all_completed, true);
+    if (loss == 0.0) {
+      report.AtMost("max_download_rel_error" + at,
+                    result.max_download_rel_error, 0.05);
+    }
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"session_executor\",\n"
-               "  \"iterations\": %llu,\n"
-               "  \"results\": [\n",
-               static_cast<unsigned long long>(iters));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        out,
-        "    {\"frame_loss\": %.4f, \"sessions\": %zu, \"all_completed\": "
-        "%s, \"max_download_rel_error\": %.6f, \"retransmissions\": %llu, "
-        "\"frames_dropped\": %llu, \"sessions_per_second\": %.2f, "
-        "\"simulated_ms_per_wall_second\": %.1f}%s\n",
-        r.loss_rate, r.sessions, r.all_completed ? "true" : "false",
-        r.max_rel_error, static_cast<unsigned long long>(r.retransmissions),
-        static_cast<unsigned long long>(r.dropped),
-        static_cast<double>(r.sessions) / r.wall_seconds,
-        r.simulated_ms / r.wall_seconds, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("session benchmark written to %s\n", path);
-
-  // The benchmark doubles as an acceptance gate for CI: every session must
-  // complete, and at zero loss the simulation must land within 5 % of Eq. 1
-  // (under injected loss the retries legitimately stretch the downloads).
-  for (const Row& r : rows) {
-    if (!r.all_completed) return 1;
-    if (r.loss_rate == 0.0 && r.max_rel_error > 0.05) return 1;
-  }
-  return 0;
+  return report.Finish(path);
 }

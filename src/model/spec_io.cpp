@@ -1,6 +1,5 @@
 #include "model/spec_io.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -58,30 +57,53 @@ ParsedSpec ParseSpec(std::istream& in) {
     std::istringstream ss(raw);
     std::string keyword;
     if (!(ss >> keyword)) continue;
+    std::vector<std::string> f;  // the fields after the keyword
+    for (std::string token; ss >> token;) f.push_back(token);
+    const std::string subject = keyword + (f.empty() ? "" : " " + f[0]);
+
+    // Requires at least `min` fields and rejects any after the `max`-th.
+    const auto fields = [&](std::size_t min, std::size_t max,
+                            const char* usage) {
+      if (f.size() < min) Fail(lineno, keyword + " needs: " + usage);
+      if (f.size() > max) {
+        Fail(lineno, subject + ": unexpected '" + f[max] +
+                         "' after the last field");
+      }
+    };
+    // Field `i` read strictly by `parse` (util::ParseU32/U64/Real).
+    const auto number = [&](auto parse, std::size_t i, const char* field) {
+      try {
+        return parse(field, f[i]);
+      } catch (const std::invalid_argument& e) {
+        Fail(lineno, subject + ": " + e.what());
+      }
+    };
+    const auto non_negative = [&](std::size_t i, const char* field) {
+      const double value = number(util::ParseReal, i, field);
+      if (value < 0.0) {
+        Fail(lineno, subject + ": " + field + " must be >= 0, got " + f[i]);
+      }
+      return value;
+    };
 
     if (keyword == "resource") {
-      std::string name, kind, bitrate_text;
-      double base_cost = 0, cost_per_byte = 0, bitrate = 500e3;
-      if (!(ss >> name >> kind >> base_cost >> cost_per_byte))
-        Fail(lineno, "resource needs: name kind base_cost cost_per_byte");
-      if (ss >> bitrate_text) {  // optional
-        try {
-          bitrate = util::ParseReal("bitrate", bitrate_text);
-        } catch (const std::invalid_argument& e) {
-          Fail(lineno, "resource " + name + ": " + e.what());
-        }
-      }
-      const ResourceKind resource_kind = KindFromString(kind, lineno);
+      fields(4, 5, "name kind base_cost cost_per_byte [bitrate_bps]");
+      const std::string& name = f[0];
+      const double base_cost = non_negative(2, "base_cost");
+      const double cost_per_byte = non_negative(3, "cost_per_byte");
+      const double bitrate =
+          f.size() > 4 ? number(util::ParseReal, 4, "bitrate") : 500e3;
+      const ResourceKind resource_kind = KindFromString(f[1], lineno);
       if (resource_kind == ResourceKind::Bus && !(bitrate > 0.0)) {
         Fail(lineno, "bus " + name + ": bitrate must be finite and > 0, got " +
-                         bitrate_text);
+                         f[4]);
       }
       if (resources.count(name)) Fail(lineno, "duplicate resource " + name);
       resources[name] = result.spec.Architecture().AddResource(
           {name, resource_kind, base_cost, cost_per_byte, bitrate});
     } else if (keyword == "link") {
-      std::string a, b;
-      if (!(ss >> a >> b)) Fail(lineno, "link needs two resources");
+      fields(2, 2, "two resources");
+      const std::string &a = f[0], &b = f[1];
       if (!resources.count(a)) Fail(lineno, "unknown resource " + a);
       if (!resources.count(b)) Fail(lineno, "unknown resource " + b);
       try {
@@ -90,23 +112,22 @@ ParsedSpec ParseSpec(std::istream& in) {
         Fail(lineno, e.what());
       }
     } else if (keyword == "task") {
-      std::string name;
-      if (!(ss >> name)) Fail(lineno, "task needs a name");
+      fields(1, 1, "a name");
+      const std::string& name = f[0];
       if (tasks.count(name)) Fail(lineno, "duplicate task " + name);
       Task t;
       t.name = name;
       t.kind = TaskKind::Functional;
       tasks[name] = result.spec.Application().AddTask(t);
     } else if (keyword == "message") {
-      std::string name, sender, receivers;
-      std::uint32_t payload = 0;
-      double period = 0;
-      if (!(ss >> name >> sender >> receivers >> payload >> period))
-        Fail(lineno, "message needs: name sender receivers payload period");
+      fields(5, 5, "name sender receivers payload period");
+      const std::string &name = f[0], &sender = f[1];
+      const std::uint32_t payload = number(util::ParseU32, 3, "payload");
+      const double period = number(util::ParseReal, 4, "period");
       if (!tasks.count(sender)) Fail(lineno, "unknown task " + sender);
       // The limits can::CanBus::AddMessage enforces, checked here so a bad
       // spec names its line instead of failing deep in the analysis.
-      if (!std::isfinite(period) || !(period > 0.0)) {
+      if (!(period > 0.0)) {
         Fail(lineno, "message " + name +
                          ": period must be finite and > 0, got " +
                          Number(period));
@@ -121,7 +142,7 @@ ParsedSpec ParseSpec(std::istream& in) {
       m.sender = tasks[sender];
       m.payload_bytes = payload;
       m.period_ms = period;
-      std::stringstream rs(receivers);
+      std::stringstream rs(f[2]);
       std::string recv;
       while (std::getline(rs, recv, ',')) {
         if (!tasks.count(recv)) Fail(lineno, "unknown task " + recv);
@@ -133,8 +154,8 @@ ParsedSpec ParseSpec(std::istream& in) {
         Fail(lineno, e.what());
       }
     } else if (keyword == "mapping") {
-      std::string task, resource;
-      if (!(ss >> task >> resource)) Fail(lineno, "mapping needs task resource");
+      fields(2, 2, "task resource");
+      const std::string &task = f[0], &resource = f[1];
       if (!tasks.count(task)) Fail(lineno, "unknown task " + task);
       if (!resources.count(resource))
         Fail(lineno, "unknown resource " + resource);
@@ -144,21 +165,24 @@ ParsedSpec ParseSpec(std::istream& in) {
         Fail(lineno, e.what());
       }
     } else if (keyword == "profile") {
-      std::string ecu;
+      fields(6, 6, "ecu number prps coverage runtime_ms data_bytes");
       bist::BistProfile p;
-      if (!(ss >> ecu >> p.profile_number >> p.num_random_patterns >>
-            p.fault_coverage_percent >> p.runtime_ms >> p.data_bytes)) {
-        Fail(lineno,
-             "profile needs: ecu number prps coverage runtime_ms data_bytes");
+      p.profile_number = number(util::ParseU32, 1, "number");
+      p.num_random_patterns = number(util::ParseU64, 2, "prps");
+      p.fault_coverage_percent = number(util::ParseReal, 3, "coverage");
+      if (!(p.fault_coverage_percent >= 0.0 &&
+            p.fault_coverage_percent <= 100.0)) {
+        Fail(lineno, subject + ": coverage must be in [0, 100], got " + f[3]);
       }
-      if (!resources.count(ecu)) Fail(lineno, "unknown resource " + ecu);
-      result.profiles[resources[ecu]].push_back(p);
+      p.runtime_ms = non_negative(4, "runtime_ms");
+      p.data_bytes = number(util::ParseU64, 5, "data_bytes");
+      if (!resources.count(f[0])) Fail(lineno, "unknown resource " + f[0]);
+      result.profiles[resources[f[0]]].push_back(p);
     } else if (keyword == "cuttype") {
-      std::string ecu;
-      std::uint32_t type = 0;
-      if (!(ss >> ecu >> type)) Fail(lineno, "cuttype needs: ecu type");
-      if (!resources.count(ecu)) Fail(lineno, "unknown resource " + ecu);
-      result.cut_types[resources[ecu]] = type;
+      fields(2, 2, "ecu type");
+      const std::uint32_t type = number(util::ParseU32, 1, "type");
+      if (!resources.count(f[0])) Fail(lineno, "unknown resource " + f[0]);
+      result.cut_types[resources[f[0]]] = type;
     } else {
       Fail(lineno, "unknown keyword: " + keyword);
     }

@@ -40,7 +40,9 @@ struct ParsedSpec {
 };
 
 /// Parses the text format. Throws std::runtime_error with a line number on
-/// malformed input, unknown names, or forward references.
+/// malformed input, unknown names, or forward references. Numbers are read
+/// strictly (util/parse.hpp); costs and runtimes must be >= 0, coverage in
+/// [0, 100], and a token after a line's last field is an error.
 ParsedSpec ParseSpec(std::istream& in);
 ParsedSpec ParseSpecString(const std::string& text);
 ParsedSpec ParseSpecFile(const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "dse/exploration.hpp"
 #include "model/spec_io.hpp"
@@ -152,6 +153,63 @@ TEST(SpecIo, RejectsUnusableBusAndMessageFields) {
                 .find("payload must be at most 8 bytes, got 4294967295"),
             std::string::npos);
   EXPECT_EQ(ParseError(tasks + "message m a b 8 0.5\n"), "");
+}
+
+// Costs, profile fields and cut types are read as strictly as the bitrate:
+// a sign, a word, a value out of range or a token after a line's last field
+// fails naming the line and the field.
+TEST(SpecIo, RejectsMalformedNumericFieldsAndExtraTokens) {
+  const std::string ecu = "resource ecu1 ecu 10 2e-5\n";
+  const std::string tasks = "task a\ntask b\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {ecu + "profile ecu1 2 500 95.7 1.7 -1\n",
+       "line 2: profile ecu1: invalid data_bytes '-1'"},
+      {"resource ecu2 ecu -14 -2e-5\n",
+       "line 1: resource ecu2: base_cost must be >= 0, got -14"},
+      {"resource ecu2 ecu 14 -2e-5\n",
+       "resource ecu2: cost_per_byte must be >= 0, got -2e-5"},
+      {"resource gw gateway twenty 1e-6\n",
+       "resource gw: invalid base_cost 'twenty'"},
+      {"resource gw gateway 20 1e-6 500000 extra tokens\n",
+       "line 1: resource gw: unexpected 'extra' after the last field"},
+      {ecu + "profile ecu1 -2 500 95.7 1.7 100\n",
+       "profile ecu1: invalid number '-2'"},
+      {ecu + "profile ecu1 2 5e2 95.7 1.7 100\n",
+       "profile ecu1: invalid prps '5e2'"},
+      {ecu + "profile ecu1 2 500 100.5 1.7 100\n",
+       "profile ecu1: coverage must be in [0, 100], got 100.5"},
+      {ecu + "profile ecu1 2 500 -0.5 1.7 100\n",
+       "profile ecu1: coverage must be in [0, 100], got -0.5"},
+      {ecu + "profile ecu1 2 500 nan 1.7 100\n",
+       "profile ecu1: invalid coverage 'nan'"},
+      {ecu + "profile ecu1 2 500 95.7 -1.7 100\n",
+       "profile ecu1: runtime_ms must be >= 0, got -1.7"},
+      {ecu + "profile ecu1 2 500 95.7 1.7 100 7\n",
+       "profile ecu1: unexpected '7' after the last field"},
+      {ecu + "cuttype ecu1 -1\n", "line 2: cuttype ecu1: invalid type '-1'"},
+      {ecu + "cuttype ecu1 4294967296\n",
+       "cuttype ecu1: invalid type '4294967296'"},
+      {ecu + "cuttype ecu1 1 2\n", "cuttype ecu1: unexpected '2'"},
+      {tasks + "message m a b two 10\n", "message m: invalid payload 'two'"},
+      {tasks + "message m a b 2 10ms\n", "message m: invalid period '10ms'"},
+      {tasks + "message m a b 2 10 x\n", "message m: unexpected 'x'"},
+      {"task a b\n", "line 1: task a: unexpected 'b'"},
+      {ecu + "resource can0 bus 1 0\nlink ecu1 can0 gw\n",
+       "line 3: link ecu1: unexpected 'gw'"},
+      {tasks + ecu + "mapping a ecu1 ecu1\n", "mapping a: unexpected 'ecu1'"},
+  };
+  for (const auto& [text, error] : cases) {
+    EXPECT_NE(ParseError(text).find(error), std::string::npos)
+        << text << " -> " << ParseError(text);
+  }
+  // The ends of every range still parse, and the bitrate stays optional.
+  EXPECT_EQ(ParseError(ecu + "resource gw gateway 0 0\n"
+                             "resource can0 bus 0 0 500000\n"
+                             "profile ecu1 0 0 0 0 0\n"
+                             "profile ecu1 4294967295 18446744073709551615 100 "
+                             "0 18446744073709551615\n"
+                             "cuttype ecu1 4294967295\n"),
+            "");
 }
 
 TEST(SpecIo, MissingFileNamesThePath) {
