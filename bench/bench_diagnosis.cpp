@@ -12,9 +12,7 @@
 // zero-copy mmap, open time reported separately from first-query time),
 // sharded into a DictionaryStore, and hit with query batches across thread
 // counts. Baseline is per-query SignatureDiagnosis re-simulation; the run
-// gates on the dictionary batch path clearing 10x its queries/s. Campaign
-// memoization is measured by two profile generators sharing a CampaignMemo:
-// the second generator's random phase must be a cache hit.
+// gates on the dictionary batch path clearing 10x its queries/s.
 //
 // Env: BISTDSE_DIAG_PATTERNS (default 384), BISTDSE_DIAG_SAMPLES (default 30),
 //      BISTDSE_DICT_FAULTS (default 400), BISTDSE_DICT_QUERIES (default 512),
@@ -30,10 +28,8 @@
 #include "bist/diagnosis.hpp"
 #include "bist/diagnosis_eval.hpp"
 #include "bist/dictionary_store.hpp"
-#include "bist/profile_generator.hpp"
 #include "casestudy/casestudy.hpp"
 #include "netlist/random_circuit.hpp"
-#include "sim/campaign_memo.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace bistdse;
@@ -196,15 +192,15 @@ int main(int argc, char** argv) {
   std::printf("  re-simulation baseline: %zu queries in %.3f s "
               "(%.1f queries/s)\n",
               resim_queries, resim_s, resim_qps);
-  bench::Row& fleet = report.AddRow("fleet")
-                          .Set("dict_faults", dict_faults.size())
-                          .Set("windows", built.WindowCount())
-                          .Set("build_seconds", build_s)
-                          .Set("artifact_bytes", artifact_bytes)
-                          .Set("load_seconds", load_s)
-                          .Set("map_seconds", map_s)
-                          .Set("map_first_query_seconds", map_first_query_s)
-                          .Set("resim_queries_per_second", resim_qps);
+  report.AddRow("fleet")
+      .Set("dict_faults", dict_faults.size())
+      .Set("windows", built.WindowCount())
+      .Set("build_seconds", build_s)
+      .Set("artifact_bytes", artifact_bytes)
+      .Set("load_seconds", load_s)
+      .Set("map_seconds", map_s)
+      .Set("map_first_query_seconds", map_first_query_s)
+      .Set("resim_queries_per_second", resim_qps);
 
   // Sharded batch serving across thread counts.
   const std::size_t num_shards =
@@ -243,43 +239,14 @@ int main(int argc, char** argv) {
                 qps / resim_qps);
   }
 
-  // Campaign memoization: a second profile generator over the same
-  // (netlist, PRPG stream, faults) serves its random phase from the memo.
-  sim::CampaignMemo memo;
-  bist::ProfileGeneratorConfig pg_config;
-  pg_config.stumps = dict_config;
-  pg_config.prp_counts = {dict_patterns};
-  pg_config.coverage_targets_percent = {10.0};  // random phase suffices
-  pg_config.fill_seeds = {11};
-  pg_config.memo = &memo;
-  const auto t_cold = std::chrono::steady_clock::now();
-  bist::ProfileGenerator cold(cut, pg_config);
-  (void)cold.GenerateAll();
-  const double cold_s = Seconds(t_cold);
-  const auto t_warm = std::chrono::steady_clock::now();
-  bist::ProfileGenerator warm(cut, pg_config);
-  (void)warm.GenerateAll();
-  const double warm_s = Seconds(t_warm);
-  std::printf("  memoized campaign: cold %.3f s, warm %.3f s, hit rate "
-              "%.0f %% (%llu/%llu)\n",
-              cold_s, warm_s, 100.0 * memo.HitRate(),
-              static_cast<unsigned long long>(memo.Hits()),
-              static_cast<unsigned long long>(memo.Hits() + memo.Misses()));
-
-  fleet.Set("memo.hits", memo.Hits())
-      .Set("memo.misses", memo.Misses())
-      .Set("memo.hit_rate", memo.HitRate())
-      .Set("memo.cold_seconds", cold_s)
-      .Set("memo.warm_seconds", warm_s);
   std::remove(artifact.c_str());
 
   // Strong windows must diagnose at least as well as a plain MISR chain and
-  // reach 70 % top-5, the dictionary batch path must clear 10x the
-  // re-simulation queries/s, and the warm generator must hit the memo.
+  // reach 70 % top-5, and the dictionary batch path must clear 10x the
+  // re-simulation queries/s.
   report.AtLeast("accuracy_ok.top5_vs_plain[window=32]", strong32_top5,
                  plain32_top5);
   report.AtLeast("accuracy_ok.top5[window=32]", strong32_top5, 0.7);
   report.AtLeast("speedup_ok", best_qps / resim_qps, 10.0);
-  report.Above("memo_ok", memo.HitRate(), 0.0);
   return report.Finish(out_path);
 }

@@ -1,20 +1,17 @@
 // Exploration-throughput benchmark over the shared EvaluationEngine: runs
 // the case-study DSE at 1 island and at N islands (one shared engine, one
 // shared objective memo) and reports evaluations per second, the memo
-// hit rate, the island speedup, and the SAT-decode telemetry (search /
-// propagation / inprocessing counters) to BENCH_explore.json.
+// hit rate, the island speedup, and the SAT-decode telemetry (search and
+// propagation counters) to BENCH_explore.json.
 //
-// Two inprocessing ablations ride along:
-//   * the 1-island exploration is repeated with inprocessing off
-//     (SolverConfig::inprocess = false) — the Pareto front must be
-//     bit-identical, which is the canonicity gate for the production config;
-//   * a fixed genotype set is decoded through the routed encoding (the large
-//     instance where probing/SCC/subsumption pay off) with inprocessing on
-//     and off, and both per-decode times land in the JSON.
+// One routed-decode row rides along: a fixed genotype set decoded through
+// the routed encoding (dse::RoutedSatDecoder, the one decoder whose solves
+// hit real conflicts), with its per-decode time, its solver counters and a
+// hash of every decoded model.
 //
 // Env: BISTDSE_EXPLORE_EVALS (default 4000) per-island evaluation budget,
 //      BISTDSE_EXPLORE_ISLANDS (default 8) island count of the second row,
-//      BISTDSE_EXPLORE_ROUTED_DECODES (default 40) routed-ablation decodes.
+//      BISTDSE_EXPLORE_ROUTED_DECODES (default 40) routed decodes.
 // Arg: output path (default BENCH_explore.json).
 #include <cstdio>
 #include <string>
@@ -72,28 +69,18 @@ void SetDecode(bench::Row& row, const std::string& prefix,
       .Set(prefix + "us_per_decode", UsPerDecode(d))
       .Set(prefix + "decisions", s.decisions)
       .Set(prefix + "conflicts", s.conflicts)
-      .Set(prefix + "restarts", s.restarts)
       .Set(prefix + "learned_clauses", s.learned_clauses)
-      .Set(prefix + "reduced_clauses", s.reduced_clauses)
       .Set(prefix + "propagations", s.propagations)
       .Set(prefix + "binary_propagations", s.binary_propagations)
-      .Set(prefix + "pb_propagations", s.pb_propagations)
-      .Set(prefix + "inprocess_runs", s.inprocess_runs)
-      .Set(prefix + "probes", s.probes)
-      .Set(prefix + "probed_literals", s.probed_literals)
-      .Set(prefix + "eliminated_equivalences", s.eliminated_equivalences)
-      .Set(prefix + "subsumed_clauses", s.subsumed_clauses)
-      .Set(prefix + "strengthened_clauses", s.strengthened_clauses);
+      .Set(prefix + "pb_propagations", s.pb_propagations);
 }
 
 /// Decodes `count` genotypes from a fixed seed through the routed encoding
 /// and returns the decoder stats plus a hash of every decoded implementation.
-/// Uses the two-profile case study (~260k SAT variables): big enough that
-/// the inprocessing transforms pay for themselves within a few decodes.
+/// Uses the two-profile case study (~260k SAT variables).
 dse::DecoderStats RoutedDecodeSweep(const casestudy::CaseStudy& cs,
-                                    const sat::SolverConfig& solver_config,
                                     std::size_t count, std::uint64_t* hash) {
-  dse::RoutedSatDecoder decoder(cs.spec, cs.augmentation, 5, solver_config);
+  dse::RoutedSatDecoder decoder(cs.spec, cs.augmentation);
   util::SplitMix64 rng(3);
   Fnv f;
   for (std::size_t i = 0; i < count; ++i) {
@@ -123,7 +110,7 @@ int main(int argc, char** argv) {
       "Case-study NSGA-II exploration through the shared evaluation engine.\n"
       "Islands share one implementation-signature memo, so the hit rate at\n"
       "N islands includes cross-island hits the per-island caches missed.\n"
-      "Rows carry SAT-decode telemetry; inprocessing ablations follow.");
+      "Rows carry SAT-decode telemetry; a routed-decode row follows.");
 
   const auto evals = bench::EnvU64("BISTDSE_EXPLORE_EVALS", 4000);
   const auto islands = bench::EnvU64("BISTDSE_EXPLORE_ISLANDS", 8);
@@ -140,80 +127,50 @@ int main(int argc, char** argv) {
   report.Run().Set("evaluations_per_island", evals);
   // Every run must spend its full budget and produce a non-trivial front,
   // and memoization must be doing real work.
-  const auto run = [&](std::size_t n, bool inprocess) {
-    config.solver.inprocess = inprocess;
+  for (const std::size_t n :
+       {std::size_t{1}, static_cast<std::size_t>(islands)}) {
     const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, n);
     const double hit_rate =
         result.evaluations > 0 ? static_cast<double>(result.eval_cache_hits) /
                                      static_cast<double>(result.evaluations)
                                : 0.0;
-    const std::uint64_t hash = FrontHash(result.pareto);
+    const std::string hash = bench::Hex(FrontHash(result.pareto));
     std::printf(
         "%zu island(s): %zu evaluations (%.1f %% memoized) in %.2f s -> "
-        "%.0f evals/s, front %zu, decode %.1f us/eval\n",
+        "%.0f evals/s, front %zu (hash %s), decode %.1f us/eval\n",
         n, result.evaluations, 100.0 * hit_rate, result.wall_seconds,
-        result.Throughput(), result.pareto.size(),
+        result.Throughput(), result.pareto.size(), hash.c_str(),
         UsPerDecode(result.decoder_stats));
     bench::Row& row = report.AddRow("results")
                           .Set("islands", n)
-                          .Set("inprocess", inprocess)
                           .Set("evaluations", result.evaluations)
                           .Set("evals_per_second", result.Throughput())
                           .Set("cache_hit_rate", hit_rate)
                           .Set("front_size", result.pareto.size())
-                          .Set("front_hash", bench::Hex(hash))
+                          .Set("front_hash", hash)
                           .Set("wall_seconds", result.wall_seconds);
     SetDecode(row, "decode.", result.decoder_stats);
-    const std::string at = "[islands=" + std::to_string(n) +
-                           (inprocess ? "]" : ",inprocess=false]");
+    const std::string at = "[islands=" + std::to_string(n) + "]";
     report.Equal("evaluations" + at, result.evaluations, n * evals);
     report.AtLeast("front_size" + at, result.pareto.size(), 4);
     report.Above("cache_hits" + at, result.eval_cache_hits, 0);
-    return hash;
-  };
-  const std::uint64_t front_on = run(1, true);
-  run(islands, true);
+  }
 
-  // Ablation 1 — canonicity gate: the same exploration with every
-  // inprocessing transform off must reproduce the front bit-identically
-  // (pinned decision order makes the decoded model unique; see sat/).
-  const std::uint64_t front_off = run(1, false);
-  std::printf("inprocessing off: front %s (hash %s vs %s)\n",
-              front_off == front_on ? "bit-identical" : "DIFFERS",
-              bench::Hex(front_off).c_str(), bench::Hex(front_on).c_str());
-  report.Equal("front_hash[islands=1,inprocess=false]", bench::Hex(front_off),
-               bench::Hex(front_on));
-
-  // Ablation 2 — the routed encoding (two orders of magnitude more
-  // variables per decode) with inprocessing on vs off, same genotypes.
+  // The routed encoding: two orders of magnitude more variables per decode,
+  // and the one decoder whose solves learn clauses.
   auto routed_profiles = casestudy::PaperTableI();
   routed_profiles.resize(2);
   const auto routed_cs = casestudy::BuildCaseStudy(routed_profiles, 42);
-  std::uint64_t routed_on_hash = 0, routed_off_hash = 0;
-  const auto routed_on = RoutedDecodeSweep(routed_cs, {.inprocess = true},
-                                           routed_decodes, &routed_on_hash);
-  const auto routed_off = RoutedDecodeSweep(routed_cs, {.inprocess = false},
-                                            routed_decodes, &routed_off_hash);
-  std::printf(
-      "routed decode: inprocess on %.0f us/decode, off %.0f us/decode, "
-      "models %s\n",
-      UsPerDecode(routed_on), UsPerDecode(routed_off),
-      routed_on_hash == routed_off_hash ? "bit-identical" : "DIFFER");
-  bench::Row& routed =
-      report.AddRow("routed_ablation")
-          .Set("decodes", routed_decodes)
-          .Set("models_identical", routed_on_hash == routed_off_hash);
-  SetDecode(routed, "inprocess_on.", routed_on);
-  SetDecode(routed, "inprocess_off.", routed_off);
-
-  // The routed ablation must decode the same models with inprocessing no
-  // slower than 1.05x the transform-free solver (measured ~0.8x; generous
-  // slop for noisy CI machines).
-  report.Equal("routed_model_hash[inprocess=false]", bench::Hex(routed_off_hash),
-               bench::Hex(routed_on_hash));
-  report.Equal("routed_decodes[inprocess=false]", routed_off.decodes,
-               routed_on.decodes);
-  report.AtMost("routed_us_per_decode_on_over_off",
-                UsPerDecode(routed_on) / UsPerDecode(routed_off), 1.05);
+  std::uint64_t routed_hash = 0;
+  const auto routed = RoutedDecodeSweep(routed_cs, routed_decodes, &routed_hash);
+  std::printf("routed decode: %.0f us/decode over %llu decodes, %llu "
+              "conflicts, model hash %s\n",
+              UsPerDecode(routed),
+              static_cast<unsigned long long>(routed.decodes),
+              static_cast<unsigned long long>(routed.solver.conflicts),
+              bench::Hex(routed_hash).c_str());
+  SetDecode(report.AddRow("routed_decode").Set("model_hash",
+                                               bench::Hex(routed_hash)),
+            "decode.", routed);
   return report.Finish(path);
 }

@@ -17,28 +17,6 @@
 
 namespace bistdse::bist {
 
-/// Identity key of the PrpgSource stream for campaign memoization: the
-/// fields bist::PatternSource actually reads (PRPG polynomial degree and
-/// seed, phase-shifter wiring) plus the emitted width. Two configs with the
-/// same key produce bit-identical pattern streams.
-inline std::uint64_t PrpgStreamKey(const StumpsConfig& config,
-                                   std::size_t width) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(width);
-  mix(config.prpg_degree);
-  mix(config.prpg_seed);
-  mix(config.use_phase_shifter ? 1 : 0);
-  if (config.use_phase_shifter) {
-    mix(config.num_scan_chains);
-    mix(config.phase_shifter_seed);
-  }
-  return h;
-}
-
 /// The endless pseudo-random phase: campaign length is bounded by
 /// RunOptions::max_patterns (or a sink stopping the run), never by the
 /// source.

@@ -120,13 +120,14 @@ void ProfileGenerator::RunRandomPhase() {
   // Drop campaign over the PRPG stream. The runner handles the narrow
   // warm-up head (drop-heavy start runs at W = 1, sparse survivor tail runs
   // wide — see docs/PERF.md) and the serial fault-order drop merge, so
-  // first_detect_ is bit-identical for every width x thread combination —
-  // which is also what makes the result memoizable across generators.
-  const std::size_t width = netlist_.CoreInputs().size();
-  PrpgSource source(config_.stumps, width);
-  const sim::CampaignStats stats = sim::RunFirstDetectMemoized(
-      runner_, source, PrpgStreamKey(config_.stumps, width), faults_,
-      first_detect_, max_prps, /*warmup=*/true, config_.memo);
+  // first_detect_ is bit-identical for every width x thread combination.
+  PrpgSource source(config_.stumps, netlist_.CoreInputs().size());
+  sim::FirstDetectSink sink(first_detect_);
+  const sim::CampaignStats stats = runner_.Run(source, sink,
+                                               {.max_patterns = max_prps,
+                                                .track = faults_,
+                                                .drop_detected = true,
+                                                .warmup = true});
   stats_.random_detected_at_max_prps =
       static_cast<std::size_t>(stats.dropped);
   random_phase_done_ = true;

@@ -12,7 +12,6 @@
 #include "bist/stumps.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/campaign.hpp"
-#include "sim/campaign_memo.hpp"
 
 namespace bistdse::bist {
 
@@ -58,11 +57,6 @@ struct ProfileGeneratorConfig {
   /// blocks do more union-cone work than the drops they save; the sparse
   /// survivor tail is then swept W times fewer. 0 = wide from pattern 0.
   std::uint64_t narrow_warmup_patterns = 512;
-  /// Shared first-detect campaign memo (nullptr = no memoization). With a
-  /// memo, generators over the same (netlist, PRPG stream, fault list) reuse
-  /// each other's random phase — including the fresh generator GenerateOne
-  /// spawns for a session longer than the configured maximum. Not owned.
-  sim::CampaignMemo* memo = nullptr;
 
   /// Throws std::invalid_argument naming the field unless the profile matrix
   /// is usable: one fill seed per coverage target, non-empty prp_counts and

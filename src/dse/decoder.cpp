@@ -23,10 +23,9 @@ void GenotypePolicy::Apply(const moea::Genotype& genotype,
 
 SatDecoder::SatDecoder(const model::Specification& spec,
                        const model::BistAugmentation& augmentation,
-                       bool validate_each_decode,
-                       const sat::SolverConfig& solver_config)
+                       bool validate_each_decode)
     : spec_(spec),
-      problem_(spec, augmentation, solver_config),
+      problem_(spec, augmentation),
       routes_(spec.Architecture()),
       validate_each_decode_(validate_each_decode) {}
 

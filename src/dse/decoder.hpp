@@ -18,8 +18,8 @@ struct DecoderStats {
   std::uint64_t validation_failures = 0;
   /// Wall time spent inside sat::Solver::Solve() across all decodes.
   double decode_seconds = 0.0;
-  /// Per-phase counters of the underlying solver (search / propagation /
-  /// inprocessing), snapshotted after the latest decode.
+  /// Per-phase counters of the underlying solver (search / propagation),
+  /// snapshotted after the latest decode.
   sat::SolverStats solver;
 
   void MergeFrom(const DecoderStats& o) {
@@ -52,8 +52,7 @@ class SatDecoder {
   /// `spec` and `augmentation` must outlive the decoder.
   SatDecoder(const model::Specification& spec,
              const model::BistAugmentation& augmentation,
-             bool validate_each_decode = false,
-             const sat::SolverConfig& solver_config = {});
+             bool validate_each_decode = false);
 
   /// Genes required per genotype (= number of mapping options).
   std::size_t GenotypeSize() const { return problem_.MappingVars().size(); }

@@ -12,9 +12,8 @@ using sat::NegLit;
 using sat::Var;
 
 EncodedProblem::EncodedProblem(const model::Specification& spec,
-                               const model::BistAugmentation& augmentation,
-                               const sat::SolverConfig& solver_config)
-    : spec_(spec), solver_(solver_config) {
+                               const model::BistAugmentation& augmentation)
+    : spec_(spec) {
   const ApplicationGraph& app = spec.Application();
   const auto mappings = spec.Mappings();
 

@@ -27,8 +27,7 @@ class EncodedProblem {
   /// Builds the PB instance for `spec` (must outlive this object).
   /// `augmentation` links each b^T to its b^D for Eq. 3b.
   EncodedProblem(const model::Specification& spec,
-                 const model::BistAugmentation& augmentation,
-                 const sat::SolverConfig& solver_config = {});
+                 const model::BistAugmentation& augmentation);
 
   sat::Solver& SolverRef() { return solver_; }
 

@@ -343,7 +343,7 @@ Objectives EvaluationEngine::EvaluateCached(const model::Implementation& impl,
 EvaluationEngine::Session::Session(EvaluationEngine& engine)
     : engine_(engine),
       decoder_(engine.spec_, engine.augmentation_,
-               engine.config_.validate_each_decode, engine.config_.solver) {}
+               engine.config_.validate_each_decode) {}
 
 std::optional<EvaluationEngine::Evaluated>
 EvaluationEngine::Session::Evaluate(const moea::Genotype& genotype) {

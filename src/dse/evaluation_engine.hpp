@@ -147,9 +147,6 @@ struct EvaluationEngineConfig {
   EvaluationOptions evaluation;
   /// Objective pipeline; empty selects DefaultStages(false).
   StageList stages;
-  /// Behavior knobs of the SAT-decoding core (inprocessing, learned-clause
-  /// reduction, tail decision policy) used by every session's decoder.
-  sat::SolverConfig solver;
 };
 
 class EvaluationEngine {

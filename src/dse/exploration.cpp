@@ -50,10 +50,7 @@ EvaluationEngineConfig EngineConfigFrom(const ExplorationConfig& config) {
   engine_config.validate_each_decode = config.validate_each_decode;
   engine_config.threads = config.threads;
   engine_config.evaluation = config.evaluation;
-  engine_config.stages =
-      config.stages.empty() ? DefaultStages(config.include_transition_objective)
-                            : config.stages;
-  engine_config.solver = config.solver;
+  engine_config.stages = config.stages;
   return engine_config;
 }
 

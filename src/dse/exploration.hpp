@@ -38,22 +38,16 @@ struct ExplorationConfig {
   /// Stop early when the archive accepts no new point for this many
   /// consecutive generations (0 = run the full evaluation budget).
   std::size_t stagnation_generations = 0;
-  /// Optimize transition-test quality as a fourth objective (requires
-  /// profiles carrying transition_coverage_percent). Shorthand for
-  /// `stages = DefaultStages(true)`.
-  bool include_transition_objective = false;
   /// Objective-evaluation options (e.g. CAN FD mirrored downloads).
   EvaluationOptions evaluation;
   /// Parallelism of batched objective evaluation (EvaluationEngineConfig::
   /// threads): 1 = strictly serial, 0 = one chunk per pool worker. The
   /// Pareto front is bit-identical for every value.
   std::size_t threads = 1;
-  /// Explicit objective pipeline; empty derives it from
-  /// `include_transition_objective` via DefaultStages().
+  /// Objective pipeline; empty selects DefaultStages(false).
+  /// `DefaultStages(true)` adds transition-test quality as a fourth
+  /// objective (requires profiles carrying transition_coverage_percent).
   StageList stages;
-  /// SAT-decoding core knobs (inprocessing, learned-clause reduction, tail
-  /// decision policy) handed to every decoder session.
-  sat::SolverConfig solver;
 };
 
 struct ExplorationEntry {

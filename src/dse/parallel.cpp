@@ -16,16 +16,11 @@ ParallelResult ExploreParallel(const model::Specification& spec,
 
   // One engine for all islands: shared objective memo (cross-island cache
   // hits), one stage list, one set of evaluation options.
-  ExplorationConfig base_config = config;
-  if (base_config.stages.empty()) {
-    base_config.stages = DefaultStages(config.include_transition_objective);
-  }
   EvaluationEngineConfig engine_config;
-  engine_config.validate_each_decode = base_config.validate_each_decode;
-  engine_config.threads = base_config.threads;
-  engine_config.evaluation = base_config.evaluation;
-  engine_config.stages = base_config.stages;
-  engine_config.solver = base_config.solver;
+  engine_config.validate_each_decode = config.validate_each_decode;
+  engine_config.threads = config.threads;
+  engine_config.evaluation = config.evaluation;
+  engine_config.stages = config.stages;
   EvaluationEngine engine(spec, augmentation, engine_config);
 
   // Islands run on the shared executor — the same pool the fault-simulation
@@ -36,8 +31,8 @@ ParallelResult ExploreParallel(const model::Specification& spec,
       0, islands, islands,
       [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
         for (std::size_t i = begin; i < end; ++i) {
-          ExplorationConfig island_config = base_config;
-          island_config.seed = base_config.seed + i;
+          ExplorationConfig island_config = config;
+          island_config.seed = config.seed + i;
           Explorer explorer(engine, island_config);
           results[i] = explorer.Run();
         }

@@ -19,9 +19,8 @@ using sat::Var;
 
 RoutedEncodedProblem::RoutedEncodedProblem(
     const model::Specification& spec,
-    const model::BistAugmentation& augmentation, std::uint32_t max_hops,
-    const sat::SolverConfig& solver_config)
-    : spec_(spec), max_hops_(max_hops), solver_(solver_config) {
+    const model::BistAugmentation& augmentation, std::uint32_t max_hops)
+    : spec_(spec), max_hops_(max_hops) {
   for (std::size_t i = 0; i < spec.Mappings().size(); ++i) {
     mapping_vars_.push_back(solver_.NewVar());
   }
@@ -239,9 +238,8 @@ model::Implementation RoutedEncodedProblem::ImplementationFromModel() const {
 
 RoutedSatDecoder::RoutedSatDecoder(const model::Specification& spec,
                                    const model::BistAugmentation& augmentation,
-                                   std::uint32_t max_hops,
-                                   const sat::SolverConfig& solver_config)
-    : spec_(spec), problem_(spec, augmentation, max_hops, solver_config) {}
+                                   std::uint32_t max_hops)
+    : spec_(spec), problem_(spec, augmentation, max_hops) {}
 
 std::optional<model::Implementation> RoutedSatDecoder::Decode(
     const moea::Genotype& genotype) {

@@ -35,8 +35,7 @@ class RoutedEncodedProblem {
  public:
   RoutedEncodedProblem(const model::Specification& spec,
                        const model::BistAugmentation& augmentation,
-                       std::uint32_t max_hops = 5,
-                       const sat::SolverConfig& solver_config = {});
+                       std::uint32_t max_hops = 5);
 
   sat::Solver& SolverRef() { return solver_; }
   const std::vector<sat::Var>& MappingVars() const { return mapping_vars_; }
@@ -71,8 +70,7 @@ class RoutedSatDecoder {
  public:
   RoutedSatDecoder(const model::Specification& spec,
                    const model::BistAugmentation& augmentation,
-                   std::uint32_t max_hops = 5,
-                   const sat::SolverConfig& solver_config = {});
+                   std::uint32_t max_hops = 5);
 
   std::size_t GenotypeSize() const { return problem_.MappingVars().size(); }
   std::size_t VariableCount() const { return problem_.VariableCount(); }

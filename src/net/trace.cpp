@@ -1,6 +1,8 @@
 #include "net/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <ostream>
 
 namespace bistdse::net {
@@ -37,21 +39,37 @@ std::size_t EventTrace::CountKind(TraceEventKind kind) const {
 
 namespace {
 
+/// A JSON string: quotes and backslashes escaped, control characters as
+/// \u00XX, so a note never breaks the one-object-per-line format.
 void WriteJsonString(std::ostream& out, const std::string& s) {
   out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out << '\\' << c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(c));
+      out << esc;
+    } else {
+      out << c;
+    }
   }
   out << '"';
+}
+
+/// The shortest decimal that reads back as the same double.
+void WriteNumber(std::ostream& out, double value) {
+  char buf[32];
+  out.write(buf, std::to_chars(buf, buf + sizeof buf, value).ptr - buf);
 }
 
 }  // namespace
 
 void EventTrace::WriteJsonl(std::ostream& out) const {
   for (const TraceEvent& e : events_) {
-    out << "{\"t_ms\":" << e.time_ms << ",\"kind\":\"" << ToString(e.kind)
-        << '"';
+    out << "{\"t_ms\":";
+    WriteNumber(out, e.time_ms);
+    out << ",\"kind\":\"" << ToString(e.kind) << '"';
     if (!e.bus.empty()) {
       out << ",\"bus\":";
       WriteJsonString(out, e.bus);

@@ -1,7 +1,5 @@
 #include "sat/clause_db.hpp"
 
-#include <algorithm>
-
 namespace bistdse::sat {
 
 void ClauseDb::AddVar() {
@@ -11,85 +9,28 @@ void ClauseDb::AddVar() {
   implications_.emplace_back();
   pb_occurrences_.emplace_back();
   pb_occurrences_.emplace_back();
-  repr_.push_back(PosLit(static_cast<Var>(repr_.size())));
 }
 
-std::uint32_t ClauseDb::AddLong(std::vector<Lit> lits, bool learned,
-                                std::uint32_t lbd) {
+std::uint32_t ClauseDb::AddLong(std::vector<Lit> lits) {
   const auto index = static_cast<std::uint32_t>(clauses_.size());
-  clauses_.push_back({std::move(lits), learned, false, lbd});
-  const Clause& cl = clauses_.back();
-  watches_[cl.lits[0]].push_back(index);
-  watches_[cl.lits[1]].push_back(index);
-  if (learned) ++live_learned_;
+  watches_[lits[0]].push_back(index);
+  watches_[lits[1]].push_back(index);
+  clauses_.push_back(std::move(lits));
   return index;
 }
 
-void ClauseDb::Remove(std::uint32_t index) {
-  Clause& cl = clauses_[index];
-  if (cl.removed) return;
-  cl.removed = true;
-  if (cl.learned) --live_learned_;
-  // Free the literal storage; the husk stays so indices remain stable.
-  cl.lits.clear();
-  cl.lits.shrink_to_fit();
-}
-
-void ClauseDb::RebuildWatches() {
-  for (auto& w : watches_) w.clear();
-  for (std::uint32_t i = 0; i < clauses_.size(); ++i) {
-    const Clause& cl = clauses_[i];
-    if (cl.removed) continue;
-    watches_[cl.lits[0]].push_back(i);
-    watches_[cl.lits[1]].push_back(i);
-  }
-}
-
 void ClauseDb::AddBinary(Lit a, Lit b) {
-  binaries_.emplace_back(a, b);
   implications_[Negate(a)].push_back(b);
   implications_[Negate(b)].push_back(a);
 }
 
-void ClauseDb::RebuildBinaryAdjacency() {
-  for (auto& [a, b] : binaries_) {
-    if (a > b) std::swap(a, b);
-  }
-  std::sort(binaries_.begin(), binaries_.end());
-  binaries_.erase(std::unique(binaries_.begin(), binaries_.end()),
-                  binaries_.end());
-  for (auto& adj : implications_) adj.clear();
-  for (const auto& [a, b] : binaries_) {
-    implications_[Negate(a)].push_back(b);
-    implications_[Negate(b)].push_back(a);
-  }
-}
-
 std::uint32_t ClauseDb::AddPb(PbConstraint pb) {
   const auto index = static_cast<std::uint32_t>(pbs_.size());
-  pbs_.push_back(std::move(pb));
-  for (const auto& [coef, lit] : pbs_[index].terms) {
+  for (const auto& [coef, lit] : pb.terms) {
     pb_occurrences_[lit].push_back(index);
   }
+  pbs_.push_back(std::move(pb));
   return index;
-}
-
-void ClauseDb::RemovePb(std::uint32_t index) {
-  PbConstraint& pb = pbs_[index];
-  if (pb.removed) return;
-  pb.removed = true;
-  pb.terms.clear();
-  pb.terms.shrink_to_fit();
-}
-
-void ClauseDb::RebuildPbOccurrences() {
-  for (auto& occ : pb_occurrences_) occ.clear();
-  for (std::uint32_t i = 0; i < pbs_.size(); ++i) {
-    if (pbs_[i].removed) continue;
-    for (const auto& [coef, lit] : pbs_[i].terms) {
-      pb_occurrences_[lit].push_back(i);
-    }
-  }
 }
 
 }  // namespace bistdse::sat

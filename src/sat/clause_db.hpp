@@ -1,9 +1,9 @@
 // Constraint store of the layered SAT core: long-clause arena with two
 // watched literals, a dedicated binary-implication graph (2-literal clauses
-// propagate via adjacency lists, not watches), the PB constraint store with
-// per-literal occurrence lists, and the equivalent-literal representative
-// map written by the inprocessor and consulted during decisions and model
-// readout (solution reconstruction).
+// propagate via adjacency lists, not watches), and the PB constraint store
+// with per-literal occurrence lists. The store is append-only: a constraint
+// is never rewritten or removed once added, and learned clauses only join
+// it.
 #pragma once
 
 #include <cstdint>
@@ -14,41 +14,25 @@
 
 namespace bistdse::sat {
 
-struct Clause {
-  std::vector<Lit> lits;
-  bool learned = false;
-  bool removed = false;
-  std::uint32_t lbd = 0;  ///< Literal-block distance at learn time.
-};
-
 struct PbConstraint {
   std::vector<std::pair<std::int64_t, Lit>> terms;  // coef > 0
   std::int64_t bound = 0;
   std::int64_t slack = 0;  // sum of coefs of not-false lits minus bound
-  bool removed = false;
 };
 
 class ClauseDb {
  public:
   /// Grows every per-literal structure for one new variable.
   void AddVar();
-  std::size_t VarCount() const { return repr_.size(); }
 
   // --- long clauses -------------------------------------------------------
-  /// Adds a clause of size >= 3 and attaches its first two literals.
-  std::uint32_t AddLong(std::vector<Lit> lits, bool learned,
-                        std::uint32_t lbd);
-  void Remove(std::uint32_t index);
-  Clause& ClauseAt(std::uint32_t index) { return clauses_[index]; }
-  const Clause& ClauseAt(std::uint32_t index) const { return clauses_[index]; }
-  std::size_t ClauseCount() const { return clauses_.size(); }
-  std::size_t LiveLearnedLong() const { return live_learned_; }
-
+  /// Adds a clause of size >= 3 and watches its first two literals.
+  std::uint32_t AddLong(std::vector<Lit> lits);
+  std::vector<Lit>& ClauseAt(std::uint32_t index) { return clauses_[index]; }
+  const std::vector<Lit>& ClauseAt(std::uint32_t index) const {
+    return clauses_[index];
+  }
   std::vector<std::uint32_t>& Watches(Lit l) { return watches_[l]; }
-  /// Re-derives every watch list from the live clauses (after inprocessing
-  /// rewrote or removed clauses). Requires all clauses to have size >= 2 and
-  /// the first two literals to be valid watches at the current root state.
-  void RebuildWatches();
 
   // --- binary clauses -----------------------------------------------------
   /// Registers (a v b): a false implies b and vice versa.
@@ -56,50 +40,21 @@ class ClauseDb {
   /// Literals implied by `p` being true (adjacency of the implication
   /// graph).
   const std::vector<Lit>& Implications(Lit p) const { return implications_[p]; }
-  /// Ground-truth binary clause list (for inprocessing and fuzz readout).
-  const std::vector<std::pair<Lit, Lit>>& Binaries() const { return binaries_; }
-  std::vector<std::pair<Lit, Lit>>& MutableBinaries() { return binaries_; }
-  /// Re-derives the adjacency lists from Binaries(), deduplicating entries.
-  void RebuildBinaryAdjacency();
 
   // --- pseudo-Boolean constraints -----------------------------------------
   std::uint32_t AddPb(PbConstraint pb);
-  void RemovePb(std::uint32_t index);
   PbConstraint& PbAt(std::uint32_t index) { return pbs_[index]; }
   const PbConstraint& PbAt(std::uint32_t index) const { return pbs_[index]; }
-  std::size_t PbCount() const { return pbs_.size(); }
   const std::vector<std::uint32_t>& PbOccurrences(Lit l) const {
     return pb_occurrences_[l];
   }
-  void RebuildPbOccurrences();
-
-  // --- equivalent-literal representative map ------------------------------
-  /// Resolves `l` through the representative map: the returned literal holds
-  /// the truth value of `l` in the current (possibly merged) formula.
-  Lit Resolve(Lit l) const {
-    for (;;) {
-      Lit r = repr_[VarOf(l)];
-      if (IsNeg(l)) r = Negate(r);
-      if (r == l) return l;
-      l = r;
-    }
-  }
-  bool IsRepresentative(Var v) const { return repr_[v] == PosLit(v); }
-  /// Declares value(PosLit(v)) == value(to). `to` must not resolve to v.
-  void SetRepresentative(Var v, Lit to) { repr_[v] = to; }
 
  private:
-  std::vector<Clause> clauses_;
-  std::size_t live_learned_ = 0;
+  std::vector<std::vector<Lit>> clauses_;
   std::vector<std::vector<std::uint32_t>> watches_;  // per lit
-
-  std::vector<std::pair<Lit, Lit>> binaries_;
-  std::vector<std::vector<Lit>> implications_;  // per lit
-
+  std::vector<std::vector<Lit>> implications_;       // per lit
   std::vector<PbConstraint> pbs_;
   std::vector<std::vector<std::uint32_t>> pb_occurrences_;  // per lit
-
-  std::vector<Lit> repr_;  // per var: literal equal in value to PosLit(var)
 };
 
 }  // namespace bistdse::sat

@@ -42,7 +42,6 @@ Conflict Propagator::Propagate() {
     Conflict pb_conflict{};
     for (const std::uint32_t pi : pb_occs) {
       PbConstraint& pb = db_.PbAt(pi);
-      if (pb.removed) continue;
       for (const auto& [c, l] : pb.terms) {
         if (l == false_lit) {
           pb.slack -= c;
@@ -55,8 +54,7 @@ Conflict Propagator::Propagate() {
     }
     if (pb_conflict.reason.kind != Reason::Kind::None) return pb_conflict;
     for (const std::uint32_t pi : pb_occs) {
-      PbConstraint& pb = db_.PbAt(pi);
-      if (pb.removed) continue;
+      const PbConstraint& pb = db_.PbAt(pi);
       for (const auto& [c, l] : pb.terms) {
         if (c > pb.slack && LitValue(l) == Value::Unassigned) {
           Enqueue(l, {Reason::Kind::Pb, pi});
@@ -83,33 +81,32 @@ Conflict Propagator::Propagate() {
     std::uint32_t conflict_index = 0;
     for (std::size_t i = 0; i < watches.size(); ++i) {
       const std::uint32_t ci = watches[i];
-      Clause& cl = db_.ClauseAt(ci);
-      if (cl.removed) continue;  // lazily dropped from the watch list
-      if (cl.lits[0] == false_lit) std::swap(cl.lits[0], cl.lits[1]);
-      if (LitValue(cl.lits[0]) == Value::True) {
+      std::vector<Lit>& lits = db_.ClauseAt(ci);
+      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+      if (LitValue(lits[0]) == Value::True) {
         watches[keep++] = ci;
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < cl.lits.size(); ++k) {
-        if (LitValue(cl.lits[k]) != Value::False) {
-          std::swap(cl.lits[1], cl.lits[k]);
-          db_.Watches(cl.lits[1]).push_back(ci);
+      for (std::size_t k = 2; k < lits.size(); ++k) {
+        if (LitValue(lits[k]) != Value::False) {
+          std::swap(lits[1], lits[k]);
+          db_.Watches(lits[1]).push_back(ci);
           moved = true;
           break;
         }
       }
       if (moved) continue;
-      // Unit or conflict on cl.lits[0].
+      // Unit or conflict on lits[0].
       watches[keep++] = ci;
-      if (LitValue(cl.lits[0]) == Value::False) {
+      if (LitValue(lits[0]) == Value::False) {
         for (std::size_t j = i + 1; j < watches.size(); ++j)
           watches[keep++] = watches[j];
         clause_conflict = true;
         conflict_index = ci;
         break;
       }
-      Enqueue(cl.lits[0], {Reason::Kind::Clause, ci});
+      Enqueue(lits[0], {Reason::Kind::Clause, ci});
     }
     watches.resize(keep);
     if (clause_conflict) return {{Reason::Kind::Clause, conflict_index}};
@@ -136,7 +133,6 @@ void Propagator::CancelUntil(std::uint32_t level) {
     if (!processed) continue;
     for (const std::uint32_t pi : db_.PbOccurrences(Negate(p))) {
       PbConstraint& pb = db_.PbAt(pi);
-      if (pb.removed) continue;
       for (const auto& [c, l] : pb.terms) {
         if (l == Negate(p)) {
           pb.slack += c;
@@ -152,7 +148,7 @@ void Propagator::CancelUntil(std::uint32_t level) {
 std::vector<Lit> Propagator::ReasonLits(Reason reason, Lit implied) const {
   switch (reason.kind) {
     case Reason::Kind::Clause:
-      return db_.ClauseAt(reason.index).lits;
+      return db_.ClauseAt(reason.index);
     case Reason::Kind::Binary: {
       // Clause (implied v ~premise); the premise literal is in `index`.
       std::vector<Lit> lits;
@@ -185,24 +181,6 @@ std::vector<Lit> Propagator::ConflictLits(const Conflict& conflict) const {
             Negate(static_cast<Lit>(conflict.reason.index))};
   }
   return ReasonLits(conflict.reason, kNoLit);
-}
-
-void Propagator::RecomputePbSlacks() {
-  for (std::uint32_t i = 0; i < db_.PbCount(); ++i) {
-    PbConstraint& pb = db_.PbAt(i);
-    if (pb.removed) continue;
-    std::int64_t not_false = 0;
-    for (const auto& [c, l] : pb.terms) {
-      if (LitValue(l) != Value::False) not_false += c;
-    }
-    pb.slack = not_false - pb.bound;
-  }
-}
-
-void Propagator::ClearRootReasons() {
-  for (std::size_t i = 0; i < RootTrailSize(); ++i) {
-    reasons_[VarOf(trail_[i])] = {Reason::Kind::None, 0};
-  }
 }
 
 }  // namespace bistdse::sat

@@ -36,17 +36,11 @@ class Propagator {
   }
   std::uint32_t LevelOf(Var v) const { return levels_[v]; }
   Reason ReasonOf(Var v) const { return reasons_[v]; }
-  std::uint32_t TrailPos(Var v) const { return trail_pos_[v]; }
 
   std::uint32_t DecisionLevel() const {
     return static_cast<std::uint32_t>(trail_lim_.size());
   }
   const std::vector<Lit>& Trail() const { return trail_; }
-  /// Trail length at the first decision (== root-fact count), or the full
-  /// trail when no decision is active.
-  std::size_t RootTrailSize() const {
-    return trail_lim_.empty() ? trail_.size() : trail_lim_[0];
-  }
 
   void Enqueue(Lit l, Reason reason);
   void PushDecision(Lit l);
@@ -60,13 +54,6 @@ class Propagator {
   std::vector<Lit> ReasonLits(Reason reason, Lit implied) const;
   /// The conflicting-clause literals of a Propagate() conflict.
   std::vector<Lit> ConflictLits(const Conflict& conflict) const;
-
-  /// Recomputes every live PB slack from the current assignment (after
-  /// inprocessing rewrote terms/bounds). Must be called at level 0.
-  void RecomputePbSlacks();
-
-  /// Drops reasons of root-level trail literals (before clause compaction).
-  void ClearRootReasons();
 
  private:
   ClauseDb& db_;

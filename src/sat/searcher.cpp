@@ -5,30 +5,10 @@
 
 namespace bistdse::sat {
 
-namespace {
-
-/// Luby restart sequence (MiniSat formulation).
-std::uint64_t Luby(std::uint64_t x) {
-  std::uint64_t size = 1, seq = 0;
-  while (size < x + 1) {
-    ++seq;
-    size = 2 * size + 1;
-  }
-  while (size - 1 != x) {
-    size = (size - 1) / 2;
-    --seq;
-    x %= size;
-  }
-  return std::uint64_t{1} << seq;
-}
-
-}  // namespace
-
 void Searcher::AddVar() {
   phase_.push_back(0);
   in_policy_.push_back(0);
   seen_.push_back(0);
-  level_seen_.push_back(0);
 }
 
 void Searcher::SetDecisionPolicy(std::span<const Var> order,
@@ -48,13 +28,11 @@ void Searcher::SetDecisionPolicy(std::span<const Var> order,
 }
 
 bool Searcher::PickBranch(Lit& decision) {
-  // Pinned policy prefix: the first variable whose equivalence class is
-  // still unassigned decides its representative with the projected phase.
+  // Pinned policy prefix: the first unassigned variable, pinned phase.
   while (decision_head_ < order_.size()) {
     const Var v = order_[decision_head_];
-    const Lit root = db_.Resolve(PosLit(v));
-    if (prop_.ValueOfVar(VarOf(root)) == Value::Unassigned) {
-      decision = phase_[v] ? root : Negate(root);
+    if (prop_.ValueOfVar(v) == Value::Unassigned) {
+      decision = phase_[v] ? PosLit(v) : NegLit(v);
       return true;
     }
     ++decision_head_;
@@ -63,33 +41,17 @@ bool Searcher::PickBranch(Lit& decision) {
   const auto n = static_cast<Var>(prop_.VarCount());
   while (tail_head_ < n) {
     const Var v = tail_head_;
-    if (!in_policy_[v]) {
-      const Lit root = db_.Resolve(NegLit(v));
-      if (prop_.ValueOfVar(VarOf(root)) == Value::Unassigned) {
-        decision = root;
-        return true;
-      }
+    if (!in_policy_[v] && prop_.ValueOfVar(v) == Value::Unassigned) {
+      decision = NegLit(v);
+      return true;
     }
     ++tail_head_;
   }
   return false;
 }
 
-std::uint32_t Searcher::ComputeLbd(const std::vector<Lit>& lits) {
-  ++level_stamp_;
-  std::uint32_t lbd = 0;
-  for (const Lit l : lits) {
-    const std::uint32_t level = prop_.LevelOf(VarOf(l));
-    if (level_seen_[level] != level_stamp_) {
-      level_seen_[level] = level_stamp_;
-      ++lbd;
-    }
-  }
-  return lbd;
-}
-
 void Searcher::Analyze(const Conflict& conflict, std::vector<Lit>& learnt,
-                       std::uint32_t& backjump_level, std::uint32_t& lbd) {
+                       std::uint32_t& backjump_level) {
   learnt.assign(1, kNoLit);
   ++seen_stamp_;
   const std::uint32_t current_level = prop_.DecisionLevel();
@@ -139,7 +101,6 @@ void Searcher::Analyze(const Conflict& conflict, std::vector<Lit>& learnt,
     }
   }
   if (learnt.size() > 1) std::swap(learnt[1], learnt[max_pos]);
-  lbd = ComputeLbd(learnt);
 }
 
 bool Searcher::LitRedundant(Lit lit) {
@@ -180,31 +141,6 @@ bool Searcher::LitRedundant(Lit lit) {
   return true;
 }
 
-void Searcher::ReduceLearned() {
-  struct Entry {
-    std::uint32_t lbd;
-    std::uint32_t size;
-    std::uint32_t index;
-  };
-  std::vector<Entry> candidates;
-  for (std::uint32_t i = 0; i < db_.ClauseCount(); ++i) {
-    const Clause& cl = db_.ClauseAt(i);
-    if (cl.removed || !cl.learned) continue;
-    if (cl.lbd <= 2) continue;  // glue clauses always survive
-    candidates.push_back(
-        {cl.lbd, static_cast<std::uint32_t>(cl.lits.size()), i});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.lbd != b.lbd) return a.lbd > b.lbd;
-              if (a.size != b.size) return a.size > b.size;
-              return a.index > b.index;  // prefer deleting younger clauses
-            });
-  const std::size_t drop = candidates.size() / 2;
-  for (std::size_t i = 0; i < drop; ++i) db_.Remove(candidates[i].index);
-  stats_.reduced_clauses += drop;
-}
-
 void Searcher::CancelUntil(std::uint32_t level) {
   prop_.CancelUntil(level);
   decision_head_ = 0;
@@ -214,20 +150,14 @@ void Searcher::CancelUntil(std::uint32_t level) {
 SolveResult Searcher::Search() {
   decision_head_ = 0;
   tail_head_ = 0;
-  std::uint64_t restart_index = 0;
-  std::uint64_t conflicts_since_restart = 0;
-  std::uint64_t restart_budget = 64 * Luby(restart_index);
-
   for (;;) {
     const Conflict conflict = prop_.Propagate();
     if (conflict.IsConflict()) {
       ++stats_.conflicts;
-      ++conflicts_since_restart;
       if (prop_.DecisionLevel() == 0) return SolveResult::Unsat;
       std::vector<Lit> learnt;
       std::uint32_t backjump = 0;
-      std::uint32_t lbd = 0;
-      Analyze(conflict, learnt, backjump, lbd);
+      Analyze(conflict, learnt, backjump);
       CancelUntil(backjump);
       if (learnt.size() == 1) {
         if (prop_.LitValue(learnt[0]) == Value::False) {
@@ -242,18 +172,9 @@ SolveResult Searcher::Search() {
         prop_.Enqueue(learnt[0],
                       {Reason::Kind::Binary, Negate(learnt[1])});
       } else {
-        const std::uint32_t ci = db_.AddLong(std::move(learnt), true, lbd);
+        const std::uint32_t ci = db_.AddLong(std::move(learnt));
         ++stats_.learned_clauses;
-        prop_.Enqueue(db_.ClauseAt(ci).lits[0], {Reason::Kind::Clause, ci});
-      }
-      if (conflicts_since_restart >= restart_budget) {
-        ++stats_.restarts;
-        conflicts_since_restart = 0;
-        restart_budget = 64 * Luby(++restart_index);
-        CancelUntil(0);
-        if (db_.LiveLearnedLong() >= config_.reduce_min_learned) {
-          ReduceLearned();
-        }
+        prop_.Enqueue(db_.ClauseAt(ci)[0], {Reason::Kind::Clause, ci});
       }
       continue;
     }

@@ -1,12 +1,11 @@
 // Search loop of the layered SAT core (dawn-style searcher). Decisions
 // follow one static order: the pinned SAT-decoding policy first (genotype
-// order + phases, projected through the equivalent-literal map), then every
-// other variable in ascending index with phase false. A solve therefore
-// returns the lexicographically first model under that order, whatever
-// learning, restarts and inprocessing did on the way (tools/sat_fuzz checks
-// this against a DFS oracle). Luby restarts; 1-UIP clause learning with
-// recursive minimization; LBD-tagged learned clauses reduced at restart
-// boundaries.
+// order + phases), then every other variable in ascending index with phase
+// false. A solve therefore returns the lexicographically first model under
+// that order, whatever learning did on the way (tools/sat_fuzz checks this
+// against a DFS oracle). 1-UIP clause learning with recursive minimization
+// and non-chronological backjumping; learned clauses are kept for every
+// later solve.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +20,8 @@ namespace bistdse::sat {
 
 class Searcher {
  public:
-  Searcher(ClauseDb& db, Propagator& prop, SolverStats& stats,
-           const SolverConfig& config)
-      : db_(db), prop_(prop), stats_(stats), config_(config) {}
+  Searcher(ClauseDb& db, Propagator& prop, SolverStats& stats)
+      : db_(db), prop_(prop), stats_(stats) {}
 
   void AddVar();
 
@@ -41,15 +39,10 @@ class Searcher {
  private:
   bool PickBranch(Lit& decision);
   /// 1-UIP analysis; fills the learnt clause (asserting literal first, a
-  /// highest-level literal second) and the backjump level; tags the LBD.
+  /// highest-level literal second) and the backjump level.
   void Analyze(const Conflict& conflict, std::vector<Lit>& learnt,
-               std::uint32_t& backjump_level, std::uint32_t& lbd);
+               std::uint32_t& backjump_level);
   bool LitRedundant(Lit lit);
-  std::uint32_t ComputeLbd(const std::vector<Lit>& lits);
-  /// Deletes the worst half of the live learned long clauses by (LBD, size);
-  /// glue clauses (LBD <= 2) survive. Runs at decision level 0 only, where
-  /// no learned clause can be a live reason.
-  void ReduceLearned();
   void CancelUntil(std::uint32_t level);
 
   bool Seen(Var v) const { return seen_[v] == seen_stamp_; }
@@ -59,7 +52,6 @@ class Searcher {
   ClauseDb& db_;
   Propagator& prop_;
   SolverStats& stats_;
-  const SolverConfig& config_;
 
   std::vector<Var> order_;            // pinned policy prefix
   std::vector<std::uint8_t> phase_;   // per var, valid for policy vars
@@ -69,8 +61,6 @@ class Searcher {
 
   std::vector<std::uint32_t> seen_;
   std::uint32_t seen_stamp_ = 0;
-  std::vector<std::uint32_t> level_seen_;
-  std::uint32_t level_stamp_ = 0;
 };
 
 }  // namespace bistdse::sat

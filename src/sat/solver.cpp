@@ -25,9 +25,6 @@ void Solver::AddClause(std::vector<Lit> lits) {
   // Constraints are only sound to ingest at the root: assignments left over
   // from a previous Solve() would otherwise be mistaken for root facts.
   prop_.CancelUntil(0);
-  // Constraints added after inprocessing merged variables must be expressed
-  // over representatives, or they would never propagate.
-  for (Lit& l : lits) l = db_.Resolve(l);
   // Deduplicate and detect tautologies / satisfied-at-root clauses.
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
@@ -58,7 +55,7 @@ void Solver::AddClause(std::vector<Lit> lits) {
     db_.AddBinary(kept[0], kept[1]);
     return;
   }
-  db_.AddLong(std::move(kept), false, 0);
+  db_.AddLong(std::move(kept));
 }
 
 void Solver::AddPbGe(std::vector<std::pair<std::int64_t, Lit>> terms,
@@ -76,7 +73,7 @@ void Solver::AddPbGe(std::vector<std::pair<std::int64_t, Lit>> terms,
     if (__builtin_add_overflow(coef_sum, coef, &coef_sum)) {
       throw std::overflow_error("PB coefficient sum overflows int64");
     }
-    by_lit[db_.Resolve(lit)] += coef;
+    by_lit[lit] += coef;
   }
   if (by_lit.empty()) {
     // No terms: the constraint reads 0 >= bound.
@@ -185,17 +182,6 @@ SolveResult Solver::Solve() {
   if (prop_.Propagate().IsConflict()) {
     ok_ = false;
     return SolveResult::Unsat;
-  }
-  if (config_.inprocess &&
-      (!inprocessed_once_ ||
-       stats_.conflicts - conflicts_at_last_inprocess_ >=
-           config_.inprocess_conflict_interval)) {
-    inprocessed_once_ = true;
-    if (!inprocessor_.Run()) {
-      ok_ = false;
-      return SolveResult::Unsat;
-    }
-    conflicts_at_last_inprocess_ = stats_.conflicts;
   }
   const SolveResult result = searcher_.Search();
   if (result == SolveResult::Unsat) ok_ = false;

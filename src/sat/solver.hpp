@@ -6,14 +6,11 @@
 // propagation, binary-implication propagation, PB counter propagation, 1-UIP
 // clause learning and non-chronological backtracking. Re-solving the same
 // instance with a different decision policy is cheap: learned clauses
-// persist across calls, and root-level inprocessing (failed-literal probing,
-// equivalent-literal elimination, subsumption) amortizes across the many
-// decodes of one exploration.
+// persist across calls.
 //
 // The class is a thin facade over the layered core (ClauseDb / Propagator /
-// Searcher / Inprocessor — see sat/types.hpp for the layering map); the
-// public surface is unchanged from the historical monolithic solver except
-// for the optional SolverConfig constructor argument.
+// Searcher — see sat/types.hpp for the layering map); the public surface is
+// unchanged from the historical monolithic solver.
 //
 // PB constraints are normalized to  sum_i a_i * lit_i >= bound  with a_i > 0;
 // AtMostOne/AtLeastOne/ExactlyOne helpers build on clauses + PB.
@@ -24,7 +21,6 @@
 #include <vector>
 
 #include "sat/clause_db.hpp"
-#include "sat/inprocess.hpp"
 #include "sat/propagator.hpp"
 #include "sat/searcher.hpp"
 #include "sat/types.hpp"
@@ -33,11 +29,6 @@ namespace bistdse::sat {
 
 class Solver {
  public:
-  Solver() = default;
-  explicit Solver(const SolverConfig& config) : config_(config) {}
-
-  const SolverConfig& Config() const { return config_; }
-
   Var NewVar();
   std::size_t VarCount() const { return prop_.VarCount(); }
 
@@ -68,9 +59,8 @@ class Solver {
   /// Solves from scratch (prior learned clauses are kept and reused).
   SolveResult Solve();
 
-  /// Model value after Solve() == Sat. Reads through the equivalent-literal
-  /// map, so values of variables merged by inprocessing are reconstructed.
-  Value ValueOf(Var v) const { return prop_.LitValue(db_.Resolve(PosLit(v))); }
+  /// Model value after Solve() == Sat.
+  Value ValueOf(Var v) const { return prop_.ValueOfVar(v); }
   bool IsTrue(Var v) const { return ValueOf(v) == Value::True; }
 
   const SolverStats& Stats() const { return stats_; }
@@ -79,16 +69,12 @@ class Solver {
   /// Asserts a root fact and propagates; clears ok_ on conflict.
   void AssertRootFact(Lit l);
 
-  SolverConfig config_{};
   SolverStats stats_{};
   ClauseDb db_{};
   Propagator prop_{db_, stats_};
-  Searcher searcher_{db_, prop_, stats_, config_};
-  Inprocessor inprocessor_{db_, prop_, stats_};
+  Searcher searcher_{db_, prop_, stats_};
 
   bool ok_ = true;  // false once a top-level contradiction is found
-  bool inprocessed_once_ = false;
-  std::uint64_t conflicts_at_last_inprocess_ = 0;
 };
 
 }  // namespace bistdse::sat

@@ -11,6 +11,10 @@ namespace {
 
 constexpr std::uint32_t kQueryMagic = 0x51534442u;    // "BDSQ" little-endian
 constexpr std::uint32_t kRankingMagic = 0x52534442u;  // "BDSR"
+// Encoded element sizes: window index + two signatures; fault node, fanin
+// index, polarity and score bits.
+constexpr std::size_t kFailDatumBytes = 4 + 8 + 8;
+constexpr std::size_t kCandidateBytes = 4 + 1 + 1 + 8;
 
 std::uint64_t Fnv1a(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -51,6 +55,16 @@ struct Reader {
     std::memcpy(&value, bytes.data() + pos, sizeof(T));
     pos += sizeof(T);
     return value;
+  }
+
+  /// Reads an element count and checks that that many elements of
+  /// `element_bytes` fit the bytes left, before anyone allocates for them.
+  std::uint32_t ReadCount(std::size_t element_bytes) {
+    const auto count = Read<std::uint32_t>();
+    if ((bytes.size() - pos) / element_bytes < count) {
+      throw std::runtime_error(std::string(what) + ": truncated payload");
+    }
+    return count;
   }
 
   std::string ReadString() {
@@ -104,7 +118,7 @@ bist::DictQuery DecodeQuery(std::span<const std::uint8_t> bytes) {
   bist::DictQuery query;
   query.shard.ecu = reader.ReadString();
   query.shard.profile = reader.ReadString();
-  const auto count = reader.Read<std::uint32_t>();
+  const auto count = reader.ReadCount(kFailDatumBytes);
   query.fail_data.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     bist::FailDatum f;
@@ -134,7 +148,7 @@ std::vector<std::uint8_t> EncodeRanking(
 std::vector<bist::DiagnosisCandidate> DecodeRanking(
     std::span<const std::uint8_t> bytes) {
   Reader reader = Open(bytes, kRankingMagic, "wire ranking");
-  const auto count = reader.Read<std::uint32_t>();
+  const auto count = reader.ReadCount(kCandidateBytes);
   std::vector<bist::DiagnosisCandidate> ranking;
   ranking.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -38,19 +38,6 @@ class ConcurrentMemo {
     return shard.map.emplace(key, std::move(value)).first->second;
   }
 
-  /// Inserts (key, value) if absent, or replaces the stored value when
-  /// `better(candidate, stored)` holds — the upsert behind caches whose
-  /// entries subsume each other (e.g. a longer-prefix campaign result
-  /// replacing a shorter one). Returns the value that ended up stored.
-  template <typename Better>
-  Value UpsertIf(const Key& key, Value value, Better&& better) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard lock(shard.mutex);
-    auto [it, inserted] = shard.map.emplace(key, value);
-    if (!inserted && better(value, it->second)) it->second = std::move(value);
-    return it->second;
-  }
-
   /// Canonical value for `key`, computing it via `compute()` (outside the
   /// shard lock) when absent. `*hit` reports whether the lookup succeeded.
   template <typename Compute>

@@ -31,7 +31,7 @@ TEST(DualFaultModel, FourthObjectivePreservesTdfTradePoints) {
     cfg.evaluations = 1500;
     cfg.population_size = 32;
     cfg.seed = 3;
-    cfg.include_transition_objective = include_tdf;
+    cfg.stages = DefaultStages(include_tdf);
     Explorer explorer(cs.spec, cs.augmentation, cfg);
     return explorer.Run();
   };
@@ -68,7 +68,7 @@ TEST(DualFaultModel, TransitionQualityAveragesLikeEq4) {
   cfg.evaluations = 200;
   cfg.population_size = 16;
   cfg.seed = 9;
-  cfg.include_transition_objective = true;
+  cfg.stages = DefaultStages(true);
   Explorer explorer(cs.spec, cs.augmentation, cfg);
   const auto result = explorer.Run();
   for (const auto& e : result.pareto) {

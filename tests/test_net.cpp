@@ -244,13 +244,26 @@ TEST(EventTrace, JsonlIsOneObjectPerLineWithEscaping) {
   trace.Record({1.5, TraceEventKind::PhaseStart, "body", 3, 7, 2,
                 "note with \"quotes\" and \\backslash"});
   trace.Record({2.0, TraceEventKind::FrameDropped, "chassis", 4, 0, 0, ""});
+  // Frames 0.25 ms apart late in a long run keep distinct times, and a time
+  // past 10^6 ms prints without an exponent.
+  trace.Record({123456.789, TraceEventKind::FrameReleased, "", 0, 0, 0, ""});
+  trace.Record({123457.039, TraceEventKind::FrameReleased, "", 0, 0, 0, ""});
+  trace.Record({1234567.25, TraceEventKind::FrameReleased, "", 0, 0, 0, ""});
+  // Control characters in a note are escaped, so a newline cannot split
+  // the object across lines.
+  trace.Record({3.0, TraceEventKind::PhaseEnd, "", 0, 0, 0, "a\x01" "b\nc"});
   std::ostringstream out;
   trace.WriteJsonl(out);
   const std::string text = out.str();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 6);
   EXPECT_NE(text.find("\"kind\":\"phase_start\""), std::string::npos);
   EXPECT_NE(text.find("\\\"quotes\\\""), std::string::npos);
   EXPECT_NE(text.find("\\\\backslash"), std::string::npos);
+  EXPECT_NE(text.find("{\"t_ms\":123456.789,"), std::string::npos);
+  EXPECT_NE(text.find("{\"t_ms\":123457.039,"), std::string::npos);
+  EXPECT_NE(text.find("{\"t_ms\":1234567.25,"), std::string::npos);
+  EXPECT_NE(text.find("\"note\":\"a\\u0001b\\u000ac\"}\n"),
+            std::string::npos);
   EXPECT_EQ(trace.CountKind(TraceEventKind::FrameDropped), 1u);
   trace.Clear();
   EXPECT_TRUE(trace.Events().empty());

@@ -221,7 +221,6 @@ TEST(RoutingEncoding, DecodeFingerprintMatchesSeedSolverOnCaseStudy) {
     f.Add(*impl);
   }
   EXPECT_EQ(f.h, 0x82d60ba76425e5cfULL);
-  EXPECT_GE(routed.Stats().solver.inprocess_runs, 1u);
 }
 
 TEST(RoutingEncoding, SupportsRedundantArchitectures) {

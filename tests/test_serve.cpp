@@ -15,7 +15,9 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -147,6 +149,41 @@ TEST_F(ServeTest, WireRejectsMalformedBuffers) {
   const auto ranking_bytes = wire::EncodeRanking({});
   EXPECT_THROW(wire::DecodeQuery(ranking_bytes), std::runtime_error);
   EXPECT_THROW(wire::DecodeRanking(bytes), std::runtime_error);
+
+  // A correctly sealed payload whose element count overstates the bytes
+  // that follow is truncated; no allocation is sized from the count.
+  const auto reseal_with_huge_count = [](std::vector<std::uint8_t> buffer,
+                                         std::size_t count_offset) {
+    const std::uint32_t count = 0xFFFFFFFFu;
+    std::memcpy(buffer.data() + count_offset, &count, sizeof count);
+    const std::size_t body = buffer.size() - sizeof(std::uint64_t);
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a seal over the body
+    for (std::size_t i = 0; i < body; ++i) {
+      h = (h ^ buffer[i]) * 0x100000001b3ULL;
+    }
+    std::memcpy(buffer.data() + body, &h, sizeof h);
+    return buffer;
+  };
+  const auto error_of = [](const auto& decode) -> std::string {
+    try {
+      decode();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  // Query layout: magic, two length-prefixed strings, then the count.
+  const auto& shard = queries_.front().shard;
+  const auto forged_query = reseal_with_huge_count(
+      bytes, 4 + (4 + shard.ecu.size()) + (4 + shard.profile.size()));
+  EXPECT_EQ(error_of([&] { wire::DecodeQuery(forged_query); }),
+            "wire query: truncated payload");
+  // Ranking layout: magic, then the count.
+  const bist::DiagnosisCandidate candidate{};
+  const auto forged_ranking = reseal_with_huge_count(
+      wire::EncodeRanking(std::span(&candidate, 1)), 4);
+  EXPECT_EQ(error_of([&] { wire::DecodeRanking(forged_ranking); }),
+            "wire ranking: truncated payload");
 }
 
 TEST_F(ServeTest, ServedRankingsBitIdenticalAcrossThreadsAndLoss) {

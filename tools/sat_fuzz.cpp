@@ -10,15 +10,13 @@
 // abandons a branch once some constraint has no satisfying completion. It
 // shares no code with the solver.
 //
-// Per iteration a random CNF+PB instance is loaded into three solvers: the
-// default configuration, inprocessing off, and one that receives the
-// constraints in shuffled order and re-inprocesses every 50 conflicts. Each
+// Per iteration a random CNF+PB instance is loaded into two solvers: one
+// receives the constraints in order, the other in shuffled order. Each
 // instance is solved under one to three random policies, full (every
-// variable pinned) or partial (half pinned); learned clauses and
-// inprocessing state persist across solves, as in SAT-decoding. Every solve
-// must match the oracle's verdict and, when SAT, its exact model. A mismatch
-// prints the instance, the policy, both models and a command line that
-// replays it.
+// variable pinned) or partial (half pinned); learned clauses persist across
+// solves, as in SAT-decoding. Every solve must match the oracle's verdict
+// and, when SAT, its exact model. A mismatch prints the instance, the
+// policy, both models and a command line that replays it.
 //
 // Usage: sat_fuzz [--iters N] [--seed S]   (defaults: 200 iterations, seed 1)
 #include <cstdint>
@@ -40,7 +38,6 @@ using bistdse::sat::Lit;
 using bistdse::sat::NegLit;
 using bistdse::sat::PosLit;
 using bistdse::sat::Solver;
-using bistdse::sat::SolverConfig;
 using bistdse::sat::Var;
 using bistdse::sat::VarOf;
 using bistdse::util::SplitMix64;
@@ -218,10 +215,10 @@ void PrintLit(Lit l) {
 /// Prints everything needed to reproduce a mismatch to stderr.
 void ReportMismatch(const Instance& inst, const Policy& policy,
                     const Model& expected, const Model& got,
-                    const char* config, std::uint64_t seed,
+                    const char* solver, std::uint64_t seed,
                     std::uint64_t iter, std::size_t round) {
   std::fprintf(stderr, "iter %llu round %zu: solver '%s' %s the oracle\n",
-               static_cast<unsigned long long>(iter), round, config,
+               static_cast<unsigned long long>(iter), round, solver,
                expected.has_value() != got.has_value()
                    ? "disagrees on the verdict with"
                    : "returns another model than");
@@ -250,7 +247,7 @@ void ReportMismatch(const Instance& inst, const Policy& policy,
                  static_cast<unsigned>(policy.phases[i]));
   }
   std::fprintf(stderr, "\nmodels, var 0 first:\n  oracle: %s\n  %s: %s\n",
-               Bits(expected).c_str(), config, Bits(got).c_str());
+               Bits(expected).c_str(), solver, Bits(got).c_str());
   std::fprintf(stderr, "replay: sat_fuzz --seed %llu --iters %llu\n",
                static_cast<unsigned long long>(seed),
                static_cast<unsigned long long>(iter + 1));
@@ -271,18 +268,8 @@ int main(int argc, char** argv) {
   const std::uint64_t iters = flags.U64("iters", 200);
   const std::uint64_t seed = flags.U64("seed", 1);
 
-  struct FuzzConfig {
-    const char* name;
-    SolverConfig solver;
-    bool shuffled;  // constraints inserted in shuffled order
-  };
-  SolverConfig no_inprocess;
-  no_inprocess.inprocess = false;
-  SolverConfig often;
-  often.inprocess_conflict_interval = 50;
-  const FuzzConfig configs[] = {{"default", {}, false},
-                                {"no-inprocess", no_inprocess, false},
-                                {"shuffled", often, true}};
+  // solvers[0] receives the constraints in order, solvers[1] shuffled.
+  const char* const names[] = {"in-order", "shuffled"};
 
   std::uint64_t sat_count = 0, partial_count = 0, unsat_count = 0;
   std::uint64_t solve_count = 0;
@@ -303,29 +290,24 @@ int main(int argc, char** argv) {
       std::swap(shuffled_pbs[i - 1], shuffled_pbs[rng.Below(i)]);
     }
 
-    // Built in place: a Solver's layers hold references into the object.
-    Solver solvers[] = {Solver(configs[0].solver), Solver(configs[1].solver),
-                        Solver(configs[2].solver)};
-    for (std::size_t k = 0; k < std::size(configs); ++k) {
-      const bool shuffled = configs[k].shuffled;
-      Load(solvers[k], inst, shuffled ? shuffled_clauses : clause_order,
-           shuffled ? shuffled_pbs : pb_order);
-    }
+    Solver solvers[std::size(names)];
+    Load(solvers[0], inst, clause_order, pb_order);
+    Load(solvers[1], inst, shuffled_clauses, shuffled_pbs);
 
-    // Several solves per instance: learned clauses and inprocessing state
-    // persist, mirroring the SAT-decoding usage pattern.
+    // Several solves per instance: learned clauses persist, mirroring the
+    // SAT-decoding usage pattern.
     const std::size_t rounds = 1 + rng.Below(3);
     for (std::size_t round = 0; round < rounds; ++round) {
       const bool full = rng.Chance(0.7);
       const Policy policy = RandomPolicy(rng, inst.vars, full);
       const Model expected = OracleModel(inst, policy);
-      for (std::size_t k = 0; k < std::size(configs); ++k) {
+      for (std::size_t k = 0; k < std::size(names); ++k) {
         solvers[k].SetDecisionPolicy(policy.order, policy.phases);
         const Model got = Decode(solvers[k], inst.vars);
         ++solve_count;
         if (got != expected) {
-          ReportMismatch(inst, policy, expected, got, configs[k].name, seed,
-                         iter, round);
+          ReportMismatch(inst, policy, expected, got, names[k], seed, iter,
+                         round);
           return 1;
         }
       }
