@@ -17,7 +17,7 @@
 #include "can/mirroring.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 
 using namespace bistdse;
 
@@ -83,8 +83,7 @@ int main() {
   config.evaluations = evals;
   config.population_size = 100;
   config.seed = 11;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
 
   // From the free exploration: cheapest and fastest points at >= 95 quality.
   const dse::ExplorationEntry* cheapest = nullptr;

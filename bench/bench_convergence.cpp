@@ -15,9 +15,8 @@
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
 #include "dse/objectives.hpp"
+#include "moea/algorithm.hpp"
 #include "moea/indicators.hpp"
-#include "moea/nsga2.hpp"
-#include "moea/spea2.hpp"
 
 using namespace bistdse;
 
@@ -38,14 +37,16 @@ RunResult RunOnce(const casestudy::CaseStudy& cs, bool biased_init,
                   double mutation_scale, std::size_t evals,
                   bool use_spea2 = false) {
   dse::SatDecoder decoder(cs.spec, cs.augmentation);
-  moea::Nsga2Config config;
+  moea::AlgorithmConfig config;
   config.population_size = 100;
   config.genotype_size = decoder.GenotypeSize();
   config.biased_phase_init = biased_init;
   config.mutation_rate =
       mutation_scale / static_cast<double>(decoder.GenotypeSize());
   config.seed = 17;
-  moea::Nsga2 nsga2(config);
+  const auto algorithm = moea::MakeAlgorithm(
+      use_spea2 ? moea::AlgorithmKind::Spea2 : moea::AlgorithmKind::Nsga2,
+      config);
 
   RunResult rr;
   const moea::Evaluator evaluator =
@@ -67,20 +68,7 @@ RunResult RunOnce(const casestudy::CaseStudy& cs, bool biased_init,
           rr.hv_trace.emplace_back(done, moea::Hypervolume(pts, kReference));
         }
       };
-  moea::Nsga2Result result;
-  if (use_spea2) {
-    moea::Spea2Config spea_config;
-    spea_config.population_size = config.population_size;
-    spea_config.archive_size = config.population_size;
-    spea_config.genotype_size = config.genotype_size;
-    spea_config.mutation_rate = config.mutation_rate;
-    spea_config.biased_phase_init = config.biased_phase_init;
-    spea_config.seed = config.seed;
-    moea::Spea2 spea2(spea_config);
-    result = spea2.Run(evaluator, evals, trace);
-  } else {
-    result = nsga2.Run(evaluator, evals, trace);
-  }
+  const moea::MoeaResult result = algorithm->Run(evaluator, evals, trace);
 
   std::vector<moea::ObjectiveVector> pts;
   for (const auto& e : result.archive.Entries()) {

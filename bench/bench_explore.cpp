@@ -1,8 +1,11 @@
-// Exploration-throughput benchmark over the shared EvaluationEngine: runs
-// the case-study DSE at 1 island and at N islands (one shared engine, one
-// shared objective memo) and reports evaluations per second, the memo
-// hit rate, the island speedup, and the SAT-decode telemetry (search and
-// propagation counters) to BENCH_explore.json.
+// Exploration-throughput benchmark: runs the case-study DSE through
+// dse::ExploreParallel at 1 island and at N islands (each island with its
+// own EvaluationEngine: decoder and objective memo) and reports evaluations
+// per second, the memo hit rate, the island speedup, and the SAT-decode
+// telemetry (search and propagation counters) to BENCH_explore.json.
+//
+// At the default sizes the two front hashes, both memo-hit counts and the
+// routed model hash are gated for equality: all five are deterministic.
 //
 // One routed-decode row rides along: a fixed genotype set decoded through
 // the routed encoding (dse::RoutedSatDecoder, the one decoder whose solves
@@ -106,10 +109,10 @@ dse::DecoderStats RoutedDecodeSweep(const casestudy::CaseStudy& cs,
 int main(int argc, char** argv) {
   const char* path = argc > 1 ? argv[1] : "BENCH_explore.json";
   bench::PrintHeader(
-      "Exploration throughput — shared EvaluationEngine at 1 and N islands",
-      "Case-study NSGA-II exploration through the shared evaluation engine.\n"
-      "Islands share one implementation-signature memo, so the hit rate at\n"
-      "N islands includes cross-island hits the per-island caches missed.\n"
+      "Exploration throughput — ExploreParallel at 1 and N islands",
+      "Case-study NSGA-II exploration. Each island owns its decoder and its\n"
+      "implementation-signature memo, so the hit count at N islands is the\n"
+      "sum of N independent islands.\n"
       "Rows carry SAT-decode telemetry; a routed-decode row follows.");
 
   const auto evals = bench::EnvU64("BISTDSE_EXPLORE_EVALS", 4000);
@@ -123,12 +126,20 @@ int main(int argc, char** argv) {
   config.population_size = 100;
   config.seed = 1;
 
+  // Fronts, memo hits and routed models recorded at the default sizes.
+  const bool pinned = evals == 4000 && islands == 8 && routed_decodes == 40;
+  struct Pin {
+    const char* front_hash;
+    std::size_t cache_hits;
+  };
+  const Pin pins[] = {{"0x21ae9c70c4d4665c", 448}, {"0x6d2ef18e7e1773d5", 3336}};
+
   bench::Report report("explore_throughput");
   report.Run().Set("evaluations_per_island", evals);
   // Every run must spend its full budget and produce a non-trivial front,
   // and memoization must be doing real work.
-  for (const std::size_t n :
-       {std::size_t{1}, static_cast<std::size_t>(islands)}) {
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t n = i == 0 ? 1 : static_cast<std::size_t>(islands);
     const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, n);
     const double hit_rate =
         result.evaluations > 0 ? static_cast<double>(result.eval_cache_hits) /
@@ -153,7 +164,13 @@ int main(int argc, char** argv) {
     const std::string at = "[islands=" + std::to_string(n) + "]";
     report.Equal("evaluations" + at, result.evaluations, n * evals);
     report.AtLeast("front_size" + at, result.pareto.size(), 4);
-    report.Above("cache_hits" + at, result.eval_cache_hits, 0);
+    if (pinned) {
+      report.Equal("front_hash" + at, hash, pins[i].front_hash);
+      report.Equal("cache_hits" + at, result.eval_cache_hits,
+                   pins[i].cache_hits);
+    } else {
+      report.Above("cache_hits" + at, result.eval_cache_hits, 0);
+    }
   }
 
   // The routed encoding: two orders of magnitude more variables per decode,
@@ -172,5 +189,9 @@ int main(int argc, char** argv) {
   SetDecode(report.AddRow("routed_decode").Set("model_hash",
                                                bench::Hex(routed_hash)),
             "decode.", routed);
+  if (pinned) {
+    report.Equal("routed_model_hash", bench::Hex(routed_hash),
+                 "0x951f9d2cc9c6cba6");
+  }
   return report.Finish(path);
 }

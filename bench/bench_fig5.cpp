@@ -13,7 +13,7 @@
 
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/refine.hpp"
 
 using namespace bistdse;
@@ -35,8 +35,7 @@ int main() {
   config.population_size = pop;
   config.mutation_rate = 3.0 / 2236.0;
   config.seed = seed;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
 
   // Wall time goes to stderr: stdout is pinned byte for byte
   // (bench/fig5.expected).

@@ -14,7 +14,7 @@
 
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 
 using namespace bistdse;
 
@@ -47,8 +47,7 @@ int main() {
   config.population_size = 150;
   config.mutation_rate = 3.0 / 2236.0;
   config.seed = seed;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
   std::printf("\n(front of %zu implementations from %zu evaluations)\n\n",
               result.pareto.size(), result.evaluations);
 

@@ -11,7 +11,7 @@
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 
 using namespace bistdse;
 
@@ -75,8 +75,7 @@ int main() {
   config.evaluations = evals;
   config.population_size = 120;
   config.seed = 2;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
 
   // Wall time goes to stderr: stdout is pinned byte for byte
   // (bench/future.expected).

@@ -10,7 +10,6 @@
 
 #include "bench_util.hpp"
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
 #include "dse/parallel.hpp"
 
 using namespace bistdse;
@@ -27,8 +26,7 @@ int main() {
   config.evaluations = evals;
   config.population_size = 100;
   config.seed = 3;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
 
   // Wall-clock figures go to stderr: stdout is pinned byte for byte
   // (bench/runtime.expected).
@@ -53,8 +51,7 @@ int main() {
     for (int i = 0; i < 4; ++i) {
       dse::ExplorationConfig c = island_config;
       c.seed = 100 + i;
-      dse::Explorer e(cs.spec, cs.augmentation, c);
-      e.Run();
+      dse::ExploreParallel(cs.spec, cs.augmentation, c, 1);
     }
     const double seq_s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - seq_start)
@@ -79,8 +76,7 @@ int main() {
   for (std::uint64_t s = 1; s <= 4; ++s) {
     dse::ExplorationConfig c = config;
     c.seed = s;
-    dse::Explorer e(cs.spec, cs.augmentation, c);
-    const auto r = e.Run();
+    const auto r = dse::ExploreParallel(cs.spec, cs.augmentation, c, 1);
     double best = -1.0;
     for (const auto& entry : r.pareto) {
       const auto& o = entry.objectives;

@@ -8,7 +8,7 @@
 #include <cstdlib>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 
 using namespace bistdse;
 
@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
   config.evaluations = evals;
   config.population_size = 100;
   config.seed = 1;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
   std::printf("explored %zu implementations in %.1f s -> %zu Pareto-optimal\n\n",
               result.evaluations, result.wall_seconds, result.pareto.size());
 

@@ -9,7 +9,7 @@
 #include <cstdlib>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/partial_networking.hpp"
 
 using namespace bistdse;
@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   config.evaluations = evals;
   config.population_size = 64;
   config.seed = 21;
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
   std::printf("explored %zu implementations, front size %zu\n\n",
               result.evaluations, result.pareto.size());
 

@@ -4,7 +4,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "model/specification.hpp"
 
 using namespace bistdse;
@@ -84,8 +84,7 @@ int main() {
   config.evaluations = 2000;
   config.population_size = 32;
   config.validate_each_decode = true;
-  dse::Explorer explorer(spec, augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(spec, augmentation, config, 1);
 
   std::printf("evaluated %zu implementations in %.2f s (%.0f/s)\n",
               result.evaluations, result.wall_seconds, result.Throughput());

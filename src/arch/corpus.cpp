@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dse/parallel.hpp"
 #include "dse/report.hpp"
 #include "util/rng.hpp"
 
@@ -92,8 +93,8 @@ CorpusSweepReport SweepCorpus(const CorpusSpec& corpus,
     config.evaluation.use_can_fd |= result.fd_buses > 0;
 
     const auto t_explore = std::chrono::steady_clock::now();
-    dse::Explorer explorer(topo.spec, topo.augmentation, config);
-    const dse::ExplorationResult front = explorer.Run();
+    const dse::ExplorationResult front =
+        dse::ExploreParallel(topo.spec, topo.augmentation, config, 1);
     result.explore_seconds = Seconds(t_explore);
     result.pareto_size = front.pareto.size();
 

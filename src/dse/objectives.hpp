@@ -4,22 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <vector>
 
 #include "model/implementation.hpp"
 #include "model/specification.hpp"
 #include "moea/dominance.hpp"
 
 namespace bistdse::dse {
-
-class ObjectiveStage;
-
-/// Ordered objective-stage pipeline (see dse/evaluation_engine.hpp). The
-/// stage list is the single source of truth for the minimization vector's
-/// dimensionality and layout.
-using StageList = std::vector<std::shared_ptr<const ObjectiveStage>>;
 
 struct Objectives {
   /// Eq. 4 [%]: average stuck-at coverage over allocated ECUs (maximize).
@@ -50,8 +40,7 @@ struct Objectives {
 
   /// MOEA view: all minimized (quality negated). With
   /// `include_transition_quality` the vector has four dimensions (the
-  /// dual-fault-model exploration). Shorthand for the DefaultStages()
-  /// layouts of the stage-list overload below.
+  /// dual-fault-model exploration).
   moea::ObjectiveVector ToMinimizationVector(
       bool include_transition_quality = false) const {
     if (include_transition_quality) {
@@ -60,11 +49,6 @@ struct Objectives {
     }
     return {-test_quality_percent, shutoff_time_ms, monetary_cost};
   }
-
-  /// MOEA view derived from an explicit stage list: each stage appends its
-  /// dimensions in registration order, so the vector layout always matches
-  /// what the evaluation engine computed.
-  moea::ObjectiveVector ToMinimizationVector(const StageList& stages) const;
 };
 
 struct EvaluationOptions {
@@ -76,11 +60,11 @@ struct EvaluationOptions {
   std::uint32_t fd_payload_bytes = 64;
 };
 
-/// Evaluates a feasible implementation through the default objective-stage
-/// pipeline (see dse/evaluation_engine.hpp — this is the convenience wrapper
-/// over DefaultStages()). Gateway-stored encoded pattern sets are
-/// deduplicated per (CUT type, profile index) — identical silicon shares one
-/// gateway copy (paper §III-D).
+/// Evaluates every objective of a feasible implementation: test quality
+/// (Eq. 4) with its transition-fault analog, shut-off time (Eq. 5 over the
+/// Eq.-1 mirrored transfers) and monetary cost. Gateway-stored encoded
+/// pattern sets are deduplicated per (CUT type, profile index) — identical
+/// silicon shares one gateway copy (paper §III-D).
 Objectives EvaluateImplementation(const model::Specification& spec,
                                   const model::BistAugmentation& augmentation,
                                   const model::Implementation& impl,

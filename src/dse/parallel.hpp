@@ -1,10 +1,9 @@
-// Island-model parallel exploration: several independent explorations with
-// distinct seeds run on worker threads; their archives merge into one
-// non-dominated front. This is how the reproduction uses the paper's
-// "8-core Intel Core i7" — SAT-decoding itself stays single-threaded per
-// island, so every island remains bit-deterministic. All islands share one
-// EvaluationEngine, so an implementation evaluated by any island is a memo
-// hit for every other.
+// The one way to run an exploration. Islands are independent explorations
+// with distinct seeds, run as tasks on the shared util::ThreadPool; their
+// archives merge into one non-dominated front. This is how the
+// reproduction uses the paper's "8-core Intel Core i7" — SAT decoding stays
+// single-threaded per island, so every island remains bit-deterministic.
+// One island is the serial exploration.
 #pragma once
 
 #include <cstdint>
@@ -13,33 +12,20 @@
 
 namespace bistdse::dse {
 
-struct ParallelResult {
-  std::vector<ExplorationEntry> pareto;  ///< Merged non-dominated set.
-  std::size_t evaluations = 0;           ///< Sum over islands.
-  /// Memo hits summed over islands (the shared engine makes cross-island
-  /// hits possible; also available live via Explorer::Engine()).
-  std::size_t eval_cache_hits = 0;
-  double wall_seconds = 0.0;
-  std::vector<std::size_t> island_front_sizes;
-  /// Decoder statistics summed over islands.
-  DecoderStats decoder_stats;
+/// Kept as a second name of the exploration's result type.
+using ParallelResult = ExplorationResult;
 
-  /// Evaluated implementations per second (all islands).
-  double Throughput() const {
-    return wall_seconds > 0 ? static_cast<double>(evaluations) / wall_seconds
-                            : 0.0;
-  }
-};
-
-/// Runs `islands` explorations with seeds config.seed, config.seed+1, ...
-/// on up to `islands` threads, all sharing one EvaluationEngine; merges the
-/// fronts. `config.evaluations` is the per-island budget. Deterministic
-/// regardless of scheduling: islands are independent and the merge is
-/// order-independent up to archive tie-breaking by (island, insertion)
-/// order, which is fixed.
-ParallelResult ExploreParallel(const model::Specification& spec,
-                               const model::BistAugmentation& augmentation,
-                               const ExplorationConfig& config,
-                               std::size_t islands);
+/// Runs `islands` explorations (0 counts as 1) with seeds config.seed,
+/// config.seed+1, ... on up to `islands` pool threads and merges their
+/// fronts. Each island builds its own EvaluationEngine (decoder and memo)
+/// inside its task. `config.evaluations` is the per-island budget.
+/// Deterministic regardless of scheduling: islands share nothing, and the
+/// merge offers the island fronts in seed order, each in archive order.
+/// Throws std::invalid_argument when the MOEA settings are invalid
+/// (moea::AlgorithmConfig::Validate).
+ExplorationResult ExploreParallel(const model::Specification& spec,
+                                  const model::BistAugmentation& augmentation,
+                                  const ExplorationConfig& config,
+                                  std::size_t islands);
 
 }  // namespace bistdse::dse

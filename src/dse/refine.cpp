@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 
 #include "dse/evaluation_engine.hpp"
 #include "moea/archive.hpp"
@@ -48,9 +49,9 @@ RefineResult RefineFront(const model::Specification& spec,
   const ResourceId gateway = spec.Architecture().Gateway();
 
   // Refinement moves produce implementations directly (no genotypes), so
-  // only the engine's stage pipeline and memo are used — same objective
-  // arithmetic as the exploration that produced `front`.
-  EvaluationEngine engine(spec, augmentation);
+  // they are evaluated through EvaluateImplementation — the exploration's
+  // objective arithmetic — behind a local memo keyed like the engine's.
+  std::unordered_map<std::uint64_t, Objectives> memo;
   const model::RouteTable routes(spec.Architecture());
 
   moea::ParetoArchive archive;
@@ -58,7 +59,7 @@ RefineResult RefineFront(const model::Specification& spec,
   std::deque<std::size_t> worklist;  // indices into store
 
   auto offer = [&](ExplorationEntry entry) -> bool {
-    const auto vec = engine.Minimize(entry.objectives);
+    const auto vec = entry.objectives.ToMinimizationVector();
     if (!archive.Offer(vec, store.size())) return false;
     worklist.push_back(store.size());
     store.push_back(std::move(entry));
@@ -72,8 +73,14 @@ RefineResult RefineFront(const model::Specification& spec,
     if (!model::CompleteRoutingAndAllocation(spec, routes, neighbor)) return;
     if (!model::ValidateImplementation(spec, neighbor).empty()) return;
     ++result.evaluations;
-    const auto objectives = engine.EvaluateCached(neighbor);
-    ExplorationEntry entry{objectives, std::move(neighbor)};
+    const std::uint64_t signature = ImplementationSignature(neighbor);
+    auto cached = memo.find(signature);
+    if (cached == memo.end()) {
+      cached = memo.emplace(signature, EvaluateImplementation(
+                                           spec, augmentation, neighbor))
+                   .first;
+    }
+    ExplorationEntry entry{cached->second, std::move(neighbor)};
     if (offer(std::move(entry))) ++result.improvements;
   };
 

@@ -7,15 +7,6 @@
 
 namespace bistdse::moea {
 
-std::vector<std::optional<ObjectiveVector>> PopulationEvaluator::Evaluate(
-    std::span<const Genotype> genotypes) const {
-  if (batch) return batch(genotypes);
-  std::vector<std::optional<ObjectiveVector>> results;
-  results.reserve(genotypes.size());
-  for (const Genotype& genotype : genotypes) results.push_back(single(genotype));
-  return results;
-}
-
 const char* AlgorithmName(AlgorithmKind kind) {
   switch (kind) {
     case AlgorithmKind::Nsga2:
@@ -34,25 +25,44 @@ std::optional<AlgorithmKind> ParseAlgorithmName(const std::string& name) {
   return std::nullopt;
 }
 
+void AlgorithmConfig::Validate() const {
+  if (genotype_size == 0)
+    throw std::invalid_argument("genotype_size must be set");
+  if (population_size < 2)
+    throw std::invalid_argument("population_size must be >= 2 (got " +
+                                std::to_string(population_size) + ")");
+  if (archive_size == 1)
+    throw std::invalid_argument("archive_size must be 0 or >= 2 (got 1)");
+  // Written so that NaN fails too; <= 0 selects the 1/n default.
+  if (!(mutation_rate <= 1.0))
+    throw std::invalid_argument("mutation_rate must be <= 1 (got " +
+                                std::to_string(mutation_rate) + ")");
+}
+
 MoeaResult Algorithm::Run(const Evaluator& evaluator,
                           std::size_t max_evaluations,
                           const GenerationCallback& on_generation) {
-  PopulationEvaluator population_evaluator;
-  population_evaluator.single = evaluator;
-  return Run(population_evaluator, max_evaluations, on_generation);
+  const BatchEvaluator batch =
+      [&evaluator](std::span<const Genotype> genotypes) {
+        std::vector<std::optional<ObjectiveVector>> results;
+        results.reserve(genotypes.size());
+        for (const Genotype& genotype : genotypes) {
+          results.push_back(evaluator(genotype));
+        }
+        return results;
+      };
+  return Run(batch, max_evaluations, on_generation);
 }
 
 void Algorithm::EvaluateBatch(
-    const PopulationEvaluator& evaluator, std::vector<Genotype> batch,
+    const BatchEvaluator& evaluator, std::vector<Genotype> batch,
     MoeaResult& result,
     const std::function<void(Genotype&&, const ObjectiveVector&)>& accept) {
-  const auto objectives = evaluator.Evaluate(batch);
+  const auto objectives = evaluator(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ++result.evaluations;
+    const std::size_t evaluation = result.evaluations++;
     if (!objectives[i]) continue;
-    if (result.archive.Offer(*objectives[i], result.genotypes.size())) {
-      result.genotypes.push_back(batch[i]);
-    }
+    result.archive.Offer(*objectives[i], evaluation);
     accept(std::move(batch[i]), *objectives[i]);
   }
 }
@@ -60,32 +70,10 @@ void Algorithm::EvaluateBatch(
 std::unique_ptr<Algorithm> MakeAlgorithm(AlgorithmKind kind,
                                          AlgorithmConfig config) {
   switch (kind) {
-    case AlgorithmKind::Nsga2: {
-      Nsga2Config nsga2;
-      nsga2.population_size = config.population_size;
-      nsga2.genotype_size = config.genotype_size;
-      nsga2.crossover_rate = config.crossover_rate;
-      nsga2.mutation_rate = config.mutation_rate;
-      nsga2.biased_phase_init = config.biased_phase_init;
-      nsga2.seed = config.seed;
-      nsga2.initial_genotypes = std::move(config.initial_genotypes);
-      nsga2.should_stop = std::move(config.should_stop);
-      return std::make_unique<Nsga2>(std::move(nsga2));
-    }
-    case AlgorithmKind::Spea2: {
-      Spea2Config spea2;
-      spea2.population_size = config.population_size;
-      spea2.archive_size =
-          config.archive_size > 0 ? config.archive_size : config.population_size;
-      spea2.genotype_size = config.genotype_size;
-      spea2.crossover_rate = config.crossover_rate;
-      spea2.mutation_rate = config.mutation_rate;
-      spea2.biased_phase_init = config.biased_phase_init;
-      spea2.seed = config.seed;
-      spea2.initial_genotypes = std::move(config.initial_genotypes);
-      spea2.should_stop = std::move(config.should_stop);
-      return std::make_unique<Spea2>(std::move(spea2));
-    }
+    case AlgorithmKind::Nsga2:
+      return std::make_unique<Nsga2>(std::move(config));
+    case AlgorithmKind::Spea2:
+      return std::make_unique<Spea2>(std::move(config));
   }
   throw std::invalid_argument("unknown MOEA algorithm kind");
 }

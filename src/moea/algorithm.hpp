@@ -4,13 +4,13 @@
 // the exploration layer selects an algorithm via MakeAlgorithm() instead of
 // dispatching on an enum itself.
 //
-// Evaluation is *population-shaped*: algorithms hand the evaluator whole
+// Evaluation is *population-shaped*: algorithms hand a BatchEvaluator whole
 // batches of genotypes (one offspring generation at a time). An evaluator
 // that can evaluate a batch in parallel (the EvaluationEngine does) gets its
-// parallelism for free; a plain per-genotype evaluator is applied
-// sequentially. Batches preserve sequential semantics: genotypes are
-// generated before the batch is submitted and results are consumed in
-// genotype order, so a run is bit-identical to evaluating one-by-one.
+// parallelism for free; Run(const Evaluator&) adapts a per-genotype
+// evaluator. Batches preserve sequential semantics: genotypes are generated
+// before the batch is submitted and results are consumed in genotype order,
+// so a run is bit-identical to evaluating one-by-one.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "moea/archive.hpp"
@@ -41,24 +42,10 @@ using BatchEvaluator = std::function<std::vector<std::optional<ObjectiveVector>>
 using GenerationCallback =
     std::function<void(std::size_t, std::size_t, const ParetoArchive&)>;
 
-/// Early-stop predicate, polled after every generation.
-using StopPredicate =
-    std::function<bool(std::size_t evaluations, const ParetoArchive&)>;
-
-/// What algorithms consume: a per-genotype evaluator plus an optional batch
-/// path. When `batch` is empty, batches fall back to sequential `single`
-/// calls.
-struct PopulationEvaluator {
-  Evaluator single;
-  BatchEvaluator batch;
-
-  std::vector<std::optional<ObjectiveVector>> Evaluate(
-      std::span<const Genotype> genotypes) const;
-};
-
 struct MoeaResult {
-  ParetoArchive archive;             ///< All non-dominated points seen.
-  std::vector<Genotype> genotypes;   ///< Genotype per archive payload index.
+  /// All non-dominated points seen; each payload is the index of the
+  /// evaluation that produced the point.
+  ParetoArchive archive;
   std::size_t evaluations = 0;
 };
 
@@ -87,29 +74,32 @@ struct AlgorithmConfig {
   /// Genotypes injected into the initial population before random ones
   /// (problem-knowledge seeding, e.g. design-space corners).
   std::vector<Genotype> initial_genotypes;
-  /// Optional early stop, polled after each generation.
-  StopPredicate should_stop;
+
+  /// Throws std::invalid_argument naming the field: genotype_size must be
+  /// set, population_size >= 2, archive_size 0 or >= 2, mutation_rate <= 1.
+  void Validate() const;
 };
 
 class Algorithm {
  public:
   virtual ~Algorithm() = default;
 
-  /// Runs until `max_evaluations` evaluator calls have been spent.
-  virtual MoeaResult Run(const PopulationEvaluator& evaluator,
+  /// Runs until `max_evaluations` genotypes have been evaluated.
+  virtual MoeaResult Run(const BatchEvaluator& evaluator,
                          std::size_t max_evaluations,
                          const GenerationCallback& on_generation = {}) = 0;
 
-  /// Convenience: per-genotype evaluator without a batch path.
+  /// Adapter for a per-genotype evaluator: batches are evaluated one
+  /// genotype after another, in order.
   MoeaResult Run(const Evaluator& evaluator, std::size_t max_evaluations,
                  const GenerationCallback& on_generation = {});
 
  protected:
   /// Shared batched-evaluation step: evaluates `batch` in genotype order,
-  /// updates `result` (evaluation count, archive, archived genotypes) and
-  /// hands each feasible (genotype, objectives) pair to `accept`.
+  /// updates `result` (evaluation count, archive) and hands each feasible
+  /// (genotype, objectives) pair to `accept`.
   static void EvaluateBatch(
-      const PopulationEvaluator& evaluator, std::vector<Genotype> batch,
+      const BatchEvaluator& evaluator, std::vector<Genotype> batch,
       MoeaResult& result,
       const std::function<void(Genotype&&, const ObjectiveVector&)>& accept);
 };

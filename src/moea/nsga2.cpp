@@ -5,11 +5,8 @@
 
 namespace bistdse::moea {
 
-Nsga2::Nsga2(Nsga2Config config) : config_(config) {
-  if (config_.genotype_size == 0)
-    throw std::invalid_argument("genotype_size must be set");
-  if (config_.population_size < 2)
-    throw std::invalid_argument("population_size must be >= 2");
+Nsga2::Nsga2(AlgorithmConfig config) : config_(std::move(config)) {
+  config_.Validate();
   if (config_.mutation_rate <= 0.0) {
     config_.mutation_rate = 1.0 / static_cast<double>(config_.genotype_size);
   }
@@ -25,7 +22,7 @@ Nsga2::Individual& Nsga2::Tournament(std::vector<Individual>& pop,
   return pop[crowding[a] >= crowding[b] ? a : b];
 }
 
-MoeaResult Nsga2::Run(const PopulationEvaluator& evaluator,
+MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
                       std::size_t max_evaluations,
                       const GenerationCallback& on_generation) {
   util::SplitMix64 rng(config_.seed);
@@ -148,10 +145,6 @@ MoeaResult Nsga2::Run(const PopulationEvaluator& evaluator,
     ++generation;
     if (on_generation) {
       on_generation(generation, result.evaluations, result.archive);
-    }
-    if (config_.should_stop &&
-        config_.should_stop(result.evaluations, result.archive)) {
-      break;
     }
   }
   return result;

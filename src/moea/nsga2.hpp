@@ -1,12 +1,10 @@
 // NSGA-II multi-objective evolutionary algorithm (Deb et al., 2002) over
 // SAT-decoding genotypes. All objectives are minimized. Offspring are
-// evaluated one generation at a time through the PopulationEvaluator batch
-// path (see moea/algorithm.hpp) — bit-identical to per-genotype evaluation.
+// evaluated one generation at a time through the BatchEvaluator (see
+// moea/algorithm.hpp) — bit-identical to per-genotype evaluation.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "moea/algorithm.hpp"
@@ -16,33 +14,14 @@
 
 namespace bistdse::moea {
 
-/// Historical name of the common result type.
-using Nsga2Result = MoeaResult;
-
-struct Nsga2Config {
-  std::size_t population_size = 100;
-  std::size_t genotype_size = 0;  ///< Genes per genotype (required).
-  double crossover_rate = 0.9;
-  /// Per-gene mutation probability; <= 0 selects the 1/n default.
-  double mutation_rate = -1.0;
-  /// Draw a per-individual phase bias uniformly in [0,1] for the initial
-  /// population (instead of a fixed 1/2), spreading it over the selection-
-  /// density spectrum of optional design elements.
-  bool biased_phase_init = true;
-  std::uint64_t seed = 1;
-  /// Genotypes injected into the initial population before random ones
-  /// (problem-knowledge seeding, e.g. design-space corners).
-  std::vector<Genotype> initial_genotypes;
-  /// Optional early stop, polled after each generation.
-  StopPredicate should_stop;
-};
-
 class Nsga2 : public Algorithm {
  public:
-  explicit Nsga2(Nsga2Config config);
+  /// Throws std::invalid_argument on an invalid config
+  /// (AlgorithmConfig::Validate).
+  explicit Nsga2(AlgorithmConfig config);
 
   using Algorithm::Run;
-  MoeaResult Run(const PopulationEvaluator& evaluator,
+  MoeaResult Run(const BatchEvaluator& evaluator,
                  std::size_t max_evaluations,
                  const GenerationCallback& on_generation = {}) override;
 
@@ -56,7 +35,7 @@ class Nsga2 : public Algorithm {
                          std::span<const std::size_t> ranks,
                          std::span<const double> crowding);
 
-  Nsga2Config config_;
+  AlgorithmConfig config_;
 };
 
 }  // namespace bistdse::moea

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace bistdse::moea {
@@ -19,11 +20,9 @@ double Distance(const ObjectiveVector& a, const ObjectiveVector& b) {
 
 }  // namespace
 
-Spea2::Spea2(Spea2Config config) : config_(config) {
-  if (config_.genotype_size == 0)
-    throw std::invalid_argument("genotype_size must be set");
-  if (config_.population_size < 2 || config_.archive_size < 2)
-    throw std::invalid_argument("population/archive size must be >= 2");
+Spea2::Spea2(AlgorithmConfig config) : config_(std::move(config)) {
+  config_.Validate();
+  if (config_.archive_size == 0) config_.archive_size = config_.population_size;
   if (config_.mutation_rate <= 0.0) {
     config_.mutation_rate = 1.0 / static_cast<double>(config_.genotype_size);
   }
@@ -109,7 +108,7 @@ std::vector<Spea2::Individual> Spea2::SelectArchive(
   return archive;
 }
 
-MoeaResult Spea2::Run(const PopulationEvaluator& evaluator,
+MoeaResult Spea2::Run(const BatchEvaluator& evaluator,
                       std::size_t max_evaluations,
                       const GenerationCallback& on_generation) {
   util::SplitMix64 rng(config_.seed);
@@ -194,10 +193,6 @@ MoeaResult Spea2::Run(const PopulationEvaluator& evaluator,
     ++generation;
     if (on_generation) {
       on_generation(generation, result.evaluations, result.archive);
-    }
-    if (config_.should_stop &&
-        config_.should_stop(result.evaluations, result.archive)) {
-      break;
     }
   }
   return result;

@@ -4,33 +4,22 @@
 // interface so explorations can swap algorithms.
 #pragma once
 
+#include <vector>
+
 #include "moea/algorithm.hpp"
-#include "moea/nsga2.hpp"
 
 namespace bistdse::moea {
 
-struct Spea2Config {
-  std::size_t population_size = 100;
-  std::size_t archive_size = 100;
-  std::size_t genotype_size = 0;
-  double crossover_rate = 0.9;
-  double mutation_rate = -1.0;  ///< <= 0 selects 1/n.
-  bool biased_phase_init = true;
-  std::uint64_t seed = 1;
-  /// Genotypes injected into the initial population before random ones.
-  std::vector<Genotype> initial_genotypes;
-  /// Optional early stop, polled after each generation.
-  StopPredicate should_stop;
-};
-
 class Spea2 : public Algorithm {
  public:
-  explicit Spea2(Spea2Config config);
+  /// Throws std::invalid_argument on an invalid config
+  /// (AlgorithmConfig::Validate); archive_size 0 selects population_size.
+  explicit Spea2(AlgorithmConfig config);
 
   /// Runs until `max_evaluations` evaluator calls. Returns the global
   /// non-dominated archive (same semantics as Nsga2::Run).
   using Algorithm::Run;
-  MoeaResult Run(const PopulationEvaluator& evaluator,
+  MoeaResult Run(const BatchEvaluator& evaluator,
                  std::size_t max_evaluations,
                  const GenerationCallback& on_generation = {}) override;
 
@@ -48,7 +37,7 @@ class Spea2 : public Algorithm {
   static std::vector<Individual> SelectArchive(std::vector<Individual> pool,
                                                std::size_t capacity);
 
-  Spea2Config config_;
+  AlgorithmConfig config_;
 };
 
 }  // namespace bistdse::moea

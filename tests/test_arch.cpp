@@ -16,6 +16,7 @@
 #include "arch/topology.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
+#include "dse/parallel.hpp"
 #include "execution_hash.hpp"
 #include "net/campaign.hpp"
 #include "test_helpers.hpp"
@@ -476,8 +477,7 @@ TEST(BitIdentity, FutureFrontFingerprint) {
   cfg.evaluations = 400;
   cfg.population_size = 24;
   cfg.seed = 8;
-  dse::Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   std::uint64_t h = 1469598103934665603ULL;
   const auto bytes = [&h](const void* data, std::size_t n) {

@@ -7,7 +7,6 @@
 
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
-#include "dse/exploration.hpp"
 #include "dse/objectives.hpp"
 #include "dse/parallel.hpp"
 
@@ -199,8 +198,7 @@ TEST(Exploration, SmallRunFindsTradeoffFront) {
   cfg.population_size = 24;
   cfg.seed = 5;
   cfg.validate_each_decode = true;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   EXPECT_EQ(result.evaluations, 600u);
   ASSERT_GT(result.pareto.size(), 3u);
@@ -236,8 +234,7 @@ TEST(Exploration, CornerSeedingSpansQualityAxis) {
   cfg.population_size = 24;
   cfg.seed = 5;
   cfg.seed_corners = true;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   double min_q = 1e18, max_q = -1e18, min_shutoff = 1e18;
   for (const auto& e : result.pareto) {
@@ -269,19 +266,6 @@ TEST(Encoding, ReusedSolverMatchesFreshSolver) {
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(a->binding, b->binding) << "trial " << trial;
   }
-}
-
-TEST(Exploration, StagnationStopsEarly) {
-  auto cs = SmallCaseStudy();
-  ExplorationConfig cfg;
-  cfg.evaluations = 100000;  // far more than a stagnating run will use
-  cfg.population_size = 16;
-  cfg.seed = 7;
-  cfg.stagnation_generations = 3;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
-  EXPECT_LT(result.evaluations, cfg.evaluations);
-  EXPECT_GT(result.pareto.size(), 2u);
 }
 
 /// FNV-1a fingerprint of a Pareto front: objective vectors plus bindings.
@@ -316,8 +300,7 @@ TEST(Exploration, FrontFingerprintMatchesSeedSolverAt600Evals) {
   cfg.population_size = 24;
   cfg.seed = 5;
   cfg.validate_each_decode = true;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   EXPECT_EQ(FrontFingerprint(result.pareto), 0xb4fad4f200a66d11ULL);
   // The decode telemetry must be plumbed through the exploration result.
   EXPECT_EQ(result.decoder_stats.decodes, 600u);
@@ -331,8 +314,9 @@ TEST(Exploration, FrontFingerprintMatchesSeedSolverAt200Evals) {
   cfg.evaluations = 200;
   cfg.population_size = 16;
   cfg.seed = 9;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  EXPECT_EQ(FrontFingerprint(explorer.Run().pareto), 0xe23eb57fbb12e1d8ULL);
+  EXPECT_EQ(
+      FrontFingerprint(ExploreParallel(cs.spec, cs.augmentation, cfg, 1).pareto),
+      0xe23eb57fbb12e1d8ULL);
 }
 
 TEST(Exploration, ParallelFrontFingerprintMatchesSeedSolver) {
@@ -356,10 +340,8 @@ TEST(Exploration, DeterministicForFixedSeed) {
   cfg.evaluations = 200;
   cfg.population_size = 16;
   cfg.seed = 9;
-  Explorer a(cs.spec, cs.augmentation, cfg);
-  Explorer b(cs.spec, cs.augmentation, cfg);
-  const auto ra = a.Run();
-  const auto rb = b.Run();
+  const auto ra = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
+  const auto rb = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   ASSERT_EQ(ra.pareto.size(), rb.pareto.size());
   for (std::size_t i = 0; i < ra.pareto.size(); ++i) {
     EXPECT_EQ(ra.pareto[i].objectives.ToMinimizationVector(),

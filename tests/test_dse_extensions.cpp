@@ -5,7 +5,7 @@
 #include "casestudy/casestudy.hpp"
 #include "dse/bus_load.hpp"
 #include "dse/decoder.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/partial_networking.hpp"
 #include "dse/report.hpp"
 
@@ -186,8 +186,7 @@ TEST(Exploration2, Spea2PathProducesValidFront) {
   cfg.population_size = 20;
   cfg.seed = 6;
   cfg.validate_each_decode = true;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   EXPECT_EQ(result.evaluations, 400u);
   ASSERT_GT(result.pareto.size(), 2u);
   // Corner seeding works on the SPEA2 path too: quality-0 anchor present.
@@ -213,8 +212,7 @@ TEST(Report, CsvHasHeaderAndRows) {
   cfg.evaluations = 150;
   cfg.population_size = 16;
   cfg.seed = 2;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   std::ostringstream csv;
   WriteFrontCsv(result, csv);
   std::istringstream ss(csv.str());

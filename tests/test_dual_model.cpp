@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 
 namespace bistdse::dse {
 namespace {
@@ -31,9 +31,8 @@ TEST(DualFaultModel, FourthObjectivePreservesTdfTradePoints) {
     cfg.evaluations = 1500;
     cfg.population_size = 32;
     cfg.seed = 3;
-    cfg.stages = DefaultStages(include_tdf);
-    Explorer explorer(cs.spec, cs.augmentation, cfg);
-    return explorer.Run();
+    cfg.include_transition_quality = include_tdf;
+    return ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   };
 
   const auto without = run(false);
@@ -68,9 +67,8 @@ TEST(DualFaultModel, TransitionQualityAveragesLikeEq4) {
   cfg.evaluations = 200;
   cfg.population_size = 16;
   cfg.seed = 9;
-  cfg.stages = DefaultStages(true);
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  cfg.include_transition_quality = true;
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   for (const auto& e : result.pareto) {
     const auto& o = e.objectives;
     // TDF quality is bounded by (#BIST ECUs * 90) / allocated ECUs.

@@ -1,20 +1,19 @@
-// The EvaluationEngine refactor's determinism contract:
-//   (a) the engine-based Explorer reproduces the front of the legacy
-//       composition (per-genotype decode + EvaluateImplementation + local
-//       memo) bit-exactly for a fixed seed,
+// The exploration path's determinism contract:
+//   (a) ExploreParallel reproduces the front of the legacy composition
+//       (per-genotype decode + EvaluateImplementation + local memo)
+//       bit-exactly for a fixed seed,
 //   (b) the front is invariant across the engine's `threads` setting,
-//   (c) explorations sharing one engine score strictly more memo hits than
-//       the same explorations on fresh engines — without changing a front.
+//   (c) each island owns its memo, so the memo hits and decoder counters of
+//       an island run are deterministic: equal for every `threads` value and
+//       on a repeated run, and equal to the sum of the islands run alone.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
 
 #include "casestudy/casestudy.hpp"
 #include "dse/evaluation_engine.hpp"
-#include "dse/exploration.hpp"
 #include "dse/parallel.hpp"
-#include "moea/nsga2.hpp"
-#include "moea/spea2.hpp"
+#include "moea/algorithm.hpp"
 
 namespace bistdse::dse {
 namespace {
@@ -25,9 +24,10 @@ casestudy::CaseStudy SmallCaseStudy() {
   return casestudy::BuildCaseStudy(profiles, 42);
 }
 
-/// The pre-refactor Explorer::Run composition: a per-genotype evaluator over
-/// a local unordered_map memo and the free EvaluateImplementation, driven
-/// through the MOEA's single-evaluator (non-batched) path.
+/// The pre-engine composition: a per-genotype evaluator over a local
+/// unordered_map memo and the free EvaluateImplementation, driven through
+/// the MOEA's per-genotype (non-batched) adapter. Checks the 3-objective
+/// layout.
 std::vector<ExplorationEntry> LegacyFront(const casestudy::CaseStudy& cs,
                                           MoeaAlgorithm algorithm,
                                           const ExplorationConfig& config) {
@@ -58,24 +58,13 @@ std::vector<ExplorationEntry> LegacyFront(const casestudy::CaseStudy& cs,
     return vec;
   };
 
-  if (algorithm == MoeaAlgorithm::Spea2) {
-    moea::Spea2Config moea_config;
-    moea_config.population_size = config.population_size;
-    moea_config.archive_size = config.population_size;
-    moea_config.genotype_size = decoder.GenotypeSize();
-    moea_config.mutation_rate = config.mutation_rate;
-    moea_config.seed = config.seed;
-    moea::Spea2 spea2(moea_config);
-    spea2.Run(evaluator, config.evaluations);
-  } else {
-    moea::Nsga2Config moea_config;
-    moea_config.population_size = config.population_size;
-    moea_config.genotype_size = decoder.GenotypeSize();
-    moea_config.mutation_rate = config.mutation_rate;
-    moea_config.seed = config.seed;
-    moea::Nsga2 nsga2(moea_config);
-    nsga2.Run(evaluator, config.evaluations);
-  }
+  moea::AlgorithmConfig moea_config;
+  moea_config.population_size = config.population_size;
+  moea_config.genotype_size = decoder.GenotypeSize();
+  moea_config.mutation_rate = config.mutation_rate;
+  moea_config.seed = config.seed;
+  moea::MakeAlgorithm(algorithm, moea_config)
+      ->Run(evaluator, config.evaluations);
 
   std::vector<ExplorationEntry> front;
   for (const auto& entry : archive.Entries()) {
@@ -106,8 +95,7 @@ TEST(EvaluationEngine, ReproducesLegacyFrontNsga2) {
   cfg.threads = 1;
 
   const auto legacy = LegacyFront(cs, MoeaAlgorithm::Nsga2, cfg);
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   ASSERT_GT(legacy.size(), 2u);
   ExpectSameFront(legacy, result.pareto);
 }
@@ -123,8 +111,7 @@ TEST(EvaluationEngine, ReproducesLegacyFrontSpea2) {
   cfg.threads = 1;
 
   const auto legacy = LegacyFront(cs, MoeaAlgorithm::Spea2, cfg);
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   ASSERT_GT(legacy.size(), 2u);
   ExpectSameFront(legacy, result.pareto);
 }
@@ -137,15 +124,13 @@ TEST(EvaluationEngine, FrontInvariantAcrossThreadCounts) {
   cfg.seed = 3;
 
   cfg.threads = 1;
-  Explorer reference(cs.spec, cs.augmentation, cfg);
-  const auto expected = reference.Run();
+  const auto expected = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   ASSERT_GT(expected.pareto.size(), 2u);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8},
                                     std::size_t{0}}) {
     cfg.threads = threads;
-    Explorer explorer(cs.spec, cs.augmentation, cfg);
-    const auto result = explorer.Run();
+    const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
     EXPECT_EQ(result.evaluations, expected.evaluations) << threads;
     EXPECT_EQ(result.eval_cache_hits, expected.eval_cache_hits) << threads;
     ExpectSameFront(expected.pareto, result.pareto);
@@ -162,7 +147,6 @@ TEST(EvaluationEngine, MergedIslandFrontInvariantAcrossThreadCounts) {
   cfg.threads = 1;
   const auto expected = ExploreParallel(cs.spec, cs.augmentation, cfg, 2);
   ASSERT_GT(expected.pareto.size(), 2u);
-  EXPECT_EQ(expected.island_front_sizes.size(), 2u);
 
   cfg.threads = 8;
   const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 2);
@@ -170,104 +154,57 @@ TEST(EvaluationEngine, MergedIslandFrontInvariantAcrossThreadCounts) {
   ExpectSameFront(expected.pareto, result.pareto);
 }
 
-TEST(EvaluationEngine, SharedEngineScoresCrossExplorationCacheHits) {
-  auto cs = SmallCaseStudy();
-  ExplorationConfig first;
-  first.evaluations = 300;
-  first.population_size = 16;
-  first.seed = 1;
-  ExplorationConfig second = first;
-  second.seed = 2;
-
-  // Baseline: each exploration on its own engine.
-  Explorer fresh_a(cs.spec, cs.augmentation, first);
-  const auto result_a = fresh_a.Run();
-  Explorer fresh_b(cs.spec, cs.augmentation, second);
-  const auto result_b = fresh_b.Run();
-  const std::size_t fresh_hits =
-      result_a.eval_cache_hits + result_b.eval_cache_hits;
-
-  // Shared engine, sequentially (deterministic hit counts): the corner
-  // seeds alone guarantee overlapping implementations across seeds.
-  EvaluationEngine engine(cs.spec, cs.augmentation);
-  Explorer shared_a(engine, first);
-  const auto shared_result_a = shared_a.Run();
-  Explorer shared_b(engine, second);
-  const auto shared_result_b = shared_b.Run();
-  const std::size_t shared_hits =
-      shared_result_a.eval_cache_hits + shared_result_b.eval_cache_hits;
-
-  EXPECT_GT(shared_hits, fresh_hits);
-  EXPECT_EQ(engine.CacheHits(), shared_hits);
-  EXPECT_GT(engine.CacheSize(), 0u);
-  // Sharing the memo must not change any front.
-  ExpectSameFront(result_a.pareto, shared_result_a.pareto);
-  ExpectSameFront(result_b.pareto, shared_result_b.pareto);
+void ExpectSameCounters(const DecoderStats& a, const DecoderStats& b) {
+  EXPECT_EQ(a.decodes, b.decodes);
+  EXPECT_EQ(a.infeasible, b.infeasible);
+  EXPECT_EQ(a.validation_failures, b.validation_failures);
+  EXPECT_EQ(a.solver.solves, b.solver.solves);
+  EXPECT_EQ(a.solver.decisions, b.solver.decisions);
+  EXPECT_EQ(a.solver.conflicts, b.solver.conflicts);
+  EXPECT_EQ(a.solver.learned_clauses, b.solver.learned_clauses);
+  EXPECT_EQ(a.solver.propagations, b.solver.propagations);
+  EXPECT_EQ(a.solver.binary_propagations, b.solver.binary_propagations);
+  EXPECT_EQ(a.solver.pb_propagations, b.solver.pb_propagations);
 }
 
-TEST(EvaluationEngine, ParallelIslandsShareTheMemo) {
+TEST(EvaluationEngine, IslandCountersInvariantAcrossThreadsAndRuns) {
   auto cs = SmallCaseStudy();
   ExplorationConfig cfg;
   cfg.evaluations = 300;
   cfg.population_size = 16;
   cfg.seed = 1;
 
-  // Island-alone hit counts (fresh engine per run, seeds as the islands use
-  // them).
-  std::size_t fresh_hits = 0;
+  cfg.threads = 1;
+  const auto expected = ExploreParallel(cs.spec, cs.augmentation, cfg, 2);
+  ASSERT_GT(expected.eval_cache_hits, 0u);
+  ASSERT_EQ(expected.decoder_stats.decodes, 600u);
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    cfg.threads = threads;
+    const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 2);
+    EXPECT_EQ(result.eval_cache_hits, expected.eval_cache_hits) << threads;
+    ExpectSameCounters(result.decoder_stats, expected.decoder_stats);
+  }
+}
+
+TEST(EvaluationEngine, IslandCacheHitsSumOverIslandsRunAlone) {
+  auto cs = SmallCaseStudy();
+  ExplorationConfig cfg;
+  cfg.evaluations = 300;
+  cfg.population_size = 16;
+  cfg.seed = 4;
+
+  std::size_t alone_hits = 0;
   for (std::uint64_t i = 0; i < 2; ++i) {
     ExplorationConfig island = cfg;
     island.seed = cfg.seed + i;
-    Explorer explorer(cs.spec, cs.augmentation, island);
-    fresh_hits += explorer.Run().eval_cache_hits;
+    alone_hits += ExploreParallel(cs.spec, cs.augmentation, island, 1)
+                      .eval_cache_hits;
   }
-
-  // The shared memo is a superset of every island-local one at all times,
-  // so the summed hits can only grow (strict growth is timing-dependent
-  // under concurrency; the sequential-sharing test above pins that).
   const auto merged = ExploreParallel(cs.spec, cs.augmentation, cfg, 2);
-  EXPECT_GE(merged.eval_cache_hits, fresh_hits);
-  EXPECT_GT(merged.decoder_stats.decodes, 0u);
-}
-
-TEST(Stages, DefaultLayoutsMatchBoolApi) {
-  auto cs = SmallCaseStudy();
-  EvaluationEngine engine(cs.spec, cs.augmentation);
-  auto session = engine.NewSession();
-  moea::Genotype genotype;
-  genotype.priorities.assign(session.GenotypeSize(), 0.5);
-  genotype.phases.assign(session.GenotypeSize(), 1);
-  const auto evaluated = session.Evaluate(genotype);
-  ASSERT_TRUE(evaluated.has_value());
-
-  const Objectives& obj = evaluated->objectives;
-  EXPECT_EQ(obj.ToMinimizationVector(DefaultStages(false)),
-            obj.ToMinimizationVector(false));
-  EXPECT_EQ(obj.ToMinimizationVector(DefaultStages(true)),
-            obj.ToMinimizationVector(true));
-  EXPECT_EQ(DefaultStages(false).size(), 3u);
-  EXPECT_EQ(DefaultStages(true).size(), 4u);
-
-  // The free-function wrapper and the engine agree.
-  const auto direct = EvaluateImplementation(cs.spec, cs.augmentation,
-                                             evaluated->implementation);
-  EXPECT_EQ(direct.ToMinimizationVector(), evaluated->vector);
-}
-
-TEST(Stages, EngineDerivesDimensionalityFromStageList) {
-  auto cs = SmallCaseStudy();
-  EvaluationEngineConfig cfg;
-  cfg.stages = DefaultStages(true);
-  EvaluationEngine engine(cs.spec, cs.augmentation, cfg);
-  EXPECT_EQ(engine.ObjectiveDimensions(), 4u);
-
-  auto session = engine.NewSession();
-  moea::Genotype genotype;
-  genotype.priorities.assign(session.GenotypeSize(), 0.5);
-  genotype.phases.assign(session.GenotypeSize(), 0);
-  const auto evaluated = session.Evaluate(genotype);
-  ASSERT_TRUE(evaluated.has_value());
-  EXPECT_EQ(evaluated->vector.size(), 4u);
+  EXPECT_GT(alone_hits, 0u);
+  EXPECT_EQ(merged.eval_cache_hits, alone_hits);
 }
 
 }  // namespace

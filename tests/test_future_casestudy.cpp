@@ -2,7 +2,7 @@
 
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/objectives.hpp"
 #include "test_helpers.hpp"
 
@@ -132,8 +132,7 @@ TEST(FutureCaseStudy, ExplorationFindsFront) {
   cfg.population_size = 24;
   cfg.seed = 8;
   cfg.validate_each_decode = true;
-  dse::Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   EXPECT_GT(result.pareto.size(), 3u);
   EXPECT_EQ(result.decoder_stats.validation_failures, 0u);
 }

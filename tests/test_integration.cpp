@@ -10,7 +10,7 @@
 #include "bist/profile_generator.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/bus_load.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/partial_networking.hpp"
 
 namespace bistdse {
@@ -73,8 +73,7 @@ TEST_F(EndToEnd, ExplorationOnGeneratedProfiles) {
   config.population_size = 24;
   config.seed = 4;
   config.validate_each_decode = true;  // every decode checked against Eqs.
-  dse::Explorer explorer(cs.spec, cs.augmentation, config);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, config, 1);
 
   ASSERT_GT(result.pareto.size(), 2u);
   EXPECT_EQ(result.decoder_stats.validation_failures, 0u);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "moea/archive.hpp"
 #include "moea/indicators.hpp"
@@ -192,7 +194,7 @@ TEST(Genotype, MutationRespectsRate) {
 // NSGA-II on a classic benchmark: minimize (f1, f2) of Schaffer's problem
 // encoded through a genotype -> x in [-4, 4] decoding.
 TEST(Nsga2, ConvergesOnSchafferProblem) {
-  Nsga2Config cfg;
+  AlgorithmConfig cfg;
   cfg.population_size = 40;
   cfg.genotype_size = 16;
   cfg.seed = 3;
@@ -225,7 +227,7 @@ TEST(Nsga2, ConvergesOnSchafferProblem) {
 }
 
 TEST(Nsga2, InfeasibleEvaluationsAreTolerated) {
-  Nsga2Config cfg;
+  AlgorithmConfig cfg;
   cfg.population_size = 10;
   cfg.genotype_size = 8;
   cfg.seed = 1;
@@ -245,7 +247,7 @@ TEST(Nsga2, InfeasibleEvaluationsAreTolerated) {
 }
 
 TEST(Nsga2, RejectsBadConfig) {
-  Nsga2Config cfg;
+  AlgorithmConfig cfg;
   cfg.genotype_size = 0;
   EXPECT_THROW(Nsga2{cfg}, std::invalid_argument);
   cfg.genotype_size = 4;
@@ -253,8 +255,47 @@ TEST(Nsga2, RejectsBadConfig) {
   EXPECT_THROW(Nsga2{cfg}, std::invalid_argument);
 }
 
+TEST(AlgorithmConfig, ValidateNamesTheField) {
+  const auto message = [](const AlgorithmConfig& cfg) -> std::string {
+    try {
+      cfg.Validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  AlgorithmConfig cfg;
+  cfg.genotype_size = 4;
+  EXPECT_EQ(message(cfg), "");
+  for (const double rate : {-1.0, 0.0, 0.5, 1.0}) {
+    cfg.mutation_rate = rate;
+    EXPECT_EQ(message(cfg), "") << rate;
+  }
+  for (const double rate : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.mutation_rate = rate;
+    EXPECT_NE(message(cfg).find("mutation_rate must be <= 1"),
+              std::string::npos)
+        << rate;
+  }
+  cfg.mutation_rate = -1.0;
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1}}) {
+    cfg.population_size = size;
+    EXPECT_NE(message(cfg).find("population_size must be >= 2"),
+              std::string::npos)
+        << size;
+  }
+  cfg.population_size = 2;
+  cfg.archive_size = 1;
+  EXPECT_NE(message(cfg).find("archive_size must be 0 or >= 2"),
+            std::string::npos);
+  cfg.archive_size = 2;
+  EXPECT_EQ(message(cfg), "");
+  cfg.genotype_size = 0;
+  EXPECT_NE(message(cfg).find("genotype_size"), std::string::npos);
+}
+
 TEST(Nsga2, DeterministicForFixedSeed) {
-  Nsga2Config cfg;
+  AlgorithmConfig cfg;
   cfg.population_size = 12;
   cfg.genotype_size = 10;
   cfg.seed = 77;

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/report.hpp"
 #include "sim/fault_sim.hpp"
 #include "test_helpers.hpp"
@@ -32,8 +32,7 @@ TEST(SummarizeFront, NamesHeadlineAndCounts) {
   cfg.evaluations = 400;
   cfg.population_size = 20;
   cfg.seed = 2;
-  dse::Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   const std::string summary = dse::SummarizeFront(result);
   EXPECT_NE(summary.find("## Exploration summary"), std::string::npos);

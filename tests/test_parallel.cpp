@@ -23,7 +23,6 @@ TEST(ParallelExplorer, MergesIslandFronts) {
   cfg.seed = 1;
   const auto merged = ExploreParallel(cs.spec, cs.augmentation, cfg, 3);
   EXPECT_EQ(merged.evaluations, 3u * 400u);
-  EXPECT_EQ(merged.island_front_sizes.size(), 3u);
   ASSERT_GT(merged.pareto.size(), 3u);
   // Merged front is internally non-dominated.
   for (std::size_t i = 0; i < merged.pareto.size(); ++i) {
@@ -72,8 +71,7 @@ TEST(ImplementationIo, RoundTripsBinding) {
   cfg.evaluations = 200;
   cfg.population_size = 16;
   cfg.seed = 3;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   ASSERT_FALSE(result.pareto.empty());
   const auto& original = result.pareto.front().implementation;
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "dse/refine.hpp"
 #include "moea/indicators.hpp"
 
@@ -30,8 +30,7 @@ TEST(Refine, ImprovesOrPreservesFront) {
   cfg.evaluations = 800;
   cfg.population_size = 32;
   cfg.seed = 4;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto explored = explorer.Run();
+  const auto explored = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
   ASSERT_GT(explored.pareto.size(), 3u);
 
   RefineOptions opts;
@@ -61,8 +60,7 @@ TEST(Refine, NeighborsAreAllFeasible) {
   cfg.evaluations = 300;
   cfg.population_size = 16;
   cfg.seed = 6;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto explored = explorer.Run();
+  const auto explored = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   RefineOptions opts;
   opts.max_evaluations = 1500;
@@ -81,8 +79,7 @@ TEST(Refine, RespectsEvaluationBudget) {
   cfg.evaluations = 300;
   cfg.population_size = 16;
   cfg.seed = 6;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto explored = explorer.Run();
+  const auto explored = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   RefineOptions opts;
   opts.max_evaluations = 50;
@@ -97,8 +94,7 @@ TEST(Refine, DeterministicForFixedSeed) {
   cfg.evaluations = 300;
   cfg.population_size = 16;
   cfg.seed = 6;
-  Explorer explorer(cs.spec, cs.augmentation, cfg);
-  const auto explored = explorer.Run();
+  const auto explored = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
 
   RefineOptions opts;
   opts.max_evaluations = 800;

@@ -20,7 +20,7 @@ std::optional<ObjectiveVector> Schaffer(const Genotype& g) {
 }
 
 TEST(Spea2, ConvergesOnSchafferProblem) {
-  Spea2Config cfg;
+  AlgorithmConfig cfg;
   cfg.population_size = 40;
   cfg.archive_size = 40;
   cfg.genotype_size = 16;
@@ -37,7 +37,7 @@ TEST(Spea2, ConvergesOnSchafferProblem) {
 
 TEST(Spea2, ComparableHypervolumeToNsga2) {
   const std::size_t evals = 3000;
-  Spea2Config sc;
+  AlgorithmConfig sc;
   sc.population_size = 32;
   sc.archive_size = 32;
   sc.genotype_size = 16;
@@ -45,7 +45,7 @@ TEST(Spea2, ComparableHypervolumeToNsga2) {
   Spea2 spea2(sc);
   const auto spea_result = spea2.Run(Schaffer, evals);
 
-  Nsga2Config nc;
+  AlgorithmConfig nc;
   nc.population_size = 32;
   nc.genotype_size = 16;
   nc.seed = 7;
@@ -65,7 +65,7 @@ TEST(Spea2, ComparableHypervolumeToNsga2) {
 }
 
 TEST(Spea2, DeterministicForFixedSeed) {
-  Spea2Config cfg;
+  AlgorithmConfig cfg;
   cfg.population_size = 16;
   cfg.archive_size = 16;
   cfg.genotype_size = 10;
@@ -81,7 +81,7 @@ TEST(Spea2, DeterministicForFixedSeed) {
 }
 
 TEST(Spea2, ToleratesInfeasibleEvaluations) {
-  Spea2Config cfg;
+  AlgorithmConfig cfg;
   cfg.population_size = 10;
   cfg.archive_size = 10;
   cfg.genotype_size = 8;
@@ -102,7 +102,7 @@ TEST(Spea2, ToleratesInfeasibleEvaluations) {
 }
 
 TEST(Spea2, RejectsBadConfig) {
-  Spea2Config cfg;
+  AlgorithmConfig cfg;
   cfg.genotype_size = 0;
   EXPECT_THROW(Spea2{cfg}, std::invalid_argument);
   cfg.genotype_size = 4;

@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "dse/exploration.hpp"
+#include "dse/parallel.hpp"
 #include "model/spec_io.hpp"
 
 namespace bistdse::model {
@@ -72,8 +72,7 @@ TEST(SpecIo, ParsedSpecIsExplorable) {
   cfg.population_size = 12;
   cfg.seed = 2;
   cfg.validate_each_decode = true;
-  dse::Explorer explorer(parsed.spec, augmentation, cfg);
-  const auto result = explorer.Run();
+  const auto result = dse::ExploreParallel(parsed.spec, augmentation, cfg, 1);
   EXPECT_GT(result.pareto.size(), 1u);
 }
 

@@ -34,7 +34,6 @@
 #include "bist/dictionary_store.hpp"
 #include "bist/profile_generator.hpp"
 #include "casestudy/casestudy.hpp"
-#include "dse/exploration.hpp"
 #include "dse/parallel.hpp"
 #include "dse/partial_networking.hpp"
 #include "dse/session_plan.hpp"
@@ -53,8 +52,9 @@ namespace {
 constexpr std::string_view kProgram = "bistdse_cli";
 
 /// Runs a check of values the flag parser cannot judge alone (a --prps list,
-/// a config's Validate(), a scaled byte count); an unusable value exits 2
-/// with the message naming the flag or field.
+/// a config's Validate(), a scaled byte count, the MOEA settings an
+/// exploration validates); an unusable value exits 2 with the message
+/// naming the flag or field.
 template <typename Parse>
 auto ParseOrExit(Parse parse) {
   try {
@@ -164,20 +164,10 @@ int RunExplore(const Flags& flags) {
     config.algorithm = *kind;
   }
 
-  dse::ExplorationResult result;
-  const std::size_t islands = flags.U64("islands", 1);
-  if (islands > 1) {
-    const auto merged =
-        dse::ExploreParallel(cs.spec, cs.augmentation, config, islands);
-    result.pareto = merged.pareto;
-    result.evaluations = merged.evaluations;
-    result.eval_cache_hits = merged.eval_cache_hits;
-    result.wall_seconds = merged.wall_seconds;
-    result.decoder_stats = merged.decoder_stats;
-  } else {
-    dse::Explorer explorer(cs.spec, cs.augmentation, config);
-    result = explorer.Run();
-  }
+  const dse::ExplorationResult result = ParseOrExit([&] {
+    return dse::ExploreParallel(cs.spec, cs.augmentation, config,
+                                flags.U64("islands", 1));
+  });
   std::printf("%s: %zu evaluations (%zu memoized, %llu decodes, "
               "%llu infeasible) in %.1f s -> %zu Pareto-optimal "
               "implementations\n",
@@ -288,7 +278,8 @@ int RunCorpus(const Flags& flags) {
   options.campaign.max_reorder_rate = flags.Real("max-reorder", 0.02);
   options.campaign.seed = corpus.seed;
 
-  const auto report = arch::SweepCorpus(corpus, options);
+  const auto report =
+      ParseOrExit([&] { return arch::SweepCorpus(corpus, options); });
   std::printf("%s", arch::FormatCorpusReport(report).c_str());
   return report.all_passed ? 0 : 1;
 }
