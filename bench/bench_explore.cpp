@@ -4,8 +4,11 @@
 // per second, the memo hit rate, the island speedup, and the SAT-decode
 // telemetry (search and propagation counters) to BENCH_explore.json.
 //
-// At the default sizes the two front hashes, both memo-hit counts and the
-// routed model hash are gated for equality: all five are deterministic.
+// At the default sizes the two front hashes, both memo-hit counts, both
+// decode conflict and propagation counts and the routed model hash are
+// gated for equality: all nine are deterministic. Each island decodes on
+// dse::kDecoderShards solvers over a partition that depends only on the
+// batch size, so the decode counters do not depend on the thread count.
 //
 // One routed-decode row rides along: a fixed genotype set decoded through
 // the routed encoding (dse::RoutedSatDecoder, the one decoder whose solves
@@ -16,6 +19,7 @@
 //      BISTDSE_EXPLORE_ISLANDS (default 8) island count of the second row,
 //      BISTDSE_EXPLORE_ROUTED_DECODES (default 40) routed decodes.
 // Arg: output path (default BENCH_explore.json).
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -126,13 +130,17 @@ int main(int argc, char** argv) {
   config.population_size = 100;
   config.seed = 1;
 
-  // Fronts, memo hits and routed models recorded at the default sizes.
+  // Fronts, memo hits, decode work and routed models recorded at the
+  // default sizes.
   const bool pinned = evals == 4000 && islands == 8 && routed_decodes == 40;
   struct Pin {
     const char* front_hash;
     std::size_t cache_hits;
+    std::uint64_t conflicts;
+    std::uint64_t propagations;
   };
-  const Pin pins[] = {{"0x21ae9c70c4d4665c", 448}, {"0x6d2ef18e7e1773d5", 3336}};
+  const Pin pins[] = {{"0x21ae9c70c4d4665c", 448, 5, 6768102},
+                      {"0x6d2ef18e7e1773d5", 3336, 30, 54144757}};
 
   bench::Report report("explore_throughput");
   report.Run().Set("evaluations_per_island", evals);
@@ -168,6 +176,11 @@ int main(int argc, char** argv) {
       report.Equal("front_hash" + at, hash, pins[i].front_hash);
       report.Equal("cache_hits" + at, result.eval_cache_hits,
                    pins[i].cache_hits);
+      report.Equal("decode.conflicts" + at,
+                   result.decoder_stats.solver.conflicts, pins[i].conflicts);
+      report.Equal("decode.propagations" + at,
+                   result.decoder_stats.solver.propagations,
+                   pins[i].propagations);
     } else {
       report.Above("cache_hits" + at, result.eval_cache_hits, 0);
     }

@@ -115,7 +115,7 @@ int main() {
     opts.max_evaluations = refine_evals;
     opts.seed = seed;
     const auto refined =
-        dse::RefineFront(cs.spec, cs.augmentation, result.pareto, opts);
+        dse::RefineFront(cs.spec, cs.augmentation, result.pareto, config, opts);
     const dse::ExplorationEntry* best = nullptr;
     double best_rel = 0.0;
     for (const auto& e : refined.pareto) {

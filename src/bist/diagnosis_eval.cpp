@@ -43,8 +43,8 @@ DiagnosisAccuracy EvaluateDiagnosisAccuracy(
       0, samples.size(), chunks,
       [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
         // Each chunk already occupies one pool worker, so its engines
-        // simulate serially (a nested ParallelFor would run inline anyway)
-        // but share the evaluation's block width. Signatures and rankings
+        // simulate serially (one-chunk loops, which run inline) but share
+        // the evaluation's block width. Signatures and rankings
         // are bit-identical for every width/thread combination.
         StumpsConfig chunk_config = config;
         chunk_config.sim_threads = 1;

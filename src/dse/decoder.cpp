@@ -24,42 +24,54 @@ void GenotypePolicy::Apply(const moea::Genotype& genotype,
 SatDecoder::SatDecoder(const model::Specification& spec,
                        const model::BistAugmentation& augmentation,
                        bool validate_each_decode)
-    : spec_(spec),
-      problem_(spec, augmentation),
-      routes_(spec.Architecture()),
+    : SatDecoder(std::make_shared<const EncodedProblem>(spec, augmentation),
+                 validate_each_decode) {}
+
+SatDecoder::SatDecoder(std::shared_ptr<const EncodedProblem> problem,
+                       bool validate_each_decode)
+    : problem_(std::move(problem)),
+      solver_(std::shared_ptr<const sat::Formula>(problem_,
+                                                  &problem_->Formula())),
       validate_each_decode_(validate_each_decode) {}
 
-std::optional<model::Implementation> SatDecoder::Decode(
-    const moea::Genotype& genotype) {
+bool SatDecoder::DecodeInto(const moea::Genotype& genotype,
+                            model::Implementation& impl) {
   ++stats_.decodes;
-  policy_.Apply(genotype, problem_.MappingVars(), problem_.SolverRef());
+  policy_.Apply(genotype, problem_->MappingVars(), solver_);
 
   const auto solve_start = std::chrono::steady_clock::now();
-  const sat::SolveResult result = problem_.SolverRef().Solve();
+  const sat::SolveResult result = solver_.Solve();
   stats_.decode_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     solve_start)
           .count();
-  stats_.solver = problem_.SolverRef().Stats();
+  stats_.solver = solver_.Stats();
   if (result != sat::SolveResult::Sat) {
     ++stats_.infeasible;
-    return std::nullopt;
+    return false;
   }
 
-  model::Implementation impl;
-  impl.binding = problem_.BindingFromModel();
-  if (!model::CompleteRoutingAndAllocation(spec_, routes_, impl)) {
+  const model::Specification& spec = problem_->Spec();
+  problem_->BindingFromModel(solver_, impl.binding);
+  if (!model::CompleteRoutingAndAllocation(spec, problem_->Routes(), impl)) {
     ++stats_.infeasible;
-    return std::nullopt;
+    return false;
   }
   if (validate_each_decode_) {
-    const auto violations = model::ValidateImplementation(spec_, impl);
+    const auto violations = model::ValidateImplementation(spec, impl);
     if (!violations.empty()) {
       ++stats_.validation_failures;
       throw std::logic_error("decoded implementation violates constraints: " +
                              violations.front());
     }
   }
+  return true;
+}
+
+std::optional<model::Implementation> SatDecoder::Decode(
+    const moea::Genotype& genotype) {
+  model::Implementation impl;
+  if (!DecodeInto(genotype, impl)) return std::nullopt;
   return impl;
 }
 

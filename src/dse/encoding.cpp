@@ -13,13 +13,13 @@ using sat::Var;
 
 EncodedProblem::EncodedProblem(const model::Specification& spec,
                                const model::BistAugmentation& augmentation)
-    : spec_(spec) {
+    : spec_(spec), routes_(spec.Architecture()) {
   const ApplicationGraph& app = spec.Application();
   const auto mappings = spec.Mappings();
 
   mapping_vars_.reserve(mappings.size());
   for (std::size_t i = 0; i < mappings.size(); ++i) {
-    mapping_vars_.push_back(solver_.NewVar());
+    mapping_vars_.push_back(formula_.NewVar());
   }
 
   // Functional tasks (incl. b^R): exactly one mapping ([17]).
@@ -31,9 +31,9 @@ EncodedProblem::EncodedProblem(const model::Specification& spec,
     lits.reserve(options.size());
     for (std::size_t m : options) lits.push_back(PosLit(mapping_vars_[m]));
     if (app.IsMandatory(t)) {
-      solver_.AddExactlyOne(lits);
+      formula_.AddExactlyOne(lits);
     } else {
-      solver_.AddAtMostOne(lits);
+      formula_.AddAtMostOne(lits);
     }
   }
 
@@ -45,7 +45,7 @@ EncodedProblem::EncodedProblem(const model::Specification& spec,
         lits.push_back(PosLit(mapping_vars_[m]));
       }
     }
-    solver_.AddAtMostOne(lits);
+    formula_.AddAtMostOne(lits);
   }
 
   // Eq. 3b: b^D bound iff b^T bound —
@@ -59,14 +59,14 @@ EncodedProblem::EncodedProblem(const model::Specification& spec,
         std::vector<Lit> clause{NegLit(mapping_vars_[mt])};
         for (std::size_t md : data_opts)
           clause.push_back(PosLit(mapping_vars_[md]));
-        solver_.AddClause(clause);
+        formula_.AddClause(clause);
       }
       // any b^D option -> b^T (test task has a single option).
       for (std::size_t md : data_opts) {
         std::vector<Lit> clause{NegLit(mapping_vars_[md])};
         for (std::size_t mt : test_opts)
           clause.push_back(PosLit(mapping_vars_[mt]));
-        solver_.AddClause(clause);
+        formula_.AddClause(clause);
       }
     }
   }
@@ -85,17 +85,18 @@ EncodedProblem::EncodedProblem(const model::Specification& spec,
       if (!model::IsDiagnosis(app.GetTask(mappings[m].task).kind)) continue;
       std::vector<Lit> clause{NegLit(mapping_vars_[m])};
       clause.insert(clause.end(), normal.begin(), normal.end());
-      solver_.AddClause(clause);
+      formula_.AddClause(clause);
     }
   }
+  formula_.Index();
 }
 
-std::vector<std::size_t> EncodedProblem::BindingFromModel() const {
-  std::vector<std::size_t> binding;
+void EncodedProblem::BindingFromModel(const sat::Solver& solver,
+                                      std::vector<std::size_t>& binding) const {
+  binding.clear();
   for (std::size_t m = 0; m < mapping_vars_.size(); ++m) {
-    if (solver_.IsTrue(mapping_vars_[m])) binding.push_back(m);
+    if (solver.IsTrue(mapping_vars_[m])) binding.push_back(m);
   }
-  return binding;
 }
 
 }  // namespace bistdse::dse

@@ -22,6 +22,9 @@
 
 namespace bistdse::dse {
 
+/// The immutable part of SAT-decoding, built once and shared by every
+/// decoder over the same specification (dse::SatDecoder): the indexed PB
+/// instance, the mapping variables and the route table.
 class EncodedProblem {
  public:
   /// Builds the PB instance for `spec` (must outlive this object).
@@ -29,18 +32,24 @@ class EncodedProblem {
   EncodedProblem(const model::Specification& spec,
                  const model::BistAugmentation& augmentation);
 
-  sat::Solver& SolverRef() { return solver_; }
+  const model::Specification& Spec() const { return spec_; }
+  const sat::Formula& Formula() const { return formula_; }
 
   /// Decision variables, aligned with spec.Mappings().
   const std::vector<sat::Var>& MappingVars() const { return mapping_vars_; }
 
-  /// Extracts the binding (selected mapping indices) from a SAT model.
-  std::vector<std::size_t> BindingFromModel() const;
+  const model::RouteTable& Routes() const { return routes_; }
+
+  /// Writes the binding (selected mapping indices, ascending) of `solver`'s
+  /// model into `binding`.
+  void BindingFromModel(const sat::Solver& solver,
+                        std::vector<std::size_t>& binding) const;
 
  private:
   const model::Specification& spec_;
-  sat::Solver solver_;
+  sat::Formula formula_;
   std::vector<sat::Var> mapping_vars_;
+  model::RouteTable routes_;
 };
 
 }  // namespace bistdse::dse

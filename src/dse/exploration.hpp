@@ -38,10 +38,12 @@ struct ExplorationConfig {
   bool seed_corners = true;
   /// Objective-evaluation options (e.g. CAN FD mirrored downloads).
   EvaluationOptions evaluation;
-  /// Parallelism of batched objective evaluation inside each island:
-  /// 1 = strictly serial, 0 = one chunk per pool worker. The Pareto front is
-  /// bit-identical for every value.
-  std::size_t threads = 1;
+  /// How many of an island's decoder shards (kDecoderShards, see
+  /// dse/evaluation_engine.hpp), and how many chunks of its objective
+  /// evaluation, run at once on the shared pool: 0 = the pool's width, 1 =
+  /// one after another on the island's thread. The Pareto front, the memo
+  /// hits and the decoder counters are identical for every value.
+  std::size_t threads = 0;
   /// Adds transition-test quality as a fourth minimized objective
   /// (Objectives::ToMinimizationVector(true)); requires profiles carrying
   /// transition_coverage_percent.

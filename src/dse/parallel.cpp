@@ -98,8 +98,8 @@ ExplorationResult RunIsland(const model::Specification& spec,
         for (std::size_t i = 0; i < evaluated.size(); ++i) {
           if (!evaluated[i]) continue;
           if (archive.Offer(evaluated[i]->vector, store.size())) {
-            store.push_back({evaluated[i]->objectives,
-                             std::move(evaluated[i]->implementation)});
+            store.push_back(
+                {evaluated[i]->objectives, *evaluated[i]->implementation});
           }
           vectors[i] = std::move(evaluated[i]->vector);
         }
@@ -139,9 +139,10 @@ ExplorationResult ExploreParallel(const model::Specification& spec,
   const auto start = std::chrono::steady_clock::now();
 
   // Islands run on the shared executor — the same pool the fault-simulation
-  // layer uses — so stacking island parallelism on top of parallel objective
-  // evaluation cannot oversubscribe the machine. A single island runs
-  // inline on the caller.
+  // layer uses. Each island's decoder shards and evaluation chunks are
+  // loops nested in its island chunk and join the same queue, so stacking
+  // them cannot oversubscribe the machine. A single island runs inline on
+  // the caller.
   std::vector<ExplorationResult> results(islands);
   util::ThreadPool::Global().ParallelFor(
       0, islands, islands,

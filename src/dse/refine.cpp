@@ -43,6 +43,7 @@ std::vector<std::size_t> WithoutTasks(const model::Specification& spec,
 RefineResult RefineFront(const model::Specification& spec,
                          const model::BistAugmentation& augmentation,
                          std::span<const ExplorationEntry> front,
+                         const ExplorationConfig& exploration,
                          const RefineOptions& options) {
   RefineResult result;
   util::SplitMix64 rng(options.seed);
@@ -59,7 +60,8 @@ RefineResult RefineFront(const model::Specification& spec,
   std::deque<std::size_t> worklist;  // indices into store
 
   auto offer = [&](ExplorationEntry entry) -> bool {
-    const auto vec = entry.objectives.ToMinimizationVector();
+    const auto vec = entry.objectives.ToMinimizationVector(
+        exploration.include_transition_quality);
     if (!archive.Offer(vec, store.size())) return false;
     worklist.push_back(store.size());
     store.push_back(std::move(entry));
@@ -76,8 +78,9 @@ RefineResult RefineFront(const model::Specification& spec,
     const std::uint64_t signature = ImplementationSignature(neighbor);
     auto cached = memo.find(signature);
     if (cached == memo.end()) {
-      cached = memo.emplace(signature, EvaluateImplementation(
-                                           spec, augmentation, neighbor))
+      cached = memo.emplace(signature,
+                            EvaluateImplementation(spec, augmentation, neighbor,
+                                                   exploration.evaluation))
                    .first;
     }
     ExplorationEntry entry{cached->second, std::move(neighbor)};

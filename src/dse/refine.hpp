@@ -25,10 +25,14 @@ struct RefineResult {
   std::size_t improvements = 0;          ///< Archive acceptances.
 };
 
-/// Refines `front` (e.g. ExplorationResult::pareto) by local search.
+/// Refines `front` (e.g. ExplorationResult::pareto) by local search. The
+/// neighbours are scored as `exploration`, the configuration that produced
+/// `front`, scored its points: under its `evaluation` options and in the
+/// objective layout of its `include_transition_quality`.
 RefineResult RefineFront(const model::Specification& spec,
                          const model::BistAugmentation& augmentation,
                          std::span<const ExplorationEntry> front,
+                         const ExplorationConfig& exploration,
                          const RefineOptions& options = {});
 
 }  // namespace bistdse::dse

@@ -22,12 +22,13 @@ RoutedEncodedProblem::RoutedEncodedProblem(
     const model::BistAugmentation& augmentation, std::uint32_t max_hops)
     : spec_(spec), max_hops_(max_hops) {
   for (std::size_t i = 0; i < spec.Mappings().size(); ++i) {
-    mapping_vars_.push_back(solver_.NewVar());
+    mapping_vars_.push_back(formula_.NewVar());
   }
   EncodeMappingConstraints(augmentation);
   for (MessageId c = 0; c < spec.Application().MessageCount(); ++c) {
     EncodeRouting(c);
   }
+  formula_.Index();
 }
 
 void RoutedEncodedProblem::EncodeMappingConstraints(
@@ -40,9 +41,9 @@ void RoutedEncodedProblem::EncodeMappingConstraints(
     std::vector<Lit> lits;
     for (std::size_t m : options) lits.push_back(PosLit(mapping_vars_[m]));
     if (app.IsMandatory(t)) {
-      solver_.AddExactlyOne(lits);
+      formula_.AddExactlyOne(lits);
     } else {
-      solver_.AddAtMostOne(lits);  // Eq. 2a
+      formula_.AddAtMostOne(lits);  // Eq. 2a
     }
   }
 
@@ -59,16 +60,16 @@ void RoutedEncodedProblem::EncodeMappingConstraints(
         std::vector<Lit> clause{NegLit(mapping_vars_[mt])};
         for (std::size_t md : data_opts)
           clause.push_back(PosLit(mapping_vars_[md]));
-        solver_.AddClause(clause);
+        formula_.AddClause(clause);
       }
       for (std::size_t md : data_opts) {
         std::vector<Lit> clause{NegLit(mapping_vars_[md])};
         for (std::size_t mt : test_opts)
           clause.push_back(PosLit(mapping_vars_[mt]));
-        solver_.AddClause(clause);
+        formula_.AddClause(clause);
       }
     }
-    solver_.AddAtMostOne(per_ecu);
+    formula_.AddAtMostOne(per_ecu);
   }
 
   // Eq. 2h.
@@ -85,7 +86,7 @@ void RoutedEncodedProblem::EncodeMappingConstraints(
       if (!model::IsDiagnosis(app.GetTask(mappings[m].task).kind)) continue;
       std::vector<Lit> clause{NegLit(mapping_vars_[m])};
       clause.insert(clause.end(), normal.begin(), normal.end());
-      solver_.AddClause(clause);
+      formula_.AddClause(clause);
     }
   }
 }
@@ -127,10 +128,10 @@ void RoutedEncodedProblem::EncodeRouting(MessageId c) {
   }
   const std::uint32_t steps = max_hops_ + 1;
   for (std::size_t i = 0; i < mv.candidates.size(); ++i) {
-    mv.on_resource.push_back(solver_.NewVar());
+    mv.on_resource.push_back(formula_.NewVar());
     mv.at_time.emplace_back();
     for (std::uint32_t t = 0; t < steps; ++t) {
-      mv.at_time.back().push_back(solver_.NewVar());
+      mv.at_time.back().push_back(formula_.NewVar());
     }
   }
 
@@ -140,12 +141,12 @@ void RoutedEncodedProblem::EncodeRouting(MessageId c) {
     const std::int32_t i = index_of[mappings[m].resource];
     is_sender_target[i] = 1;
     // c_{r,0} <-> m.
-    solver_.AddClause({NegLit(mv.at_time[i][0]), PosLit(mapping_vars_[m])});
-    solver_.AddClause({NegLit(mapping_vars_[m]), PosLit(mv.at_time[i][0])});
+    formula_.AddClause({NegLit(mv.at_time[i][0]), PosLit(mapping_vars_[m])});
+    formula_.AddClause({NegLit(mapping_vars_[m]), PosLit(mv.at_time[i][0])});
   }
   for (std::size_t i = 0; i < mv.candidates.size(); ++i) {
     if (!is_sender_target[i]) {
-      solver_.AddClause({NegLit(mv.at_time[i][0])});
+      formula_.AddClause({NegLit(mv.at_time[i][0])});
     }
   }
 
@@ -156,11 +157,11 @@ void RoutedEncodedProblem::EncodeRouting(MessageId c) {
         const std::int32_t i = index_of[mappings[mt].resource];
         if (i < 0) {
           // Receiver resource unreachable within max_hops: forbid the combo.
-          solver_.AddClause({NegLit(mapping_vars_[md]),
+          formula_.AddClause({NegLit(mapping_vars_[md]),
                              NegLit(mapping_vars_[mt])});
           continue;
         }
-        solver_.AddClause({PosLit(mv.on_resource[i]),
+        formula_.AddClause({PosLit(mv.on_resource[i]),
                            NegLit(mapping_vars_[md]),
                            NegLit(mapping_vars_[mt])});
       }
@@ -173,13 +174,13 @@ void RoutedEncodedProblem::EncodeRouting(MessageId c) {
     for (std::uint32_t t = 0; t < steps; ++t) {
       taus.push_back(PosLit(mv.at_time[i][t]));
       // 2f: c_{r,t} -> c_r.
-      solver_.AddClause({NegLit(mv.at_time[i][t]), PosLit(mv.on_resource[i])});
+      formula_.AddClause({NegLit(mv.at_time[i][t]), PosLit(mv.on_resource[i])});
     }
-    solver_.AddAtMostOne(taus);  // 2d (per resource)
+    formula_.AddAtMostOne(taus);  // 2d (per resource)
     // 2e: c_r -> some time step.
     std::vector<Lit> clause{NegLit(mv.on_resource[i])};
     clause.insert(clause.end(), taus.begin(), taus.end());
-    solver_.AddClause(clause);
+    formula_.AddClause(clause);
   }
   // 2d (per time step, as in the paper's prose: one resource per step).
   for (std::uint32_t t = 0; t < steps; ++t) {
@@ -187,7 +188,7 @@ void RoutedEncodedProblem::EncodeRouting(MessageId c) {
     for (std::size_t i = 0; i < mv.candidates.size(); ++i) {
       at_t.push_back(PosLit(mv.at_time[i][t]));
     }
-    solver_.AddAtMostOne(at_t);
+    formula_.AddAtMostOne(at_t);
   }
 
   // --- Eq. 2g: hops follow architecture links.
@@ -198,23 +199,24 @@ void RoutedEncodedProblem::EncodeRouting(MessageId c) {
         const std::int32_t j = index_of[n];
         if (j >= 0) clause.push_back(PosLit(mv.at_time[j][t]));
       }
-      solver_.AddClause(clause);
+      formula_.AddClause(clause);
     }
   }
 
   message_vars_.emplace(c, std::move(mv));
 }
 
-model::Implementation RoutedEncodedProblem::ImplementationFromModel() const {
+model::Implementation RoutedEncodedProblem::ImplementationFromModel(
+    const sat::Solver& solver) const {
   model::Implementation impl;
   for (std::size_t m = 0; m < mapping_vars_.size(); ++m) {
-    if (solver_.IsTrue(mapping_vars_[m])) impl.binding.push_back(m);
+    if (solver.IsTrue(mapping_vars_[m])) impl.binding.push_back(m);
   }
   for (const auto& [c, mv] : message_vars_) {
     std::vector<std::pair<std::uint32_t, ResourceId>> hops;
     for (std::size_t i = 0; i < mv.candidates.size(); ++i) {
       for (std::uint32_t t = 0; t < mv.at_time[i].size(); ++t) {
-        if (solver_.IsTrue(mv.at_time[i][t])) {
+        if (solver.IsTrue(mv.at_time[i][t])) {
           hops.emplace_back(t, mv.candidates[i]);
         }
       }
@@ -239,24 +241,27 @@ model::Implementation RoutedEncodedProblem::ImplementationFromModel() const {
 RoutedSatDecoder::RoutedSatDecoder(const model::Specification& spec,
                                    const model::BistAugmentation& augmentation,
                                    std::uint32_t max_hops)
-    : spec_(spec), problem_(spec, augmentation, max_hops) {}
+    : problem_(std::make_shared<const RoutedEncodedProblem>(spec, augmentation,
+                                                            max_hops)),
+      solver_(std::shared_ptr<const sat::Formula>(problem_,
+                                                  &problem_->Formula())) {}
 
 std::optional<model::Implementation> RoutedSatDecoder::Decode(
     const moea::Genotype& genotype) {
   ++stats_.decodes;
-  policy_.Apply(genotype, problem_.MappingVars(), problem_.SolverRef());
+  policy_.Apply(genotype, problem_->MappingVars(), solver_);
   const auto solve_start = std::chrono::steady_clock::now();
-  const sat::SolveResult result = problem_.SolverRef().Solve();
+  const sat::SolveResult result = solver_.Solve();
   stats_.decode_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     solve_start)
           .count();
-  stats_.solver = problem_.SolverRef().Stats();
+  stats_.solver = solver_.Stats();
   if (result != sat::SolveResult::Sat) {
     ++stats_.infeasible;
     return std::nullopt;
   }
-  return problem_.ImplementationFromModel();
+  return problem_->ImplementationFromModel(solver_);
 }
 
 }  // namespace bistdse::dse

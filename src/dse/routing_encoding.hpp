@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,13 +38,15 @@ class RoutedEncodedProblem {
                        const model::BistAugmentation& augmentation,
                        std::uint32_t max_hops = 5);
 
-  sat::Solver& SolverRef() { return solver_; }
+  /// The indexed PB instance every decoder over this problem searches.
+  const sat::Formula& Formula() const { return formula_; }
   const std::vector<sat::Var>& MappingVars() const { return mapping_vars_; }
-  std::size_t VariableCount() const { return solver_.VarCount(); }
+  std::size_t VariableCount() const { return formula_.VarCount(); }
 
   /// Extracts the full implementation (binding + solver-chosen routes,
-  /// ordered by time step) from a SAT model.
-  model::Implementation ImplementationFromModel() const;
+  /// ordered by time step) from `solver`'s model.
+  model::Implementation ImplementationFromModel(
+      const sat::Solver& solver) const;
 
  private:
   struct MessageVars {
@@ -57,7 +60,7 @@ class RoutedEncodedProblem {
 
   const model::Specification& spec_;
   std::uint32_t max_hops_;
-  sat::Solver solver_;
+  sat::Formula formula_;
   std::vector<sat::Var> mapping_vars_;
   std::map<model::MessageId, MessageVars> message_vars_;
 };
@@ -72,16 +75,16 @@ class RoutedSatDecoder {
                    const model::BistAugmentation& augmentation,
                    std::uint32_t max_hops = 5);
 
-  std::size_t GenotypeSize() const { return problem_.MappingVars().size(); }
-  std::size_t VariableCount() const { return problem_.VariableCount(); }
+  std::size_t GenotypeSize() const { return problem_->MappingVars().size(); }
+  std::size_t VariableCount() const { return problem_->VariableCount(); }
 
   std::optional<model::Implementation> Decode(const moea::Genotype& genotype);
 
   const DecoderStats& Stats() const { return stats_; }
 
  private:
-  const model::Specification& spec_;
-  RoutedEncodedProblem problem_;
+  std::shared_ptr<const RoutedEncodedProblem> problem_;
+  sat::Solver solver_;
   GenotypePolicy policy_;
   DecoderStats stats_;
 };

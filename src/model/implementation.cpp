@@ -32,14 +32,24 @@ bool CompleteRoutingAndAllocation(const Specification& spec,
   const ApplicationGraph& app = spec.Application();
   const std::vector<ResourceId> bound_at = impl.BoundResources(spec);
 
-  impl.routing.clear();
+  // A decoder completes one Implementation after another in the same
+  // object, so the routes of the previous one are rewritten in place: a
+  // message routed by both keeps its map node and its path's capacity.
+  auto next = impl.routing.begin();
   for (MessageId c = 0; c < app.MessageCount(); ++c) {
     const Message& msg = app.GetMessage(c);
     const ResourceId src = bound_at[msg.sender];
     if (src == kInvalidId) continue;  // optional sender unbound: inactive
+    while (next != impl.routing.end() && next->first < c) {
+      next = impl.routing.erase(next);
+    }
+    if (next == impl.routing.end() || next->first != c) {
+      next = impl.routing.emplace_hint(next, c, std::vector<ResourceId>{});
+    }
     // Route to the (first bound) receiver; all receivers must lie on the
     // path for multicast messages.
-    std::vector<ResourceId> path{src};
+    std::vector<ResourceId>& path = next->second;
+    path.assign(1, src);
     for (TaskId recv : msg.receivers) {
       const ResourceId dst = bound_at[recv];
       if (dst == kInvalidId) {
@@ -49,8 +59,9 @@ bool CompleteRoutingAndAllocation(const Specification& spec,
       if (std::find(path.begin(), path.end(), dst) != path.end()) continue;
       if (!routes.AppendPath(path.back(), dst, path)) return false;
     }
-    impl.routing.emplace_hint(impl.routing.end(), c, std::move(path));
+    ++next;
   }
+  impl.routing.erase(next, impl.routing.end());
 
   impl.allocation.assign(spec.Architecture().ResourceCount(), false);
   for (std::size_t m : impl.binding) {

@@ -41,7 +41,8 @@ struct Implementation {
 /// shortest paths of `routes` (built from spec.Architecture()). Returns
 /// false if some required route does not exist (disconnected architecture)
 /// — the implementation is then infeasible. Also fills the allocation from
-/// bound and routed resources.
+/// bound and routed resources. Only impl.binding is read; the routing and
+/// allocation left by an earlier call are overwritten in place.
 bool CompleteRoutingAndAllocation(const Specification& spec,
                                   const RouteTable& routes,
                                   Implementation& impl);

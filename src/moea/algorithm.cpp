@@ -1,6 +1,8 @@
 #include "moea/algorithm.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "moea/nsga2.hpp"
 #include "moea/spea2.hpp"
@@ -64,6 +66,56 @@ void Algorithm::EvaluateBatch(
     if (!objectives[i]) continue;
     result.archive.Offer(*objectives[i], evaluation);
     accept(std::move(batch[i]), *objectives[i]);
+  }
+}
+
+void Algorithm::EvaluateInitialPopulation(
+    AlgorithmKind kind, const AlgorithmConfig& config,
+    const BatchEvaluator& evaluator, std::size_t max_evaluations,
+    util::SplitMix64& rng, MoeaResult& result,
+    const std::function<void(Genotype&&, const ObjectiveVector&)>& accept) {
+  std::size_t accepted = 0;
+  const auto count = [&](Genotype&& genotype,
+                         const ObjectiveVector& objectives) {
+    ++accepted;
+    accept(std::move(genotype), objectives);
+  };
+  // Seeded genotypes first, then random ones (failed evaluations are redrawn
+  // up to a sanity bound).
+  std::size_t next_seeded = 0;
+  while (next_seeded < config.initial_genotypes.size() &&
+         accepted < config.population_size &&
+         result.evaluations < max_evaluations) {
+    std::vector<Genotype> batch;
+    const std::size_t want =
+        std::min({config.initial_genotypes.size() - next_seeded,
+                  config.population_size - accepted,
+                  max_evaluations - result.evaluations});
+    for (std::size_t i = 0; i < want; ++i) {
+      const Genotype& seeded = config.initial_genotypes[next_seeded++];
+      if (seeded.Size() != config.genotype_size)
+        throw std::invalid_argument("seeded genotype size mismatch");
+      batch.push_back(seeded);
+    }
+    EvaluateBatch(evaluator, std::move(batch), result, count);
+  }
+  std::size_t attempts = 0;
+  while (accepted < config.population_size &&
+         result.evaluations < max_evaluations) {
+    std::vector<Genotype> batch;
+    const std::size_t want = std::min(config.population_size - accepted,
+                                      max_evaluations - result.evaluations);
+    for (std::size_t i = 0; i < want; ++i) {
+      const double bias = config.biased_phase_init ? rng.UnitReal() : 0.5;
+      batch.push_back(RandomGenotypeBiased(config.genotype_size, bias, rng));
+    }
+    EvaluateBatch(evaluator, std::move(batch), result, count);
+    attempts += want;
+    if (attempts > 50 * config.population_size) {
+      throw std::runtime_error(
+          std::string(AlgorithmName(kind)) +
+          ": evaluator rejects nearly every random genotype");
+    }
   }
 }
 

@@ -102,6 +102,21 @@ class Algorithm {
       const BatchEvaluator& evaluator, std::vector<Genotype> batch,
       MoeaResult& result,
       const std::function<void(Genotype&&, const ObjectiveVector&)>& accept);
+
+  /// Shared initial-population step: evaluates config.initial_genotypes,
+  /// then random genotypes drawn from `rng` (a phase bias per genotype when
+  /// config.biased_phase_init), until `accept` has taken
+  /// config.population_size genotypes or `max_evaluations` are spent.
+  /// Genotype generation never depends on evaluation results, so whole
+  /// batches are drawn up front and evaluated together without changing the
+  /// RNG stream. Throws std::invalid_argument on a seeded genotype of the
+  /// wrong size, and std::runtime_error naming `kind` when the evaluator
+  /// rejects nearly every random genotype.
+  static void EvaluateInitialPopulation(
+      AlgorithmKind kind, const AlgorithmConfig& config,
+      const BatchEvaluator& evaluator, std::size_t max_evaluations,
+      util::SplitMix64& rng, MoeaResult& result,
+      const std::function<void(Genotype&&, const ObjectiveVector&)>& accept);
 };
 
 /// Factory behind the one-interface design: maps (kind, config) to a

@@ -1,7 +1,6 @@
 #include "moea/nsga2.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace bistdse::moea {
 
@@ -28,50 +27,14 @@ MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
   util::SplitMix64 rng(config_.seed);
   MoeaResult result;
 
-  // Initial population: seeded genotypes first, then random ones (failed
-  // evaluations are redrawn up to a sanity bound). Genotype generation never
-  // depends on evaluation results, so whole batches can be drawn up front
-  // and evaluated together without changing the RNG stream.
+  // Initial population: seeded genotypes first, then random ones.
   std::vector<Individual> population;
   const auto accept = [&population](Genotype&& genotype,
                                     const ObjectiveVector& objectives) {
     population.push_back({std::move(genotype), objectives});
   };
-  std::size_t next_seeded = 0;
-  while (next_seeded < config_.initial_genotypes.size() &&
-         population.size() < config_.population_size &&
-         result.evaluations < max_evaluations) {
-    std::vector<Genotype> batch;
-    const std::size_t want =
-        std::min({config_.initial_genotypes.size() - next_seeded,
-                  config_.population_size - population.size(),
-                  max_evaluations - result.evaluations});
-    for (std::size_t i = 0; i < want; ++i) {
-      const Genotype& seeded = config_.initial_genotypes[next_seeded++];
-      if (seeded.Size() != config_.genotype_size)
-        throw std::invalid_argument("seeded genotype size mismatch");
-      batch.push_back(seeded);
-    }
-    EvaluateBatch(evaluator, std::move(batch), result, accept);
-  }
-  std::size_t attempts = 0;
-  while (population.size() < config_.population_size &&
-         result.evaluations < max_evaluations) {
-    std::vector<Genotype> batch;
-    const std::size_t want =
-        std::min(config_.population_size - population.size(),
-                 max_evaluations - result.evaluations);
-    for (std::size_t i = 0; i < want; ++i) {
-      const double bias = config_.biased_phase_init ? rng.UnitReal() : 0.5;
-      batch.push_back(RandomGenotypeBiased(config_.genotype_size, bias, rng));
-    }
-    EvaluateBatch(evaluator, std::move(batch), result, accept);
-    attempts += want;
-    if (attempts > 50 * config_.population_size) {
-      throw std::runtime_error(
-          "NSGA-II: evaluator rejects nearly every random genotype");
-    }
-  }
+  EvaluateInitialPopulation(AlgorithmKind::Nsga2, config_, evaluator,
+                            max_evaluations, rng, result, accept);
 
   std::size_t generation = 0;
   while (result.evaluations < max_evaluations && population.size() >= 2) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace bistdse::moea {
 
@@ -122,41 +121,8 @@ MoeaResult Spea2::Run(const BatchEvaluator& evaluator,
                                     const ObjectiveVector& objectives) {
     population.push_back({std::move(genotype), objectives, 0.0});
   };
-  std::size_t next_seeded = 0;
-  while (next_seeded < config_.initial_genotypes.size() &&
-         population.size() < config_.population_size &&
-         result.evaluations < max_evaluations) {
-    std::vector<Genotype> batch;
-    const std::size_t want =
-        std::min({config_.initial_genotypes.size() - next_seeded,
-                  config_.population_size - population.size(),
-                  max_evaluations - result.evaluations});
-    for (std::size_t i = 0; i < want; ++i) {
-      const Genotype& seeded = config_.initial_genotypes[next_seeded++];
-      if (seeded.Size() != config_.genotype_size)
-        throw std::invalid_argument("seeded genotype size mismatch");
-      batch.push_back(seeded);
-    }
-    EvaluateBatch(evaluator, std::move(batch), result, accept);
-  }
-  std::size_t attempts = 0;
-  while (population.size() < config_.population_size &&
-         result.evaluations < max_evaluations) {
-    std::vector<Genotype> batch;
-    const std::size_t want =
-        std::min(config_.population_size - population.size(),
-                 max_evaluations - result.evaluations);
-    for (std::size_t i = 0; i < want; ++i) {
-      const double bias = config_.biased_phase_init ? rng.UnitReal() : 0.5;
-      batch.push_back(RandomGenotypeBiased(config_.genotype_size, bias, rng));
-    }
-    EvaluateBatch(evaluator, std::move(batch), result, accept);
-    attempts += want;
-    if (attempts > 50 * config_.population_size) {
-      throw std::runtime_error(
-          "SPEA2: evaluator rejects nearly every random genotype");
-    }
-  }
+  EvaluateInitialPopulation(AlgorithmKind::Spea2, config_, evaluator,
+                            max_evaluations, rng, result, accept);
 
   std::vector<Individual> archive;
   std::size_t generation = 0;

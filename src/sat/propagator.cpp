@@ -2,11 +2,53 @@
 
 namespace bistdse::sat {
 
-void Propagator::AddVar() {
-  assigns_.push_back(Value::Unassigned);
-  levels_.push_back(0);
-  reasons_.push_back({});
-  trail_pos_.push_back(0);
+void Propagator::Reset(const Formula& formula) {
+  formula_ = &formula;
+  const std::size_t vars = formula.VarCount();
+  assigns_.assign(vars, Value::Unassigned);
+  levels_.assign(vars, 0);
+  reasons_.assign(vars, {});
+  trail_pos_.assign(vars, 0);
+  trail_.clear();
+  trail_.reserve(vars);
+  trail_lim_.clear();
+  qhead_ = 0;
+
+  const std::uint32_t clauses =
+      formula.ClauseCount() +
+      static_cast<std::uint32_t>(learned_begin_.size() - 1);
+  watch_head_.assign(2 * vars, kNoWatch);
+  next_watch_.assign(2 * clauses, kNoWatch);
+  watched_.assign(2 * clauses, kNoLit);
+  for (std::uint32_t c = 0; c < clauses; ++c) {
+    const auto lits = ClauseLits(c);
+    Watch(2 * c, lits[0]);
+    Watch(2 * c + 1, lits[1]);
+  }
+
+  pb_slack_.resize(formula.PbCount());
+  for (std::uint32_t pb = 0; pb < formula.PbCount(); ++pb) {
+    pb_slack_[pb] = formula.PbInitialSlack(pb);
+  }
+}
+
+std::span<const Lit> Propagator::ClauseLits(std::uint32_t c) const {
+  const std::uint32_t originals = formula_->ClauseCount();
+  if (c < originals) return formula_->Clause(c);
+  c -= originals;
+  return {learned_lits_.data() + learned_begin_[c],
+          learned_lits_.data() + learned_begin_[c + 1]};
+}
+
+std::uint32_t Propagator::AddLearned(std::span<const Lit> lits) {
+  const auto c = static_cast<std::uint32_t>(watched_.size() / 2);
+  learned_lits_.insert(learned_lits_.end(), lits.begin(), lits.end());
+  learned_begin_.push_back(static_cast<std::uint32_t>(learned_lits_.size()));
+  watched_.resize(watched_.size() + 2);
+  next_watch_.resize(next_watch_.size() + 2);
+  Watch(2 * c, lits[0]);
+  Watch(2 * c + 1, lits[1]);
+  return c;
 }
 
 void Propagator::Enqueue(Lit l, Reason reason) {
@@ -24,6 +66,7 @@ void Propagator::PushDecision(Lit l) {
 }
 
 Conflict Propagator::Propagate() {
+  const Formula& f = *formula_;
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];
     ++stats_.propagations;
@@ -38,33 +81,28 @@ Conflict Propagator::Propagate() {
     // solver ran the clause pass first and returned mid-list; the leaked
     // slack masked later PB conflicts and let invalid models through
     // (found by differential fuzzing, tools/sat_fuzz).
-    const auto& pb_occs = db_.PbOccurrences(false_lit);
+    const auto pb_occs = f.PbOccurrences(false_lit);
     Conflict pb_conflict{};
-    for (const std::uint32_t pi : pb_occs) {
-      PbConstraint& pb = db_.PbAt(pi);
-      for (const auto& [c, l] : pb.terms) {
-        if (l == false_lit) {
-          pb.slack -= c;
-          break;
-        }
-      }
-      if (pb.slack < 0 && pb_conflict.reason.kind == Reason::Kind::None) {
-        pb_conflict.reason = {Reason::Kind::Pb, pi};
+    for (const PbOccurrence& occ : pb_occs) {
+      pb_slack_[occ.pb] -= occ.coef;
+      if (pb_slack_[occ.pb] < 0 && !pb_conflict.IsConflict()) {
+        pb_conflict.reason = {Reason::Kind::Pb, occ.pb};
       }
     }
-    if (pb_conflict.reason.kind != Reason::Kind::None) return pb_conflict;
-    for (const std::uint32_t pi : pb_occs) {
-      const PbConstraint& pb = db_.PbAt(pi);
-      for (const auto& [c, l] : pb.terms) {
-        if (c > pb.slack && LitValue(l) == Value::Unassigned) {
-          Enqueue(l, {Reason::Kind::Pb, pi});
+    if (pb_conflict.IsConflict()) return pb_conflict;
+    for (const PbOccurrence& occ : pb_occs) {
+      const std::int64_t slack = pb_slack_[occ.pb];
+      if (f.PbMaxCoef(occ.pb) <= slack) continue;
+      for (const PbTerm& t : f.PbTerms(occ.pb)) {
+        if (t.coef > slack && LitValue(t.lit) == Value::Unassigned) {
+          Enqueue(t.lit, {Reason::Kind::Pb, occ.pb});
           ++stats_.pb_propagations;
         }
       }
     }
 
     // --- binary-implication adjacency ----------------------------------
-    for (const Lit q : db_.Implications(p)) {
+    for (const Lit q : f.Implications(p)) {
       const Value val = LitValue(q);
       if (val == Value::True) continue;
       if (val == Value::False) {
@@ -75,41 +113,34 @@ Conflict Propagator::Propagate() {
     }
 
     // --- two-watched-literal clause propagation -------------------------
-    auto& watches = db_.Watches(false_lit);
-    std::size_t keep = 0;
-    bool clause_conflict = false;
-    std::uint32_t conflict_index = 0;
-    for (std::size_t i = 0; i < watches.size(); ++i) {
-      const std::uint32_t ci = watches[i];
-      std::vector<Lit>& lits = db_.ClauseAt(ci);
-      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
-      if (LitValue(lits[0]) == Value::True) {
-        watches[keep++] = ci;
+    std::uint32_t* link = &watch_head_[false_lit];
+    while (*link != kNoWatch) {
+      const std::uint32_t w = *link;
+      const std::uint32_t c = w / 2;
+      const Lit other = watched_[w ^ 1];
+      if (LitValue(other) == Value::True) {
+        link = &next_watch_[w];
         continue;
       }
-      bool moved = false;
-      for (std::size_t k = 2; k < lits.size(); ++k) {
-        if (LitValue(lits[k]) != Value::False) {
-          std::swap(lits[1], lits[k]);
-          db_.Watches(lits[1]).push_back(ci);
-          moved = true;
+      Lit replacement = kNoLit;
+      for (const Lit l : ClauseLits(c)) {
+        if (l != false_lit && l != other && LitValue(l) != Value::False) {
+          replacement = l;
           break;
         }
       }
-      if (moved) continue;
-      // Unit or conflict on lits[0].
-      watches[keep++] = ci;
-      if (LitValue(lits[0]) == Value::False) {
-        for (std::size_t j = i + 1; j < watches.size(); ++j)
-          watches[keep++] = watches[j];
-        clause_conflict = true;
-        conflict_index = ci;
-        break;
+      if (replacement != kNoLit) {
+        *link = next_watch_[w];  // unlink, then watch the replacement
+        Watch(w, replacement);
+        continue;
       }
-      Enqueue(lits[0], {Reason::Kind::Clause, ci});
+      // Unit or conflict on the other watch.
+      if (LitValue(other) == Value::False) {
+        return {{Reason::Kind::Clause, c}};
+      }
+      Enqueue(other, {Reason::Kind::Clause, c});
+      link = &next_watch_[w];
     }
-    watches.resize(keep);
-    if (clause_conflict) return {{Reason::Kind::Clause, conflict_index}};
   }
   return {};
 }
@@ -131,14 +162,8 @@ void Propagator::CancelUntil(std::uint32_t level) {
     assigns_[v] = Value::Unassigned;
     reasons_[v] = {Reason::Kind::None, 0};
     if (!processed) continue;
-    for (const std::uint32_t pi : db_.PbOccurrences(Negate(p))) {
-      PbConstraint& pb = db_.PbAt(pi);
-      for (const auto& [c, l] : pb.terms) {
-        if (l == Negate(p)) {
-          pb.slack += c;
-          break;
-        }
-      }
+    for (const PbOccurrence& occ : formula_->PbOccurrences(Negate(p))) {
+      pb_slack_[occ.pb] += occ.coef;
     }
   }
   trail_lim_.resize(level);
@@ -147,8 +172,10 @@ void Propagator::CancelUntil(std::uint32_t level) {
 
 std::vector<Lit> Propagator::ReasonLits(Reason reason, Lit implied) const {
   switch (reason.kind) {
-    case Reason::Kind::Clause:
-      return db_.ClauseAt(reason.index);
+    case Reason::Kind::Clause: {
+      const auto lits = ClauseLits(reason.index);
+      return {lits.begin(), lits.end()};
+    }
     case Reason::Kind::Binary: {
       // Clause (implied v ~premise); the premise literal is in `index`.
       std::vector<Lit> lits;
@@ -157,15 +184,15 @@ std::vector<Lit> Propagator::ReasonLits(Reason reason, Lit implied) const {
       return lits;
     }
     case Reason::Kind::Pb: {
-      const PbConstraint& pb = db_.PbAt(reason.index);
       std::vector<Lit> lits;
       if (implied != kNoLit) lits.push_back(implied);
       const std::uint32_t implied_pos =
           implied == kNoLit ? static_cast<std::uint32_t>(trail_.size())
                             : trail_pos_[VarOf(implied)];
-      for (const auto& [c, l] : pb.terms) {
-        if (LitValue(l) == Value::False && trail_pos_[VarOf(l)] < implied_pos) {
-          lits.push_back(l);
+      for (const PbTerm& t : formula_->PbTerms(reason.index)) {
+        if (LitValue(t.lit) == Value::False &&
+            trail_pos_[VarOf(t.lit)] < implied_pos) {
+          lits.push_back(t.lit);
         }
       }
       return lits;

@@ -5,10 +5,10 @@
 
 namespace bistdse::sat {
 
-void Searcher::AddVar() {
-  phase_.push_back(0);
-  in_policy_.push_back(0);
-  seen_.push_back(0);
+void Searcher::Resize(std::size_t vars) {
+  phase_.resize(vars, 0);
+  in_policy_.resize(vars, 0);
+  seen_.resize(vars, 0);
 }
 
 void Searcher::SetDecisionPolicy(std::span<const Var> order,
@@ -164,17 +164,13 @@ SolveResult Searcher::Search() {
           return SolveResult::Unsat;
         }
         if (prop_.LitValue(learnt[0]) == Value::Unassigned) {
+          prop_.AddLearnedUnit(learnt[0]);
           prop_.Enqueue(learnt[0], {Reason::Kind::None, 0});  // root fact
         }
-      } else if (learnt.size() == 2) {
-        db_.AddBinary(learnt[0], learnt[1]);
-        ++stats_.learned_clauses;
-        prop_.Enqueue(learnt[0],
-                      {Reason::Kind::Binary, Negate(learnt[1])});
       } else {
-        const std::uint32_t ci = db_.AddLong(std::move(learnt));
+        const std::uint32_t ci = prop_.AddLearned(learnt);
         ++stats_.learned_clauses;
-        prop_.Enqueue(db_.ClauseAt(ci)[0], {Reason::Kind::Clause, ci});
+        prop_.Enqueue(learnt[0], {Reason::Kind::Clause, ci});
       }
       continue;
     }

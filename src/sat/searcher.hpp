@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "sat/clause_db.hpp"
 #include "sat/propagator.hpp"
 #include "sat/types.hpp"
 
@@ -20,10 +19,11 @@ namespace bistdse::sat {
 
 class Searcher {
  public:
-  Searcher(ClauseDb& db, Propagator& prop, SolverStats& stats)
-      : db_(db), prop_(prop), stats_(stats) {}
+  Searcher(Propagator& prop, SolverStats& stats)
+      : prop_(prop), stats_(stats) {}
 
-  void AddVar();
+  /// Grows the per-variable state to `vars` variables, keeping the policy.
+  void Resize(std::size_t vars);
 
   /// Installs the SAT-decoding branching policy: variables are decided in
   /// `order` (earlier = higher priority) with the given preferred phase;
@@ -49,7 +49,6 @@ class Searcher {
   void MarkSeen(Var v) { seen_[v] = seen_stamp_; }
   void UnmarkSeen(Var v) { seen_[v] = 0; }
 
-  ClauseDb& db_;
   Propagator& prop_;
   SolverStats& stats_;
 

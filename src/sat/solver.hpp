@@ -8,19 +8,23 @@
 // instance with a different decision policy is cheap: learned clauses
 // persist across calls.
 //
-// The class is a thin facade over the layered core (ClauseDb / Propagator /
-// Searcher — see sat/types.hpp for the layering map); the public surface is
-// unchanged from the historical monolithic solver.
+// The class is a thin facade over the layered core (Formula / Propagator /
+// Searcher — see sat/types.hpp for the layering map). A solver either builds
+// its own formula through the Add* methods below, or searches a formula
+// another party built and shares: several solvers, one per thread, can
+// decode over one std::shared_ptr<const Formula>, each with its own
+// assignment, watches, PB slacks and learned clauses.
 //
 // PB constraints are normalized to  sum_i a_i * lit_i >= bound  with a_i > 0;
 // AtMostOne/AtLeastOne/ExactlyOne helpers build on clauses + PB.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "sat/clause_db.hpp"
+#include "sat/formula.hpp"
 #include "sat/propagator.hpp"
 #include "sat/searcher.hpp"
 #include "sat/types.hpp"
@@ -29,8 +33,17 @@ namespace bistdse::sat {
 
 class Solver {
  public:
+  /// A solver over its own formula, empty until the Add* calls fill it.
+  Solver();
+  /// A solver over `formula`, which must be indexed (Formula::Index). It
+  /// adds no constraints: the Add* calls throw std::logic_error.
+  explicit Solver(std::shared_ptr<const Formula> formula);
+
+  Solver(const Solver&) = delete;
+  Solver& operator=(const Solver&) = delete;
+
   Var NewVar();
-  std::size_t VarCount() const { return prop_.VarCount(); }
+  std::size_t VarCount() const { return formula_->VarCount(); }
 
   /// Adds a disjunction (at least one literal true). An empty clause makes
   /// the instance trivially unsatisfiable.
@@ -47,6 +60,11 @@ class Solver {
 
   void AddAtMostOne(std::span<const Lit> lits);
   void AddExactlyOne(std::span<const Lit> lits);
+
+  /// This solver's formula, indexed, for other solvers to search. From then
+  /// on the formula is read-only: this solver's Add* calls throw
+  /// std::logic_error.
+  std::shared_ptr<const Formula> SharedFormula();
 
   /// Installs the SAT-decoding branching policy: variables are decided in
   /// `order` (earlier = higher priority) with the given preferred phase.
@@ -66,13 +84,19 @@ class Solver {
   const SolverStats& Stats() const { return stats_; }
 
  private:
-  /// Asserts a root fact and propagates; clears ok_ on conflict.
-  void AssertRootFact(Lit l);
+  Formula& Owned();
+  /// Brings the search state up to the formula after constraints were
+  /// added (and once at the start): asserts the root units and propagates
+  /// them; clears ok_ on a root conflict.
+  void Sync();
+
+  std::shared_ptr<Formula> owned_;  // null once shared or when not built here
+  std::shared_ptr<const Formula> formula_;
+  bool stale_ = true;
 
   SolverStats stats_{};
-  ClauseDb db_{};
-  Propagator prop_{db_, stats_};
-  Searcher searcher_{db_, prop_, stats_};
+  Propagator prop_{stats_};
+  Searcher searcher_{prop_, stats_};
 
   bool ok_ = true;  // false once a top-level contradiction is found
 };

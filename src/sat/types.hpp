@@ -4,12 +4,15 @@
 //
 // The layering (paper [17] SAT-decoding, modernized after dawn's searcher):
 //
-//   ClauseDb     — append-only constraint store: clause arena + watch lists,
-//                  dedicated binary-implication graph, PB constraint store
-//   Propagator   — assignment trail; unified clause/binary/PB propagation
+//   Formula      — append-only constraint store in flat arrays: root units,
+//                  binary-implication graph, long clauses, PB constraints;
+//                  read-only once shared, so several solvers search it
+//   Propagator   — one solver's search state: assignment trail, watch lists,
+//                  PB slacks, learned clauses; unified clause/binary/PB
+//                  propagation
 //   Searcher     — CDCL loop: pinned genotype decision policy, then
 //                  ascending-index tail; 1-UIP learning and backjumping
-//   Solver       — thin facade preserving the historical call sites
+//   Solver       — facade: builds its own formula or searches a shared one
 #pragma once
 
 #include <cstdint>

@@ -5,14 +5,6 @@
 
 namespace bistdse::util {
 
-namespace {
-
-/// Set while a thread executes chunks for some pool; nested ParallelFor calls
-/// detect it and degrade to inline execution instead of re-entering the queue.
-thread_local bool tls_inside_chunk = false;
-
-}  // namespace
-
 struct ThreadPool::ForState {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -63,8 +55,6 @@ ThreadPool& ThreadPool::Global() {
 bool ThreadPool::RunOneChunk(ForState& state) {
   const std::size_t c = state.next_chunk.fetch_add(1, std::memory_order_relaxed);
   if (c >= state.chunks) return false;
-  const bool was_inside = tls_inside_chunk;
-  tls_inside_chunk = true;
   std::exception_ptr error;
   try {
     const auto [lo, hi] = state.ChunkRange(c);
@@ -72,7 +62,6 @@ bool ThreadPool::RunOneChunk(ForState& state) {
   } catch (...) {
     error = std::current_exception();
   }
-  tls_inside_chunk = was_inside;
   {
     std::lock_guard<std::mutex> lock(state.mutex);
     if (error && !state.error) state.error = std::move(error);
@@ -105,16 +94,8 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
   if (max_chunks == 0) max_chunks = workers_.size() + 1;
   const std::size_t chunks = std::min(n, std::max<std::size_t>(1, max_chunks));
 
-  if (chunks == 1 || tls_inside_chunk) {
-    // Single chunk or nested use: run inline (exceptions propagate directly).
-    ForState state;
-    state.begin = begin;
-    state.end = end;
-    state.chunks = chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [lo, hi] = state.ChunkRange(c);
-      body(lo, hi, c);
-    }
+  if (chunks == 1) {
+    body(begin, end, 0);  // inline; exceptions propagate directly
     return;
   }
 
@@ -130,7 +111,10 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
   work_cv_.notify_all();
 
   // The caller helps: it pulls chunks through the same atomic cursor the
-  // workers use, so progress never depends on worker availability.
+  // workers use, so progress never depends on worker availability. This
+  // holds for a nested call too: the calling thread drains its own loop's
+  // cursor before it waits, and then waits only on chunks other threads are
+  // running (PERF.md, "Nesting rule").
   while (RunOneChunk(*state)) {
   }
   {

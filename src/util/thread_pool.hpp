@@ -5,9 +5,13 @@
 // the pool's workers while the calling thread helps execute chunks of its own
 // loop. Each chunk carries a dense *slot* index in [0, chunk count); two
 // chunks never run concurrently under the same slot, so callers can keep
-// per-slot scratch state (e.g. a fault-simulator clone per slot). Nested
-// calls from inside a worker run inline on the calling worker — no deadlock,
-// no oversubscription.
+// per-slot scratch state (e.g. a fault-simulator clone per slot). A call
+// from inside a chunk (an island's decoder shards inside the island loop)
+// enqueues its chunks like any other, so idle workers join in, and its
+// caller helps as usual. It cannot deadlock: a waiting thread has drained
+// its own loop's cursor and waits only on chunks other threads are running,
+// which wait, if at all, only on loops nested deeper (PERF.md, "Nesting
+// rule").
 //
 // Determinism contract: the pool makes no ordering promise between chunks,
 // so parallel algorithms built on it must write results per index and merge
@@ -47,8 +51,9 @@ class ThreadPool {
   /// chunks (0 = worker count + 1, counting the helping caller). Blocks until
   /// every chunk finished; the first exception thrown by any chunk is
   /// rethrown here. An empty range returns immediately without invoking
-  /// `body`. Safe to call from inside a chunk body: nested calls run inline
-  /// on the calling thread.
+  /// `body`; a single chunk runs inline on the caller. Safe to call from
+  /// inside a chunk body: the nested loop's chunks are enqueued, and the
+  /// calling thread helps run them.
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t max_chunks,
                    const ChunkBody& body);
 

@@ -8,6 +8,8 @@
 //       on a repeated run, and equal to the sum of the islands run alone.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "casestudy/casestudy.hpp"
@@ -179,12 +181,39 @@ TEST(EvaluationEngine, IslandCountersInvariantAcrossThreadsAndRuns) {
   ASSERT_GT(expected.eval_cache_hits, 0u);
   ASSERT_EQ(expected.decoder_stats.decodes, 600u);
 
+  // 8 exceeds kDecoderShards: the partition stays the same.
   for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
     cfg.threads = threads;
     const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 2);
     EXPECT_EQ(result.eval_cache_hits, expected.eval_cache_hits) << threads;
     ExpectSameCounters(result.decoder_stats, expected.decoder_stats);
+  }
+}
+
+TEST(EvaluationEngine, ShardExceptionOfTheLowestGenotypeIndexWins) {
+  // Index 5 (the first shard's range) has too few phases, index 60 (a later
+  // shard's range) a NaN priority. Whichever shard fails first, the batch
+  // reports index 5, as decoding one by one would.
+  auto cs = SmallCaseStudy();
+  util::SplitMix64 rng(7);
+  ExplorationConfig cfg;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    cfg.threads = threads;
+    EvaluationEngine engine(cs.spec, cs.augmentation, cfg);
+    std::vector<moea::Genotype> batch;
+    for (std::size_t i = 0; i < 100; ++i) {
+      batch.push_back(moea::RandomGenotype(engine.GenotypeSize(), rng));
+    }
+    batch[5].phases.pop_back();
+    batch[60].priorities[0] = std::numeric_limits<double>::quiet_NaN();
+    try {
+      engine.EvaluateBatch(batch);
+      ADD_FAILURE() << "no exception, threads " << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "genotype size mismatch") << threads;
+    }
   }
 }
 

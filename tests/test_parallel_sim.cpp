@@ -91,13 +91,13 @@ TEST(ThreadPool, PropagatesExceptionsAndStaysUsable) {
   EXPECT_EQ(sum.load(), 100u * 99u / 2);
 }
 
-TEST(ThreadPool, NestedUseRunsInlineWithoutDeadlock) {
+TEST(ThreadPool, NestedLoopsEnqueueWithoutDeadlock) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> visits(64 * 16);
   pool.ParallelFor(0, 16, 4, [&](std::size_t ob, std::size_t oe, std::size_t) {
     for (std::size_t o = ob; o < oe; ++o) {
-      // A nested loop on the same pool must not wait for pool workers (they
-      // may all be busy with outer chunks) — it degrades to inline execution.
+      // A nested loop on the same pool enqueues its chunks while every
+      // worker may be busy with outer chunks: its caller runs them then.
       pool.ParallelFor(0, 64, 4,
                        [&](std::size_t ib, std::size_t ie, std::size_t) {
                          for (std::size_t i = ib; i < ie; ++i) {
@@ -109,6 +109,40 @@ TEST(ThreadPool, NestedUseRunsInlineWithoutDeadlock) {
   for (std::size_t i = 0; i < visits.size(); ++i) {
     ASSERT_EQ(visits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(ThreadPool, DeepNestingWithAThrowingChunkVisitsAllAndStaysUsable) {
+  // More outer chunks than workers; each issues a loop that issues another,
+  // one chunk per index at every level. One innermost chunk throws after
+  // its visit; the exception climbs through both nested loops to the outer
+  // caller, and only after every chunk of every loop has run.
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 12;
+  constexpr std::size_t kInner = 4;
+  std::vector<std::atomic<int>> visits(kOuter * kInner * kInner);
+  const auto loop = [&pool](std::size_t n, const auto& visit) {
+    pool.ParallelFor(0, n, n, [&](std::size_t b, std::size_t e, std::size_t) {
+      for (std::size_t i = b; i < e; ++i) visit(i);
+    });
+  };
+  EXPECT_THROW(
+      loop(kOuter,
+           [&](std::size_t o) {
+             loop(kInner, [&](std::size_t a) {
+               loop(kInner, [&](std::size_t b) {
+                 const std::size_t index = (o * kInner + a) * kInner + b;
+                 ++visits[index];
+                 if (index == 137) throw std::runtime_error("inner");
+               });
+             });
+           }),
+      std::runtime_error);
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+  std::atomic<std::size_t> sum{0};
+  loop(100, [&](std::size_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 100u * 99u / 2);
 }
 
 TEST(ThreadPool, SingleChunkRunsOnCaller) {

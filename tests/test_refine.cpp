@@ -37,7 +37,7 @@ TEST(Refine, ImprovesOrPreservesFront) {
   opts.max_evaluations = 3000;
   opts.seed = 9;
   const auto refined =
-      RefineFront(cs.spec, cs.augmentation, explored.pareto, opts);
+      RefineFront(cs.spec, cs.augmentation, explored.pareto, cfg, opts);
   EXPECT_GT(refined.evaluations, 0u);
 
   // Hypervolume must not regress, and the refined set must be internally
@@ -65,7 +65,7 @@ TEST(Refine, NeighborsAreAllFeasible) {
   RefineOptions opts;
   opts.max_evaluations = 1500;
   const auto refined =
-      RefineFront(cs.spec, cs.augmentation, explored.pareto, opts);
+      RefineFront(cs.spec, cs.augmentation, explored.pareto, cfg, opts);
   for (const auto& entry : refined.pareto) {
     const auto violations =
         model::ValidateImplementation(cs.spec, entry.implementation);
@@ -84,7 +84,7 @@ TEST(Refine, RespectsEvaluationBudget) {
   RefineOptions opts;
   opts.max_evaluations = 50;
   const auto refined =
-      RefineFront(cs.spec, cs.augmentation, explored.pareto, opts);
+      RefineFront(cs.spec, cs.augmentation, explored.pareto, cfg, opts);
   EXPECT_LE(refined.evaluations, 50u);
 }
 
@@ -99,12 +99,43 @@ TEST(Refine, DeterministicForFixedSeed) {
   RefineOptions opts;
   opts.max_evaluations = 800;
   opts.seed = 3;
-  const auto a = RefineFront(cs.spec, cs.augmentation, explored.pareto, opts);
-  const auto b = RefineFront(cs.spec, cs.augmentation, explored.pareto, opts);
+  const auto a =
+      RefineFront(cs.spec, cs.augmentation, explored.pareto, cfg, opts);
+  const auto b =
+      RefineFront(cs.spec, cs.augmentation, explored.pareto, cfg, opts);
   ASSERT_EQ(a.pareto.size(), b.pareto.size());
   for (std::size_t i = 0; i < a.pareto.size(); ++i) {
     EXPECT_EQ(a.pareto[i].objectives.ToMinimizationVector(),
               b.pareto[i].objectives.ToMinimizationVector());
+  }
+}
+
+TEST(Refine, KeepsTheExplorationsObjectives) {
+  // A front explored under CAN FD is refined under CAN FD: every refined
+  // entry, explored or found by a local move, carries the objectives its
+  // implementation has under the exploration's options.
+  const auto cs = casestudy::BuildCaseStudy(42);
+  ExplorationConfig cfg;
+  cfg.evaluations = 2000;
+  cfg.seed = 1;
+  cfg.evaluation.use_can_fd = true;
+  const auto explored = ExploreParallel(cs.spec, cs.augmentation, cfg, 1);
+
+  RefineOptions opts;
+  opts.max_evaluations = 2000;
+  const auto refined =
+      RefineFront(cs.spec, cs.augmentation, explored.pareto, cfg, opts);
+  ASSERT_GT(refined.improvements, 0u);
+  for (std::size_t i = 0; i < refined.pareto.size(); ++i) {
+    const Objectives expected =
+        EvaluateImplementation(cs.spec, cs.augmentation,
+                               refined.pareto[i].implementation, cfg.evaluation);
+    EXPECT_EQ(refined.pareto[i].objectives.shutoff_time_ms,
+              expected.shutoff_time_ms)
+        << "entry " << i;
+    EXPECT_EQ(refined.pareto[i].objectives.ToMinimizationVector(true),
+              expected.ToMinimizationVector(true))
+        << "entry " << i;
   }
 }
 

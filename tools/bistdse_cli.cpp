@@ -153,7 +153,7 @@ int RunExplore(const Flags& flags) {
   config.population_size = flags.U64("pop", 100);
   config.seed = flags.U64("seed", 1);
   config.mutation_rate = flags.Real("mutation-rate", -1.0);
-  config.threads = flags.U64("threads", 1);
+  config.threads = flags.U64("threads", 0);
   if (flags.Has("algorithm")) {
     const std::string name = flags.Str("algorithm", "nsga2");
     const auto kind = moea::ParseAlgorithmName(name);

@@ -11,7 +11,10 @@
 // shares no code with the solver.
 //
 // Per iteration a random CNF+PB instance is loaded into two solvers: one
-// receives the constraints in order, the other in shuffled order. Each
+// receives the constraints in order, the other in shuffled order. A third
+// solver searches the first one's formula itself (Solver::SharedFormula),
+// as the decoder shards of one island do: its solves interleave with the
+// first solver's, and neither may see the other's learned clauses. Each
 // instance is solved under one to three random policies, full (every
 // variable pinned) or partial (half pinned); learned clauses persist across
 // solves, as in SAT-decoding. Every solve must match the oracle's verdict
@@ -268,8 +271,7 @@ int main(int argc, char** argv) {
   const std::uint64_t iters = flags.U64("iters", 200);
   const std::uint64_t seed = flags.U64("seed", 1);
 
-  // solvers[0] receives the constraints in order, solvers[1] shuffled.
-  const char* const names[] = {"in-order", "shuffled"};
+  const char* const names[] = {"in-order", "shuffled", "shared"};
 
   std::uint64_t sat_count = 0, partial_count = 0, unsat_count = 0;
   std::uint64_t solve_count = 0;
@@ -290,9 +292,12 @@ int main(int argc, char** argv) {
       std::swap(shuffled_pbs[i - 1], shuffled_pbs[rng.Below(i)]);
     }
 
-    Solver solvers[std::size(names)];
-    Load(solvers[0], inst, clause_order, pb_order);
-    Load(solvers[1], inst, shuffled_clauses, shuffled_pbs);
+    Solver in_order;
+    Solver shuffled;
+    Load(in_order, inst, clause_order, pb_order);
+    Load(shuffled, inst, shuffled_clauses, shuffled_pbs);
+    Solver shared(in_order.SharedFormula());
+    Solver* const solvers[] = {&in_order, &shuffled, &shared};
 
     // Several solves per instance: learned clauses persist, mirroring the
     // SAT-decoding usage pattern.
@@ -301,9 +306,12 @@ int main(int argc, char** argv) {
       const bool full = rng.Chance(0.7);
       const Policy policy = RandomPolicy(rng, inst.vars, full);
       const Model expected = OracleModel(inst, policy);
-      for (std::size_t k = 0; k < std::size(names); ++k) {
-        solvers[k].SetDecisionPolicy(policy.order, policy.phases);
-        const Model got = Decode(solvers[k], inst.vars);
+      // Odd rounds solve in reverse, so the shared-formula pair alternates
+      // which of the two solves first.
+      for (std::size_t j = 0; j < std::size(names); ++j) {
+        const std::size_t k = round % 2 ? std::size(names) - 1 - j : j;
+        solvers[k]->SetDecisionPolicy(policy.order, policy.phases);
+        const Model got = Decode(*solvers[k], inst.vars);
         ++solve_count;
         if (got != expected) {
           ReportMismatch(inst, policy, expected, got, names[k], seed, iter,
