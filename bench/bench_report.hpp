@@ -1,7 +1,8 @@
 // One JSON layout for every bench artifact:
 //
 //   {"benchmark": <name>,
-//    "run": {"cpu", "simd_backend", "pool_workers", <the bench's sizes>},
+//    "run": {"cpu", "simd_backend", "pool_workers", "git_sha",
+//            <the bench's sizes>},
 //    "tables": {<table>: [<flat row>, ...]},
 //    "gates": [{"name", "passed", "value", "limit"}, ...]}
 //
@@ -31,6 +32,12 @@
 #include "util/thread_pool.hpp"
 
 namespace bistdse::bench {
+
+/// The commit the bench was built from: its 40 hex digits, followed by
+/// "-dirty" when a tracked file differed from it, or "unknown" outside a git
+/// checkout. Defined in the source that bench/git_sha.cmake writes on every
+/// build (library bistdse_git_sha).
+const char* GitSha();
 
 /// `value` as a JSON token: bool, integer, real or (anything that converts
 /// to std::string_view) string.
@@ -87,12 +94,13 @@ class Row {
 
 class Report {
  public:
-  /// Stamps the run with the host's CPU features, the compiled SIMD backend
-  /// and the shared pool's worker count.
+  /// Stamps the run with the host's CPU features, the compiled SIMD
+  /// backend, the shared pool's worker count and the build's commit.
   explicit Report(std::string_view benchmark) : benchmark_(benchmark) {
     run_.Set("cpu", sim::simd::CpuFeatureString())
         .Set("simd_backend", sim::simd::SimdBackendName())
-        .Set("pool_workers", util::ThreadPool::Global().WorkerCount());
+        .Set("pool_workers", util::ThreadPool::Global().WorkerCount())
+        .Set("git_sha", GitSha());
   }
 
   /// The run's metadata; a bench adds its sizes.

@@ -134,7 +134,7 @@ EvaluationEngine::EvaluateBatch(std::span<const moea::Genotype> genotypes) {
   // Phase 4 (sequential): assemble results in genotype order.
   std::vector<std::optional<Evaluated>> results(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Slot& slot = slots_[i];
+    Slot& slot = slots_[i];
     if (!slot.feasible) continue;
     Evaluated& evaluated = results[i].emplace();
     evaluated.objectives = *slot.objectives;

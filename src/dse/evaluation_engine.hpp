@@ -51,9 +51,11 @@ class EvaluationEngine {
   struct Evaluated {
     Objectives objectives;
     moea::ObjectiveVector vector;  ///< objectives.ToMinimizationVector().
-    /// The decoded implementation. The engine owns it and reuses its
-    /// buffers: it is valid until the next EvaluateBatch call.
-    const model::Implementation* implementation = nullptr;
+    /// The decoded implementation, in the engine's slot for this genotype:
+    /// valid until the next EvaluateBatch call. The caller may move from
+    /// it or swap another implementation in: the slot's next decode
+    /// overwrites whatever it holds.
+    model::Implementation* implementation = nullptr;
   };
 
   /// Reads the decode validation, evaluation options, objective layout and

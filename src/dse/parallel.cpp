@@ -88,7 +88,17 @@ ExplorationResult RunIsland(const model::Specification& spec,
                             const ExplorationConfig& config) {
   EvaluationEngine engine(spec, augmentation, config);
   moea::ParetoArchive archive;
+  // store[k] is the entry of archive payload k. An accepted implementation
+  // is swapped out of the engine's slot, so nothing is copied on the
+  // island's thread. After each batch, the entries in `held` that the
+  // archive has evicted hand their implementations to `spare`, and the
+  // next accepted ones swap those into the slots, where the next decodes
+  // overwrite them in place: nothing is freed or allocated either, and the
+  // store holds the live archive's implementations only.
   std::vector<ExplorationEntry> store;
+  std::vector<std::size_t> held;
+  std::vector<model::Implementation> spare;
+  std::vector<bool> live;
 
   const moea::BatchEvaluator evaluate =
       [&](std::span<const moea::Genotype> genotypes) {
@@ -98,11 +108,28 @@ ExplorationResult RunIsland(const model::Specification& spec,
         for (std::size_t i = 0; i < evaluated.size(); ++i) {
           if (!evaluated[i]) continue;
           if (archive.Offer(evaluated[i]->vector, store.size())) {
-            store.push_back(
-                {evaluated[i]->objectives, *evaluated[i]->implementation});
+            held.push_back(store.size());
+            ExplorationEntry& entry = store.emplace_back();
+            entry.objectives = evaluated[i]->objectives;
+            if (!spare.empty()) {
+              entry.implementation = std::move(spare.back());
+              spare.pop_back();
+            }
+            std::swap(entry.implementation, *evaluated[i]->implementation);
           }
           vectors[i] = std::move(evaluated[i]->vector);
         }
+        live.assign(store.size(), false);
+        for (const auto& entry : archive.Entries()) live[entry.payload] = true;
+        std::size_t kept = 0;
+        for (const std::size_t k : held) {
+          if (live[k]) {
+            held[kept++] = k;
+          } else {
+            spare.push_back(std::move(store[k].implementation));
+          }
+        }
+        held.resize(kept);
         return vectors;
       };
 

@@ -1,6 +1,7 @@
 #include "moea/genotype.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -82,23 +83,52 @@ Genotype UniformCrossover(const Genotype& a, const Genotype& b,
                           util::SplitMix64& rng) {
   if (a.Size() != b.Size())
     throw std::invalid_argument("genotype size mismatch");
-  Genotype child;
-  child.priorities.resize(a.Size());
-  child.phases.resize(a.Size());
-  for (std::size_t i = 0; i < a.Size(); ++i) {
-    const bool from_a = rng.Chance(0.5);
-    child.priorities[i] = from_a ? a.priorities[i] : b.priorities[i];
-    child.phases[i] = from_a ? a.phases[i] : b.phases[i];
+  // Gene i comes from `a` when rng.Chance(0.5) holds for draw x_i, that is
+  // when (x_i >> 11) * 2^-53 < 0.5: exactly when the top bit of x_i is
+  // clear. The top bit, spread into a mask, selects the gene without a
+  // branch, which a fair coin would mispredict half the time. The RNG runs
+  // on a local copy and the data pointers are read once: a store through
+  // the uint8_t phases may alias anything.
+  Genotype child = a;
+  const std::size_t n = a.Size();
+  double* priorities = child.priorities.data();
+  std::uint8_t* phases = child.phases.data();
+  const double* b_priorities = b.priorities.data();
+  const std::uint8_t* b_phases = b.phases.data();
+  util::SplitMix64 local = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t from_b = 0 - (local() >> 63);
+    priorities[i] = std::bit_cast<double>(
+        (std::bit_cast<std::uint64_t>(priorities[i]) & ~from_b) |
+        (std::bit_cast<std::uint64_t>(b_priorities[i]) & from_b));
+    phases[i] = static_cast<std::uint8_t>((phases[i] & ~from_b) |
+                                          (b_phases[i] & from_b));
   }
+  rng = local;
   return child;
 }
 
 void Mutate(Genotype& genotype, double rate, util::SplitMix64& rng) {
-  for (std::size_t i = 0; i < genotype.Size(); ++i) {
-    if (!rng.Chance(rate)) continue;
-    genotype.priorities[i] = rng.UnitReal();
-    if (rng.Chance(0.5)) genotype.phases[i] ^= 1;
+  // rng.Chance(rate) is (x >> 11) * 2^-53 < rate. Scaling by 2^53 is exact,
+  // so for rate > 0 it is the integer test (x >> 11) < ceil(rate * 2^53);
+  // a rate of 1 or more takes every gene, and one <= 0 (or NaN) none, each
+  // still with one draw per gene.
+  const std::uint64_t threshold =
+      rate > 0.0 ? static_cast<std::uint64_t>(
+                       std::ceil(std::min(rate, 1.0) * 0x1.0p53))
+                 : 0;
+  const std::size_t n = genotype.Size();
+  double* priorities = genotype.priorities.data();
+  std::uint8_t* phases = genotype.phases.data();
+  util::SplitMix64 local = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((local() >> 11) >= threshold) continue;
+    priorities[i] = local.UnitReal();
+    // Chance(0.5), as in UniformCrossover: the flip when the top bit is
+    // clear.
+    phases[i] ^= static_cast<std::uint8_t>((local() >> 63) ^ 1);
   }
+  rng = local;
 }
 
 }  // namespace bistdse::moea

@@ -1,24 +1,55 @@
 #include "moea/nsga2.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace bistdse::moea {
+
+namespace {
+
+/// Genotypes with their objectives: genotype i's objectives are row i of
+/// the row-major buffer that FastNonDominatedSort and CrowdingDistance read.
+struct Population {
+  std::vector<Genotype> genotypes;
+  std::vector<double> objectives;
+  /// Objectives per row. The archive offered every row first, and it
+  /// rejects a row whose size differs from its members'.
+  std::size_t dims = 0;
+
+  std::size_t Size() const { return genotypes.size(); }
+
+  void Add(Genotype&& genotype, std::span<const double> row) {
+    genotypes.push_back(std::move(genotype));
+    objectives.insert(objectives.end(), row.begin(), row.end());
+    dims = row.size();
+  }
+
+  /// Moves individual i of `from` to the end.
+  void Take(Population& from, std::size_t i) {
+    Add(std::move(from.genotypes[i]),
+        std::span<const double>(from.objectives)
+            .subspan(i * from.dims, from.dims));
+  }
+};
+
+/// Binary tournament among the ranks.size() parents: the lower rank wins,
+/// then the larger crowding distance. Returns the winner's index.
+std::size_t Tournament(util::SplitMix64& rng,
+                       std::span<const std::size_t> ranks,
+                       std::span<const double> crowding) {
+  const std::size_t a = rng.Below(ranks.size());
+  const std::size_t b = rng.Below(ranks.size());
+  if (ranks[a] != ranks[b]) return ranks[a] < ranks[b] ? a : b;
+  return crowding[a] >= crowding[b] ? a : b;
+}
+
+}  // namespace
 
 Nsga2::Nsga2(AlgorithmConfig config) : config_(std::move(config)) {
   config_.Validate();
   if (config_.mutation_rate <= 0.0) {
     config_.mutation_rate = 1.0 / static_cast<double>(config_.genotype_size);
   }
-}
-
-Nsga2::Individual& Nsga2::Tournament(std::vector<Individual>& pop,
-                                     util::SplitMix64& rng,
-                                     std::span<const std::size_t> ranks,
-                                     std::span<const double> crowding) {
-  const std::size_t a = rng.Below(pop.size());
-  const std::size_t b = rng.Below(pop.size());
-  if (ranks[a] != ranks[b]) return pop[ranks[a] < ranks[b] ? a : b];
-  return pop[crowding[a] >= crowding[b] ? a : b];
 }
 
 MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
@@ -28,25 +59,27 @@ MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
   MoeaResult result;
 
   // Initial population: seeded genotypes first, then random ones.
-  std::vector<Individual> population;
+  Population population;
   const auto accept = [&population](Genotype&& genotype,
                                     const ObjectiveVector& objectives) {
-    population.push_back({std::move(genotype), objectives});
+    population.Add(std::move(genotype), objectives);
   };
   EvaluateInitialPopulation(AlgorithmKind::Nsga2, config_, evaluator,
                             max_evaluations, rng, result, accept);
 
   std::size_t generation = 0;
-  while (result.evaluations < max_evaluations && population.size() >= 2) {
+  std::vector<std::size_t> ranks;
+  std::vector<double> crowding;
+  while (result.evaluations < max_evaluations && population.Size() >= 2) {
     // Rank + crowding of the current population.
-    std::vector<ObjectiveVector> points;
-    points.reserve(population.size());
-    for (const Individual& ind : population) points.push_back(ind.objectives);
-    const auto fronts = FastNonDominatedSort(points);
-    std::vector<std::size_t> ranks(population.size(), 0);
-    std::vector<double> crowding(population.size(), 0.0);
+    const std::size_t parents = population.Size();
+    const auto fronts =
+        FastNonDominatedSort(population.objectives, population.dims);
+    ranks.assign(parents, 0);
+    crowding.assign(parents, 0.0);
     for (std::size_t f = 0; f < fronts.size(); ++f) {
-      const auto cd = CrowdingDistance(points, fronts[f]);
+      const auto cd =
+          CrowdingDistance(population.objectives, population.dims, fronts[f]);
       for (std::size_t i = 0; i < fronts[f].size(); ++i) {
         ranks[fronts[f][i]] = f;
         crowding[fronts[f][i]] = cd[i];
@@ -54,56 +87,50 @@ MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
     }
 
     // Variation: binary tournaments, uniform crossover, mutation. Selection
-    // reads only the parent population, so one generation's offspring form
-    // one evaluation batch.
-    std::vector<Individual> offspring;
-    const auto accept_offspring = [&offspring](Genotype&& genotype,
-                                               const ObjectiveVector& objectives) {
-      offspring.push_back({std::move(genotype), objectives});
-    };
-    while (offspring.size() < config_.population_size &&
+    // reads only the parents, so one generation's offspring form one
+    // evaluation batch; the accepted ones join the population after them.
+    while (population.Size() - parents < config_.population_size &&
            result.evaluations < max_evaluations) {
       std::vector<Genotype> batch;
       const std::size_t want =
-          std::min(config_.population_size - offspring.size(),
+          std::min(config_.population_size - (population.Size() - parents),
                    max_evaluations - result.evaluations);
       for (std::size_t i = 0; i < want; ++i) {
-        const Individual& p1 = Tournament(population, rng, ranks, crowding);
-        const Individual& p2 = Tournament(population, rng, ranks, crowding);
+        const Genotype& p1 =
+            population.genotypes[Tournament(rng, ranks, crowding)];
+        const Genotype& p2 =
+            population.genotypes[Tournament(rng, ranks, crowding)];
         Genotype child = rng.Chance(config_.crossover_rate)
-                             ? UniformCrossover(p1.genotype, p2.genotype, rng)
-                             : p1.genotype;
+                             ? UniformCrossover(p1, p2, rng)
+                             : p1;
         Mutate(child, config_.mutation_rate, rng);
         batch.push_back(std::move(child));
       }
-      EvaluateBatch(evaluator, std::move(batch), result, accept_offspring);
+      EvaluateBatch(evaluator, std::move(batch), result, accept);
     }
 
     // Environmental selection over parents + offspring.
-    std::vector<Individual> merged = std::move(population);
-    for (Individual& ind : offspring) merged.push_back(std::move(ind));
-    std::vector<ObjectiveVector> merged_points;
-    merged_points.reserve(merged.size());
-    for (const Individual& ind : merged) merged_points.push_back(ind.objectives);
-    const auto merged_fronts = FastNonDominatedSort(merged_points);
-
-    population.clear();
+    const auto merged_fronts =
+        FastNonDominatedSort(population.objectives, population.dims);
+    Population next;
     for (const auto& front : merged_fronts) {
-      if (population.size() + front.size() <= config_.population_size) {
-        for (std::size_t i : front) population.push_back(std::move(merged[i]));
+      if (next.Size() + front.size() <= config_.population_size) {
+        for (std::size_t i : front) next.Take(population, i);
       } else {
-        const auto cd = CrowdingDistance(merged_points, front);
+        const auto cd =
+            CrowdingDistance(population.objectives, population.dims, front);
         std::vector<std::size_t> order(front.size());
-        for (std::size_t i = 0; i < front.size(); ++i) order[i] = i;
+        std::iota(order.begin(), order.end(), std::size_t{0});
         std::sort(order.begin(), order.end(),
                   [&](std::size_t a, std::size_t b) { return cd[a] > cd[b]; });
         for (std::size_t i : order) {
-          if (population.size() >= config_.population_size) break;
-          population.push_back(std::move(merged[front[i]]));
+          if (next.Size() >= config_.population_size) break;
+          next.Take(population, front[i]);
         }
       }
-      if (population.size() >= config_.population_size) break;
+      if (next.Size() >= config_.population_size) break;
     }
+    population = std::move(next);
 
     ++generation;
     if (on_generation) {

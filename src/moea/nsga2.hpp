@@ -26,15 +26,6 @@ class Nsga2 : public Algorithm {
                  const GenerationCallback& on_generation = {}) override;
 
  private:
-  struct Individual {
-    Genotype genotype;
-    ObjectiveVector objectives;
-  };
-
-  Individual& Tournament(std::vector<Individual>& pop, util::SplitMix64& rng,
-                         std::span<const std::size_t> ranks,
-                         std::span<const double> crowding);
-
   AlgorithmConfig config_;
 };
 

@@ -147,10 +147,19 @@ MoeaResult Spea2::Run(const BatchEvaluator& evaluator,
           std::min(config_.population_size - population.size(),
                    max_evaluations - result.evaluations);
       for (std::size_t i = 0; i < want; ++i) {
-        Genotype child = rng.Chance(config_.crossover_rate)
-                             ? UniformCrossover(tournament().genotype,
-                                                tournament().genotype, rng)
-                             : tournament().genotype;
+        Genotype child;
+        if (rng.Chance(config_.crossover_rate)) {
+          // Both tournaments draw from `rng`, so their order is part of the
+          // stream. The second parent's tournament runs first: the order
+          // GCC gave the two arguments of one call, which the pinned
+          // convergence results were made with. Named locals fix it for
+          // every compiler.
+          const Individual& second = tournament();
+          const Individual& first = tournament();
+          child = UniformCrossover(first.genotype, second.genotype, rng);
+        } else {
+          child = tournament().genotype;
+        }
         Mutate(child, config_.mutation_rate, rng);
         batch.push_back(std::move(child));
       }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -50,7 +51,7 @@ TEST(BenchReport, WritesTheLayoutByteForByte) {
       "\", \"simd_backend\": \"" + sim::simd::SimdBackendName() +
       "\", \"pool_workers\": " +
       std::to_string(util::ThreadPool::Global().WorkerCount()) +
-      ", \"patterns\": 4096}";
+      ", \"git_sha\": \"" + GitSha() + "\", \"patterns\": 4096}";
   EXPECT_EQ(ReadFile(path),
             "{\n"
             "  \"benchmark\": \"demo\",\n"
@@ -73,6 +74,13 @@ TEST(BenchReport, WritesTheLayoutByteForByte) {
             "\"0x0000000000000001\", \"limit\": \"0x0000000000000001\"}\n"
             "  ]\n"
             "}\n");
+}
+
+TEST(BenchReport, GitShaIsACommitOrUnknown) {
+  const std::string sha = GitSha();
+  EXPECT_TRUE(sha == "unknown" ||
+              std::regex_match(sha, std::regex("[0-9a-f]{40}(-dirty)?")))
+      << sha;
 }
 
 TEST(BenchReport, EmptyReportIsValid) {
