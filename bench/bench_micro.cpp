@@ -256,19 +256,27 @@ void BM_PodemEasyFault(benchmark::State& state) {
 }
 BENCHMARK(BM_PodemEasyFault);
 
+// Encodes a cycle of seeded cubes with 4 to 97 care bits, so the LFSR
+// degree changes from call to call as it does over PODEM's cubes. The
+// encoder keeps no per-degree state: every call builds its rows.
 void BM_ReseedingEncode(benchmark::State& state) {
   const auto width = static_cast<std::uint32_t>(Cut().CoreInputs().size());
-  bist::ReseedingEncoder encoder(width);
+  const bist::ReseedingEncoder encoder(width);
   util::SplitMix64 rng(3);
-  atpg::TestCube cube;
-  cube.bits.assign(width, atpg::Value3::X);
-  for (int k = 0; k < 24; ++k) {
-    cube.bits[rng.Below(width)] =
-        rng.Chance(0.5) ? atpg::Value3::One : atpg::Value3::Zero;
+  std::vector<atpg::TestCube> cubes(32);
+  for (std::size_t c = 0; c < cubes.size(); ++c) {
+    cubes[c].bits.assign(width, atpg::Value3::X);
+    for (std::size_t k = 0; k < 4 + 3 * c; ++k) {
+      cubes[c].bits[rng.Below(width)] =
+          rng.Chance(0.5) ? atpg::Value3::One : atpg::Value3::Zero;
+    }
   }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.Encode(cube));
+    benchmark::DoNotOptimize(encoder.Encode(cubes[i]));
+    i = (i + 1) % cubes.size();
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReseedingEncode);
 
@@ -357,7 +365,8 @@ void BM_CanResponseTimeAnalysis(benchmark::State& state) {
     m.id = static_cast<can::CanId>(i * 16);
     m.payload_bytes = 1 + i % 8;
     m.period_ms = 5.0 * (1 + i % 5);
-    m.name = "m" + std::to_string(i);
+    m.name = std::string(1, 'm');
+    m.name += std::to_string(i);
     bus.AddMessage(m);
   }
   for (auto _ : state) {

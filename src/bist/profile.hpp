@@ -29,8 +29,6 @@ struct BistProfile {
 /// The fail-data transfer is fixed per session (paper: ~638 bytes).
 inline constexpr std::uint64_t kFailDataBytes = 638;
 
-std::string ToString(const BistProfile& p);
-
 /// A scaled data size, rounded down to whole bytes. Throws
 /// std::invalid_argument naming `field` (the scale that produced it) when
 /// `bytes` is negative, not a number or above 2^64-1, where the conversion

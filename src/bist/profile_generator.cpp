@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "bist/pattern_source.hpp"
 #include "sim/pattern_set.hpp"
 #include "sim/transition_fault.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bistdse::bist {
 
@@ -20,17 +22,6 @@ using netlist::Netlist;
 using sim::BitPattern;
 using sim::PatternWord;
 using sim::StuckAtFault;
-
-std::string ToString(const BistProfile& p) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "profile %2u: %8llu PRPs  c=%6.2f%%  l=%9.2f ms  s=%12llu B",
-                p.profile_number,
-                static_cast<unsigned long long>(p.num_random_patterns),
-                p.fault_coverage_percent, p.runtime_ms,
-                static_cast<unsigned long long>(p.data_bytes));
-  return buf;
-}
 
 std::uint64_t ScaledDataBytes(double bytes, std::string_view field) {
   // 2^64 is the first double above UINT64_MAX; the negated test also
@@ -97,16 +88,24 @@ void ProfileGeneratorConfig::Validate() const {
                                 std::to_string(byte_scale) + ")");
 }
 
+namespace {
+
+/// The campaign configuration of a runner with `threads` sweep workers.
+sim::CampaignConfig RunnerConfig(const ProfileGeneratorConfig& config,
+                                 std::size_t threads) {
+  return {.block_width = config.block_width,
+          .threads = threads,
+          .narrow_warmup_patterns = config.narrow_warmup_patterns,
+          .structural_shortcuts = config.structural_shortcuts};
+}
+
+}  // namespace
+
 ProfileGenerator::ProfileGenerator(const Netlist& netlist,
                                    ProfileGeneratorConfig config)
     : netlist_(netlist),
       config_(std::move(config)),
-      runner_(netlist,
-              sim::CampaignConfig{
-                  .block_width = config_.block_width,
-                  .threads = config_.threads,
-                  .narrow_warmup_patterns = config_.narrow_warmup_patterns,
-                  .structural_shortcuts = config_.structural_shortcuts}) {
+      runner_(netlist, RunnerConfig(config_, config_.threads)) {
   config_.Validate();
   faults_ = sim::CollapsedFaults(netlist_);
   stats_.total_collapsed_faults = faults_.size();
@@ -133,18 +132,17 @@ void ProfileGenerator::RunRandomPhase() {
   random_phase_done_ = true;
 }
 
-void ProfileGenerator::SurvivorsAt(std::uint64_t prps,
-                                   std::vector<StuckAtFault>* undetected,
-                                   std::size_t* random_detected) const {
-  undetected->clear();
-  *random_detected = 0;
+ProfileGenerator::Survivors ProfileGenerator::SurvivorsAt(
+    std::uint64_t prps) const {
+  Survivors survivors;
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     if (first_detect_[i] < prps) {
-      ++*random_detected;
+      ++survivors.random_detected;
     } else {
-      undetected->push_back(faults_[i]);
+      survivors.undetected.push_back(faults_[i]);
     }
   }
+  return survivors;
 }
 
 GeneratedProfile ProfileGenerator::GenerateOne(std::uint64_t prps,
@@ -162,40 +160,60 @@ GeneratedProfile ProfileGenerator::GenerateOne(std::uint64_t prps,
   }
 
   RunRandomPhase();
-  std::vector<StuckAtFault> undetected;
-  std::size_t random_detected = 0;
-  SurvivorsAt(prps, &undetected, &random_detected);
-
-  const std::size_t width = netlist_.CoreInputs().size();
-  ReseedingEncoder encoder(static_cast<std::uint32_t>(width));
-
+  const ReseedingEncoder encoder(
+      static_cast<std::uint32_t>(netlist_.CoreInputs().size()));
   GeneratedProfile out;
-  out.profile =
-      GenerateVariant(prps, target_percent, fill_seed, 1, undetected,
-                      random_detected, encoder, &out.encoded_patterns);
+  out.profile = GenerateVariant(prps, target_percent, fill_seed, 1,
+                                SurvivorsAt(prps), encoder, runner_, stats_,
+                                &out.encoded_patterns);
   return out;
 }
 
 std::vector<BistProfile> ProfileGenerator::GenerateAll() {
   RunRandomPhase();
 
-  const std::size_t width = netlist_.CoreInputs().size();
-  ReseedingEncoder encoder(static_cast<std::uint32_t>(width));
-
-  std::vector<BistProfile> profiles;
-  std::uint32_t number = 1;
-
+  std::vector<Survivors> survivors;  // per PRP count
   for (std::uint64_t prps : config_.prp_counts) {
-    // Faults surviving the random phase of length `prps`.
-    std::vector<StuckAtFault> undetected;
-    std::size_t random_detected = 0;
-    SurvivorsAt(prps, &undetected, &random_detected);
+    survivors.push_back(SurvivorsAt(prps));
+  }
+  const ReseedingEncoder encoder(
+      static_cast<std::uint32_t>(netlist_.CoreInputs().size()));
 
-    for (std::size_t v = 0; v < config_.coverage_targets_percent.size(); ++v) {
-      profiles.push_back(GenerateVariant(
-          prps, config_.coverage_targets_percent[v], config_.fill_seeds[v],
-          number++, undetected, random_detected, encoder, nullptr));
-    }
+  // Variant v is a pure function of its PRP count, target, fill seed and
+  // survivors, so the variants run as independent pool chunks. Each writes
+  // its own profile and stats slot and sweeps its top-up on a serial runner
+  // of its chunk; a chunk stops at its first exception. Chunks cover
+  // ascending variant ranges, so the first error in index order is the
+  // lowest variant's, whatever finished first.
+  const std::size_t variants = config_.coverage_targets_percent.size();
+  const std::size_t n = config_.prp_counts.size() * variants;
+  std::vector<BistProfile> profiles(n);
+  std::vector<ProfileGenerationStats> stats(n);
+  std::vector<std::exception_ptr> errors(n);
+  util::ThreadPool::Global().ParallelFor(
+      0, n, config_.threads == 0 ? n : config_.threads,
+      [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
+        sim::CampaignRunner runner(netlist_, RunnerConfig(config_, 1));
+        for (std::size_t v = begin; v < end; ++v) {
+          try {
+            profiles[v] = GenerateVariant(
+                config_.prp_counts[v / variants],
+                config_.coverage_targets_percent[v % variants],
+                config_.fill_seeds[v % variants],
+                static_cast<std::uint32_t>(v + 1), survivors[v / variants],
+                encoder, runner, stats[v], nullptr);
+          } catch (...) {
+            errors[v] = std::current_exception();
+            return;
+          }
+        }
+      });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  for (const ProfileGenerationStats& s : stats) {
+    stats_.untestable = std::max(stats_.untestable, s.untestable);
+    stats_.aborted = std::max(stats_.aborted, s.aborted);
   }
   return profiles;
 }
@@ -240,9 +258,12 @@ class TopUpSink final : public sim::CampaignSink {
 
 BistProfile ProfileGenerator::GenerateVariant(
     std::uint64_t prps, double target_percent, std::uint64_t fill_seed,
-    std::uint32_t number, const std::vector<StuckAtFault>& undetected,
-    std::size_t random_detected,
-    ReseedingEncoder& encoder, std::vector<EncodedPattern>* encoded_sink) {
+    std::uint32_t number, const Survivors& survivors,
+    const ReseedingEncoder& encoder, sim::CampaignRunner& runner,
+    ProfileGenerationStats& stats,
+    std::vector<EncodedPattern>* encoded_sink) const {
+  const std::vector<StuckAtFault>& undetected = survivors.undetected;
+  const std::size_t random_detected = survivors.random_detected;
   const std::size_t total = faults_.size();
   const std::size_t width = netlist_.CoreInputs().size();
   const bool already_met = 100.0 * static_cast<double>(random_detected) /
@@ -256,8 +277,8 @@ BistProfile ProfileGenerator::GenerateVariant(
     opts.backtrack_limit = config_.podem_backtrack_limit;
     opts.reverse_compaction = true;
     tpg = GenerateDeterministicPatterns(netlist_, undetected, opts);
-    stats_.untestable = std::max(stats_.untestable, tpg.untestable);
-    stats_.aborted = std::max(stats_.aborted, tpg.aborted);
+    stats.untestable = std::max(stats.untestable, tpg.untestable);
+    stats.aborted = std::max(stats.aborted, tpg.aborted);
   }
 
   // Order of `tpg.patterns` is generation order; walk it with fault
@@ -268,8 +289,7 @@ BistProfile ProfileGenerator::GenerateVariant(
   if (!already_met && !tpg.patterns.empty()) {
     sim::StoredPatternSource source(tpg.patterns);
     TopUpSink sink(gain_per_pattern, random_detected, total, target_percent);
-    runner_.Run(source, sink,
-                {.track = undetected, .drop_detected = true});
+    runner.Run(source, sink, {.track = undetected, .drop_detected = true});
   }
   std::size_t covered = random_detected;
   std::size_t prefix = 0;

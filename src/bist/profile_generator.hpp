@@ -41,9 +41,11 @@ struct ProfileGeneratorConfig {
   /// the cap biases long sessions only marginally.
   bool measure_transition_coverage = false;
   std::uint64_t transition_pairs_cap = 4096;
-  /// Fault-simulation parallelism for the random phase and the deterministic
-  /// top-up sweeps: 1 = serial, 0 = full width of the shared thread pool.
-  /// Results are bit-identical for every value (see docs/PERF.md).
+  /// Parallelism on the shared thread pool: the fault-simulation width of
+  /// the random phase and of GenerateOne's top-up sweep, and how many
+  /// GenerateAll variants run at once. 1 = serial, 0 = full pool width (one
+  /// chunk per variant). Results are bit-identical for every value (see
+  /// docs/PERF.md).
   std::size_t threads = 0;
   /// Simulation block width W of the random phase: W*64 patterns per sweep
   /// (W in {1, 2, 4, 8, 16}). Composes multiplicatively with `threads`;
@@ -86,6 +88,10 @@ class ProfileGenerator {
 
   /// Generates |prp_counts| x |coverage_targets| profiles, numbered 1..N in
   /// Table I order (all variants of a PRP count before the next count).
+  /// After the random phase the variants run on the shared thread pool, at
+  /// most `threads` at once; the profiles and Stats() are the same for every
+  /// thread count. If variants throw, the lowest-numbered one's exception is
+  /// rethrown.
   std::vector<BistProfile> GenerateAll();
 
   /// Generates one profile and keeps its encoded deterministic patterns,
@@ -104,20 +110,26 @@ class ProfileGenerator {
   void RunRandomPhase();
 
   /// Faults surviving a random phase of length `prps` plus the count the
-  /// phase already detected. Requires RunRandomPhase().
-  void SurvivorsAt(std::uint64_t prps,
-                   std::vector<sim::StuckAtFault>* undetected,
-                   std::size_t* random_detected) const;
+  /// phase already detected.
+  struct Survivors {
+    std::vector<sim::StuckAtFault> undetected;
+    std::size_t random_detected = 0;
+  };
+  /// Requires RunRandomPhase().
+  Survivors SurvivorsAt(std::uint64_t prps) const;
 
-  /// One Table-I variant: PODEM top-up of `undetected`, shortest prefix to
-  /// `target_percent`, reseeding encoding, and the cost model. Encoded
-  /// patterns of the chosen prefix go to `encoded_sink` when non-null.
+  /// One Table-I variant: PODEM top-up of the survivors, shortest prefix to
+  /// `target_percent` (swept on `runner`), reseeding encoding, and the cost
+  /// model. Folds the top-up's untestable/aborted counts into `stats` by max.
+  /// Encoded patterns of the chosen prefix go to `encoded_sink` when
+  /// non-null.
   BistProfile GenerateVariant(std::uint64_t prps, double target_percent,
                               std::uint64_t fill_seed, std::uint32_t number,
-                              const std::vector<sim::StuckAtFault>& undetected,
-                              std::size_t random_detected,
-                              ReseedingEncoder& encoder,
-                              std::vector<EncodedPattern>* encoded_sink);
+                              const Survivors& survivors,
+                              const ReseedingEncoder& encoder,
+                              sim::CampaignRunner& runner,
+                              ProfileGenerationStats& stats,
+                              std::vector<EncodedPattern>* encoded_sink) const;
 
   const netlist::Netlist& netlist_;
   ProfileGeneratorConfig config_;
@@ -125,8 +137,8 @@ class ProfileGenerator {
   std::vector<std::uint64_t> first_detect_;  // aligned with faults_
   ProfileGenerationStats stats_;
   bool random_phase_done_ = false;
-  /// The generator's campaign kernel: simulator state is cached per width
-  /// and reused across the random phase and every top-up sweep.
+  /// The campaign kernel of the random phase and of GenerateOne's top-up
+  /// sweeps: simulator state is cached per width and reused across them.
   sim::CampaignRunner runner_;
 };
 

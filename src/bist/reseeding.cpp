@@ -13,24 +13,8 @@ ReseedingEncoder::ReseedingEncoder(std::uint32_t width, std::uint32_t margin)
   if (width == 0) throw std::invalid_argument("width must be > 0");
 }
 
-const std::vector<BitPattern>& ReseedingEncoder::BasisStreams(
-    std::uint32_t degree) {
-  for (const auto& entry : cache_) {
-    if (entry.first == degree) return entry.second;
-  }
-  std::vector<BitPattern> streams(degree);
-  const auto taps = Lfsr::DefaultPolynomial(degree);
-  for (std::uint32_t i = 0; i < degree; ++i) {
-    std::vector<std::uint8_t> seed(degree, 0);
-    seed[i] = 1;
-    Lfsr lfsr(taps, seed);
-    streams[i] = lfsr.Emit(width_);
-  }
-  cache_.emplace_back(degree, std::move(streams));
-  return cache_.back().second;
-}
-
-std::optional<EncodedPattern> ReseedingEncoder::Encode(const TestCube& cube) {
+std::optional<EncodedPattern> ReseedingEncoder::Encode(
+    const TestCube& cube) const {
   if (cube.bits.size() != width_)
     throw std::invalid_argument("cube width mismatch");
 
@@ -39,23 +23,43 @@ std::optional<EncodedPattern> ReseedingEncoder::Encode(const TestCube& cube) {
     if (cube.bits[i] != Value3::X) care_pos.push_back(i);
   }
   const std::uint32_t s = static_cast<std::uint32_t>(care_pos.size());
+  const std::uint32_t rows_needed = s == 0 ? 0 : care_pos.back() + 1;
 
   std::uint32_t degree = std::max<std::uint32_t>(8, s + margin_);
+  std::vector<std::uint64_t> stream;
   while (degree <= width_ + margin_ + 64) {
-    const auto& basis = BasisStreams(degree);
-
-    // Build the system: for each care position p,
-    //   XOR_{i: seed_i = 1} basis[i][p] = cube bit at p.
-    // Row-reduce with rows = equations, columns = seed bits (packed 64/word).
+    // Row p (bit i = seed bit i's contribution to stream bit p), packed 64
+    // seed bits per word. Lfsr::Step emits its oldest stage and appends the
+    // feedback stage[0] ^ stage[L - t] over the taps 0 < t < L, so stream
+    // bit p < L is seed bit p, and bit p >= L is bit p - L xor bit p - t
+    // over the same taps. Linearity carries that recurrence to the rows.
     const std::uint32_t words = (degree + 63) / 64;
+    const auto taps = Lfsr::DefaultPolynomial(degree);
+    stream.assign(std::size_t{rows_needed} * words, 0);
+    for (std::uint32_t p = 0; p < rows_needed; ++p) {
+      std::uint64_t* row = &stream[std::size_t{p} * words];
+      if (p < degree) {
+        row[p / 64] = std::uint64_t{1} << (p % 64);
+        continue;
+      }
+      const std::uint64_t* oldest = &stream[std::size_t{p - degree} * words];
+      for (std::uint32_t w = 0; w < words; ++w) row[w] = oldest[w];
+      for (std::uint32_t t : taps) {
+        if (t == 0 || t == degree) continue;
+        const std::uint64_t* tap = &stream[std::size_t{p - t} * words];
+        for (std::uint32_t w = 0; w < words; ++w) row[w] ^= tap[w];
+      }
+    }
+
+    // The system: one equation per care position p,
+    //   XOR_{i: seed_i = 1} row[p][i] = cube bit at p,
+    // row-reduced with rows = equations, columns = seed bits.
     std::vector<std::vector<std::uint64_t>> rows(s);
     std::vector<std::uint8_t> rhs(s);
     for (std::uint32_t e = 0; e < s; ++e) {
-      rows[e].assign(words, 0);
       const std::uint32_t p = care_pos[e];
-      for (std::uint32_t i = 0; i < degree; ++i) {
-        if (basis[i][p]) rows[e][i / 64] ^= std::uint64_t{1} << (i % 64);
-      }
+      const std::uint64_t* row = &stream[std::size_t{p} * words];
+      rows[e].assign(row, row + words);
       rhs[e] = cube.bits[p] == Value3::One ? 1 : 0;
     }
 

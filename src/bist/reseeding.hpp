@@ -7,9 +7,11 @@
 // deterministic test data" of the paper's BIST data task b^D.
 //
 // The encoder solves the GF(2) linear system relating seed bits to emitted
-// stream bits by Gaussian elimination. The stream/seed relation is obtained
-// by concrete simulation of the very Lfsr class used for expansion, so
-// encode/expand are consistent by construction.
+// stream bits by Gaussian elimination. Each stream bit's row of that system
+// comes from the recurrence Lfsr::Step implements (reseeding.cpp), while
+// expansion runs the Lfsr itself; tests/test_reseeding.cpp holds the two
+// together (RowsMatchTheBasisStreamOracle against concrete basis-seed
+// simulation, ExpansionHonorsCareBits against expansion).
 #pragma once
 
 #include <cstdint>
@@ -45,19 +47,15 @@ class ReseedingEncoder {
 
   /// Encodes one cube. Returns nullopt only if the system stays unsolvable
   /// after growing the seed to `width` stages (practically impossible).
-  std::optional<EncodedPattern> Encode(const atpg::TestCube& cube);
+  /// Keeps no state, so one encoder may serve several threads.
+  std::optional<EncodedPattern> Encode(const atpg::TestCube& cube) const;
 
   /// Expands an encoded pattern to a fully specified test pattern.
   sim::BitPattern Expand(const EncodedPattern& encoded) const;
 
  private:
-  /// Emits the stream of basis seed e_i for degree L (cached per degree).
-  const std::vector<sim::BitPattern>& BasisStreams(std::uint32_t degree);
-
   std::uint32_t width_;
   std::uint32_t margin_;
-  // degree -> per-basis-bit emitted stream
-  std::vector<std::pair<std::uint32_t, std::vector<sim::BitPattern>>> cache_;
 };
 
 }  // namespace bistdse::bist

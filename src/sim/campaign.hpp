@@ -248,7 +248,7 @@ class CampaignRunner {
     std::uint64_t max_patterns = UINT64_MAX;
     /// Faults whose masked detect blocks the runner computes (in parallel)
     /// for every block, exposed as TrackedDetect to sinks.
-    std::span<const StuckAtFault> track;
+    std::span<const StuckAtFault> track = {};
     /// Drop tracked faults after their first detected block (serial merge in
     /// fault order — bit-identical to the serial drop loop).
     bool drop_detected = false;

@@ -8,12 +8,10 @@ using netlist::NodeId;
 
 std::string ToString(const Netlist& netlist, const StuckAtFault& fault) {
   const std::string& raw = netlist.GetGate(fault.node).name;
-  std::string name;
+  std::string name = raw;
   if (raw.empty()) {
-    name = "n";
+    name.push_back('n');
     name += std::to_string(fault.node);
-  } else {
-    name = raw;
   }
   if (!fault.IsStem()) {
     name += ".in";

@@ -181,8 +181,12 @@ Netlist ParseBenchString(const std::string& text) {
 
 void WriteBench(const Netlist& netlist, std::ostream& out) {
   auto name_of = [&](NodeId id) {
-    const std::string& n = netlist.GetGate(id).name;
-    return n.empty() ? "n" + std::to_string(id) : n;
+    std::string n = netlist.GetGate(id).name;
+    if (n.empty()) {
+      n.push_back('n');
+      n += std::to_string(id);
+    }
+    return n;
   };
   for (NodeId id : netlist.PrimaryInputs())
     out << "INPUT(" << name_of(id) << ")\n";

@@ -17,14 +17,21 @@ std::pair<NodeId, NodeId> FullAdder(Netlist& nl, NodeId x, NodeId y,
   return {sum, cout};
 }
 
+/// Input name `prefix` followed by the decimal index.
+std::string PortName(char prefix, std::uint32_t i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 }  // namespace
 
 BlockPorts BuildRippleCarryAdder(Netlist& nl, std::uint32_t bits) {
   BlockPorts ports;
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.a.push_back(nl.AddInput("a" + std::to_string(i)));
+    ports.a.push_back(nl.AddInput(PortName('a', i)));
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.b.push_back(nl.AddInput("b" + std::to_string(i)));
+    ports.b.push_back(nl.AddInput(PortName('b', i)));
   ports.carry_in = nl.AddInput("cin");
 
   NodeId carry = ports.carry_in;
@@ -42,9 +49,9 @@ BlockPorts BuildRippleCarryAdder(Netlist& nl, std::uint32_t bits) {
 BlockPorts BuildArrayMultiplier(Netlist& nl, std::uint32_t bits) {
   BlockPorts ports;
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.a.push_back(nl.AddInput("a" + std::to_string(i)));
+    ports.a.push_back(nl.AddInput(PortName('a', i)));
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.b.push_back(nl.AddInput("b" + std::to_string(i)));
+    ports.b.push_back(nl.AddInput(PortName('b', i)));
 
   // Partial products pp[i][j] = a[j] & b[i], accumulated row by row with
   // ripple adders (classic array multiplier).
@@ -100,9 +107,9 @@ BlockPorts BuildArrayMultiplier(Netlist& nl, std::uint32_t bits) {
 BlockPorts BuildEqualityComparator(Netlist& nl, std::uint32_t bits) {
   BlockPorts ports;
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.a.push_back(nl.AddInput("a" + std::to_string(i)));
+    ports.a.push_back(nl.AddInput(PortName('a', i)));
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.b.push_back(nl.AddInput("b" + std::to_string(i)));
+    ports.b.push_back(nl.AddInput(PortName('b', i)));
   std::vector<NodeId> eq;
   for (std::uint32_t i = 0; i < bits; ++i) {
     eq.push_back(nl.AddGate(GateType::Xnor, {ports.a[i], ports.b[i]}));
@@ -123,7 +130,7 @@ BlockPorts BuildEqualityComparator(Netlist& nl, std::uint32_t bits) {
 BlockPorts BuildParityTree(Netlist& nl, std::uint32_t bits) {
   BlockPorts ports;
   for (std::uint32_t i = 0; i < bits; ++i)
-    ports.a.push_back(nl.AddInput("x" + std::to_string(i)));
+    ports.a.push_back(nl.AddInput(PortName('x', i)));
   std::vector<NodeId> layer = ports.a;
   while (layer.size() > 1) {
     std::vector<NodeId> next;
@@ -142,9 +149,9 @@ BlockPorts BuildMuxTree(Netlist& nl, std::uint32_t sel_bits) {
   BlockPorts ports;
   const std::uint32_t n = 1u << sel_bits;
   for (std::uint32_t i = 0; i < n; ++i)
-    ports.a.push_back(nl.AddInput("d" + std::to_string(i)));
+    ports.a.push_back(nl.AddInput(PortName('d', i)));
   for (std::uint32_t i = 0; i < sel_bits; ++i)
-    ports.b.push_back(nl.AddInput("s" + std::to_string(i)));
+    ports.b.push_back(nl.AddInput(PortName('s', i)));
 
   std::vector<NodeId> layer = ports.a;
   for (std::uint32_t level = 0; level < sel_bits; ++level) {

@@ -12,13 +12,18 @@ TEST(Lfsr, MaximalPeriodDegree8) {
   // The built-in degree-8 polynomial is primitive: the state sequence must
   // visit all 2^8 - 1 non-zero states before repeating.
   Lfsr lfsr(Lfsr::DefaultPolynomial(8), 0x5A);
-  std::set<std::vector<std::uint8_t>> seen;
+  auto state = [&lfsr] {
+    unsigned packed = 0;
+    for (std::uint8_t bit : lfsr.State()) packed = packed << 1 | bit;
+    return packed;
+  };
+  std::set<unsigned> seen;
   for (int i = 0; i < 255; ++i) {
-    EXPECT_TRUE(seen.insert(lfsr.State()).second) << "state repeated at " << i;
+    EXPECT_TRUE(seen.insert(state()).second) << "state repeated at " << i;
     lfsr.Step();
   }
   // After 255 steps the sequence wraps.
-  EXPECT_TRUE(seen.count(lfsr.State()));
+  EXPECT_TRUE(seen.count(state()));
 }
 
 TEST(Lfsr, DeterministicStream) {

@@ -269,24 +269,86 @@ void ExpectSameProfiles(const std::vector<bist::BistProfile>& a,
   }
 }
 
+/// Table I's four variants per PRP count over short random phases, so that
+/// both maximum-coverage variants of the first PRP count run PODEM.
+bist::ProfileGeneratorConfig TopUpProfileConfig() {
+  bist::ProfileGeneratorConfig config = SmallProfileConfig();
+  config.prp_counts = {32, 128};
+  config.coverage_targets_percent = {100.0, 100.0, 98.0, 95.0};
+  config.fill_seeds = {11, 23, 11, 11};
+  return config;
+}
+
 TEST(ParallelProfileGeneration, TablesAreIdenticalAcrossThreadCounts) {
   auto nl = bistdse::testing::MakeSmallRandom(16, 300);
-  auto serial_config = SmallProfileConfig();
-  serial_config.threads = 1;
-  bist::ProfileGenerator serial(nl, serial_config);
-  const auto expected = serial.GenerateAll();
+  for (const auto& matrix : {SmallProfileConfig(), TopUpProfileConfig()}) {
+    const std::string name =
+        std::to_string(matrix.coverage_targets_percent.size()) + " variants";
+    auto serial_config = matrix;
+    serial_config.threads = 1;
+    bist::ProfileGenerator serial(nl, serial_config);
+    const auto expected = serial.GenerateAll();
+    const auto expected_one = serial.GenerateOne(
+        matrix.prp_counts[0], 100.0, matrix.fill_seeds.back());
+    ASSERT_GT(expected_one.profile.num_deterministic_patterns, 0u) << name;
+    if (matrix.coverage_targets_percent.size() == 4) {
+      // With threads != 1 two top-ups of one PRP count run at once.
+      EXPECT_GT(expected[0].num_deterministic_patterns, 0u);
+      EXPECT_GT(expected[1].num_deterministic_patterns, 0u);
+    }
 
-  for (std::size_t threads : {2u, 8u, 0u}) {
-    auto config = SmallProfileConfig();
-    config.threads = threads;
-    bist::ProfileGenerator generator(nl, config);
-    const auto profiles = generator.GenerateAll();
-    ExpectSameProfiles(expected, profiles,
-                       "threads=" + std::to_string(threads));
-    EXPECT_EQ(bist::FormatProfileTable(expected),
-              bist::FormatProfileTable(profiles));
-    EXPECT_EQ(serial.Stats().random_detected_at_max_prps,
-              generator.Stats().random_detected_at_max_prps);
+    for (std::size_t threads : {2u, 8u, 0u}) {
+      const std::string label = name + ", threads=" + std::to_string(threads);
+      auto config = matrix;
+      config.threads = threads;
+      bist::ProfileGenerator generator(nl, config);
+      const auto profiles = generator.GenerateAll();
+      ExpectSameProfiles(expected, profiles, label);
+      EXPECT_EQ(bist::FormatProfileTable(expected),
+                bist::FormatProfileTable(profiles))
+          << label;
+      EXPECT_EQ(serial.Stats().random_detected_at_max_prps,
+                generator.Stats().random_detected_at_max_prps)
+          << label;
+      EXPECT_EQ(serial.Stats().untestable, generator.Stats().untestable)
+          << label;
+      EXPECT_EQ(serial.Stats().aborted, generator.Stats().aborted) << label;
+
+      const auto one = generator.GenerateOne(matrix.prp_counts[0], 100.0,
+                                             matrix.fill_seeds.back());
+      ExpectSameProfiles({expected_one.profile}, {one.profile}, label);
+      EXPECT_EQ(bist::HashEncodedPatterns(expected_one.encoded_patterns),
+                bist::HashEncodedPatterns(one.encoded_patterns))
+          << label;
+    }
+  }
+
+  // Every variant throws, naming its own scaled size; each thread count
+  // rethrows the lowest variant's exception, as the serial loop does.
+  auto overflow = TopUpProfileConfig();
+  overflow.byte_scale = 1e300;
+  std::string serial_what;
+  for (std::size_t threads : {1u, 2u, 8u, 0u}) {
+    overflow.threads = threads;
+    bist::ProfileGenerator generator(nl, overflow);
+    try {
+      generator.GenerateAll();
+      ADD_FAILURE() << "threads=" << threads << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      if (threads == 1) serial_what = e.what();
+      EXPECT_EQ(e.what(), serial_what) << "threads=" << threads;
+    }
+  }
+  EXPECT_NE(serial_what.find("byte_scale"), std::string::npos) << serial_what;
+  // The last variant's message differs, so the order of the rethrow shows.
+  bist::ProfileGenerator last(nl, overflow);
+  try {
+    last.GenerateOne(overflow.prp_counts.back(),
+                     overflow.coverage_targets_percent.back(),
+                     overflow.fill_seeds.back());
+    ADD_FAILURE() << "last variant: no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(e.what(), serial_what);
   }
 }
 

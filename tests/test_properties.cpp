@@ -116,7 +116,8 @@ TEST_P(CanBoundProperty, AnalysisDominatesSimulation) {
     m.payload_bytes = static_cast<std::uint32_t>(1 + rng.Below(8));
     const double periods[] = {5, 10, 20, 50, 100};
     m.period_ms = periods[rng.Below(5)];
-    m.name = "m" + std::to_string(i);
+    m.name = std::string(1, 'm');
+    m.name += std::to_string(i);
     bus.AddMessage(m);
   }
   if (!bus.Schedulable()) GTEST_SKIP() << "random set unschedulable";
@@ -151,7 +152,8 @@ TEST_P(MirroredSwapProperty, MirroringIsInvisibleAndBounded) {
     m.payload_bytes = static_cast<std::uint32_t>(1 + rng.Below(8));
     const double periods[] = {5, 10, 20, 50, 100};
     m.period_ms = periods[rng.Below(5)];
-    m.name = "m" + std::to_string(i);
+    m.name = std::string(1, 'm');
+    m.name += std::to_string(i);
     base.AddMessage(m);
   }
   if (!base.Schedulable()) GTEST_SKIP() << "random set unschedulable";
