@@ -16,6 +16,7 @@
 #include "dse/decoder.hpp"
 #include "dse/objectives.hpp"
 #include "moea/algorithm.hpp"
+#include "moea/archive.hpp"
 #include "moea/indicators.hpp"
 
 using namespace bistdse;
@@ -49,36 +50,40 @@ RunResult RunOnce(const casestudy::CaseStudy& cs, bool biased_init,
       config);
 
   RunResult rr;
+  // Every feasible evaluation is offered to the archive, in evaluation
+  // order: the non-dominated set of everything the run evaluated.
+  moea::ParetoArchive archive;
   const moea::Evaluator evaluator =
       [&](const moea::Genotype& genotype)
       -> std::optional<moea::ObjectiveVector> {
     auto impl = decoder.Decode(genotype);
     if (!impl) return std::nullopt;
-    return dse::EvaluateImplementation(cs.spec, cs.augmentation, *impl)
-        .ToMinimizationVector();
+    auto objectives =
+        dse::EvaluateImplementation(cs.spec, cs.augmentation, *impl)
+            .ToMinimizationVector();
+    archive.Offer(objectives, archive.Size());
+    return objectives;
   };
-  const moea::GenerationCallback trace =
-      [&](std::size_t, std::size_t done, const moea::ParetoArchive& archive) {
-        if (rr.hv_trace.empty() ||
-            done >= rr.hv_trace.back().first + evals / 8) {
-          std::vector<moea::ObjectiveVector> pts;
-          for (const auto& e : archive.Entries()) pts.push_back(e.objectives);
-          // Clip shut-off into the reference box for a stable indicator.
-          for (auto& p : pts) p[1] = std::min(p[1], kReference[1]);
-          rr.hv_trace.emplace_back(done, moea::Hypervolume(pts, kReference));
-        }
-      };
-  const moea::MoeaResult result = algorithm->Run(evaluator, evals, trace);
+  const moea::GenerationCallback trace = [&](std::size_t, std::size_t done) {
+    if (rr.hv_trace.empty() || done >= rr.hv_trace.back().first + evals / 8) {
+      std::vector<moea::ObjectiveVector> pts;
+      for (const auto& e : archive.Entries()) pts.push_back(e.objectives);
+      // Clip shut-off into the reference box for a stable indicator.
+      for (auto& p : pts) p[1] = std::min(p[1], kReference[1]);
+      rr.hv_trace.emplace_back(done, moea::Hypervolume(pts, kReference));
+    }
+  };
+  algorithm->Run(evaluator, evals, trace);
 
   std::vector<moea::ObjectiveVector> pts;
-  for (const auto& e : result.archive.Entries()) {
+  for (const auto& e : archive.Entries()) {
     rr.min_quality = std::min(rr.min_quality, -e.objectives[0]);
     rr.max_quality = std::max(rr.max_quality, -e.objectives[0]);
     auto p = e.objectives;
     p[1] = std::min(p[1], kReference[1]);
     pts.push_back(p);
   }
-  rr.front_size = result.archive.Size();
+  rr.front_size = archive.Size();
   rr.hypervolume = moea::Hypervolume(pts, kReference);
   return rr;
 }

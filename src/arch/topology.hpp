@@ -28,9 +28,9 @@ namespace bistdse::arch {
 
 /// One field-bus segment. `fd` marks a CAN-FD-capable segment: the frame
 /// payload can grow to 64 bytes with the data phase running at a faster
-/// bitrate (modeled analytically via dse::EvaluationOptions::use_can_fd /
-/// can::MirroredFdTransferTimeMs; the frame-level executor replays the
-/// nominal-rate schedule, which the FD frame fits by construction).
+/// bitrate (modeled analytically via dse::EvaluationOptions::use_can_fd;
+/// the frame-level executor replays the nominal-rate schedule, which the FD
+/// frame fits by construction).
 struct BusSpec {
   double bitrate_bps = 500e3;
   bool fd = false;
@@ -91,7 +91,7 @@ struct TopologySpec {
   /// heterogeneous future case study). One entry = homogeneous fleet; an
   /// empty *outer* vector skips the BIST augmentation entirely (a pure
   /// functional network); an empty *inner* set keeps the augmentation with
-  /// zero programs (the diagnosis-free baseline of BaselineCost).
+  /// zero programs (a diagnosis-free baseline).
   std::vector<std::vector<bist::BistProfile>> profile_sets;
 };
 

@@ -58,34 +58,6 @@ class DropScanSink final : public sim::CampaignSink {
 
 }  // namespace
 
-std::vector<TestCube> MergeCompatibleCubes(std::span<const TestCube> cubes) {
-  auto compatible = [](const TestCube& a, const TestCube& b) {
-    for (std::size_t i = 0; i < a.bits.size(); ++i) {
-      if (a.bits[i] != Value3::X && b.bits[i] != Value3::X &&
-          a.bits[i] != b.bits[i]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  std::vector<TestCube> merged;
-  for (const TestCube& cube : cubes) {
-    bool placed = false;
-    for (TestCube& target : merged) {
-      if (target.bits.size() == cube.bits.size() &&
-          compatible(target, cube)) {
-        for (std::size_t i = 0; i < cube.bits.size(); ++i) {
-          if (cube.bits[i] != Value3::X) target.bits[i] = cube.bits[i];
-        }
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) merged.push_back(cube);
-  }
-  return merged;
-}
-
 DeterministicTpgResult GenerateDeterministicPatterns(
     const netlist::Netlist& netlist, std::span<const StuckAtFault> targets,
     const DeterministicTpgOptions& options) {
@@ -160,64 +132,6 @@ DeterministicTpgResult GenerateDeterministicPatterns(
     result.patterns.push_back(pattern);
     region_hint = pr.cube;
     have_hint = true;
-  }
-
-  if (options.static_compaction && !result.cubes.empty()) {
-    // Merge and refill. Every explicitly generated cube keeps detecting its
-    // own target (the merged cube carries a superset of its care bits), but
-    // targets that were only dropped thanks to the old random fill can escape
-    // the refilled set — verify against the dropped set and graft back the
-    // original patterns still needed, so the compacted set never detects
-    // fewer targets than the uncompacted one.
-    auto merged = MergeCompatibleCubes(result.cubes);
-    if (merged.size() < result.cubes.size()) {
-      std::vector<BitPattern> merged_patterns;
-      merged_patterns.reserve(merged.size());
-      for (const TestCube& cube : merged) {
-        merged_patterns.push_back(FillCube(cube, rng));
-      }
-
-      std::vector<StuckAtFault> dropped;
-      for (std::size_t j = 0; j < remaining.size(); ++j) {
-        if (status[j] == kDropped) dropped.push_back(remaining[j]);
-      }
-      std::vector<std::uint64_t> first_detect(dropped.size(), UINT64_MAX);
-      {
-        sim::StoredPatternSource source{
-            std::span<const BitPattern>(merged_patterns)};
-        sim::FirstDetectSink sink(first_detect);
-        runner.Run(source, sink, {.track = dropped, .drop_detected = true});
-      }
-      std::vector<StuckAtFault> missed;
-      for (std::size_t j = 0; j < dropped.size(); ++j) {
-        if (first_detect[j] == UINT64_MAX) missed.push_back(dropped[j]);
-      }
-      if (!missed.empty()) {
-        std::vector<std::uint64_t> original_first(missed.size(), UINT64_MAX);
-        sim::StoredPatternSource source{
-            std::span<const BitPattern>(result.patterns)};
-        sim::FirstDetectSink sink(original_first);
-        runner.Run(source, sink, {.track = missed, .drop_detected = true});
-        std::vector<std::size_t> graft;
-        for (std::uint64_t p : original_first) {
-          if (p != UINT64_MAX) graft.push_back(static_cast<std::size_t>(p));
-        }
-        std::sort(graft.begin(), graft.end());
-        graft.erase(std::unique(graft.begin(), graft.end()), graft.end());
-        for (std::size_t p : graft) {
-          merged.push_back(result.cubes[p]);
-          merged_patterns.push_back(result.patterns[p]);
-        }
-      }
-      if (merged_patterns.size() <= result.patterns.size()) {
-        result.cubes = std::move(merged);
-        result.patterns = std::move(merged_patterns);
-        result.total_care_bits = 0;
-        for (const TestCube& cube : result.cubes) {
-          result.total_care_bits += cube.CareBitCount();
-        }
-      }
-    }
   }
 
   if (options.reverse_compaction && !result.patterns.empty()) {

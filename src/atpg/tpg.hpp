@@ -16,9 +16,6 @@ struct DeterministicTpgOptions {
   std::uint64_t seed = 1;               ///< For random fill of don't-cares.
   std::uint32_t backtrack_limit = 200;  ///< PODEM effort per fault.
   bool reverse_compaction = true;       ///< Reverse-order fault-sim compaction.
-  /// Static compaction: greedily merge compatible cubes (no conflicting care
-  /// bit) before random fill, shrinking the encoded pattern count further.
-  bool static_compaction = false;
 };
 
 struct DeterministicTpgResult {
@@ -41,11 +38,6 @@ struct DeterministicTpgResult {
 DeterministicTpgResult GenerateDeterministicPatterns(
     const netlist::Netlist& netlist, std::span<const sim::StuckAtFault> targets,
     const DeterministicTpgOptions& options = {});
-
-/// Greedy static compaction: merges cubes pairwise whenever their care bits
-/// do not conflict (the merged cube carries the union of care bits). The
-/// result detects at least the union of the inputs' target faults.
-std::vector<TestCube> MergeCompatibleCubes(std::span<const TestCube> cubes);
 
 /// Reverse-order fault-simulation compaction: returns the subset of
 /// `patterns` (original relative order preserved) that still detects every

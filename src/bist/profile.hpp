@@ -29,6 +29,10 @@ struct BistProfile {
 /// The fail-data transfer is fixed per session (paper: ~638 bytes).
 inline constexpr std::uint64_t kFailDataBytes = 638;
 
+/// Flush and functional state restore after a session [ms]: a term of l(b)
+/// and the last phase of a planned or executed session.
+inline constexpr double kStateRestoreMs = 0.05;
+
 /// A scaled data size, rounded down to whole bytes. Throws
 /// std::invalid_argument naming `field` (the scale that produced it) when
 /// `bytes` is negative, not a number or above 2^64-1, where the conversion

@@ -313,7 +313,7 @@ BistProfile ProfileGenerator::GenerateVariant(
   prof.fault_coverage_percent =
       100.0 * static_cast<double>(achieved) / static_cast<double>(total);
   prof.runtime_ms =
-      config_.stumps.PatternTimeMs(prps + prefix) + config_.state_restore_ms;
+      config_.stumps.PatternTimeMs(prps + prefix) + kStateRestoreMs;
 
   std::uint64_t encoded_bytes = 0;
   std::uint64_t care = 0;

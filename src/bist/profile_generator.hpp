@@ -28,7 +28,6 @@ struct ProfileGeneratorConfig {
   std::vector<std::uint64_t> fill_seeds = {11, 23, 11, 11};
 
   StumpsConfig stumps;
-  double state_restore_ms = 0.05;       ///< Flush + functional state restore.
   std::uint32_t podem_backtrack_limit = 100;
   /// Multiplies reported data bytes; used to present numbers at the paper's
   /// CUT magnitude (371,900 collapsed faults) when profiling a scaled-down

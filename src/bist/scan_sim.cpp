@@ -127,21 +127,4 @@ BitPattern ScanChainSimulator::ApplyAndObserve(const BitPattern& pattern) {
   return response;
 }
 
-void ScanChainSimulator::RestoreState(std::span<const std::uint8_t> state) {
-  if (state.size() != flop_state_.size())
-    throw std::invalid_argument("state width mismatch");
-  for (std::size_t s = 0; s < max_chain_length_; ++s) {
-    std::vector<std::uint8_t> scan_in(chains_.size(), 0);
-    for (std::size_t c = 0; c < chains_.size(); ++c) {
-      const auto& chain = chains_[c];
-      const std::size_t len = chain.size();
-      const std::size_t lead = max_chain_length_ - len;
-      if (s < lead) continue;
-      const std::size_t target = len - 1 - (s - lead);
-      scan_in[c] = state[chain[target]] & 1;
-    }
-    ShiftOneCycle(scan_in, nullptr);
-  }
-}
-
 }  // namespace bistdse::bist

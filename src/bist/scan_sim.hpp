@@ -49,12 +49,6 @@ class ScanChainSimulator {
   /// Current flop contents (Flops() order).
   const std::vector<std::uint8_t>& FlopState() const { return flop_state_; }
 
-  /// State-restore procedure (paper §II: after test "the state ... has to be
-  /// restored to a known state before the enclosing ECU can make use of the
-  /// chip"): shifts the saved functional state back into the chains. Costs
-  /// MaxChainLength() cycles — the l(b) model's restore term.
-  void RestoreState(std::span<const std::uint8_t> state);
-
  private:
   void ShiftOneCycle(const std::vector<std::uint8_t>& scan_in,
                      std::vector<std::uint8_t>* scan_out);

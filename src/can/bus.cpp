@@ -20,22 +20,6 @@ void CanBus::AddMessage(const CanMessage& message) {
             [](const CanMessage& a, const CanMessage& b) { return a.id < b.id; });
 }
 
-bool CanBus::RemoveMessage(CanId id) {
-  const auto it = std::find_if(messages_.begin(), messages_.end(),
-                               [&](const CanMessage& m) { return m.id == id; });
-  if (it == messages_.end()) return false;
-  messages_.erase(it);
-  return true;
-}
-
-double CanBus::Utilization() const {
-  double u = 0.0;
-  for (const CanMessage& m : messages_) {
-    u += m.FrameTimeMs(bitrate_bps_) / m.period_ms;
-  }
-  return u;
-}
-
 std::optional<ResponseTimeResult> CanBus::ResponseTime(CanId id) const {
   const auto it = std::find_if(messages_.begin(), messages_.end(),
                                [&](const CanMessage& m) { return m.id == id; });
@@ -78,14 +62,6 @@ CanBus::AllResponseTimes() const {
   out.reserve(messages_.size());
   for (const CanMessage& m : messages_) out.emplace_back(m.id, ResponseTime(m.id));
   return out;
-}
-
-bool CanBus::Schedulable() const {
-  for (const CanMessage& m : messages_) {
-    const auto r = ResponseTime(m.id);
-    if (!r || !r->schedulable) return false;
-  }
-  return true;
 }
 
 }  // namespace bistdse::can

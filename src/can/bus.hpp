@@ -24,15 +24,9 @@ class CanBus {
   /// payload > 8 bytes.
   void AddMessage(const CanMessage& message);
 
-  /// Removes the message with the given id; returns false if absent.
-  bool RemoveMessage(CanId id);
-
   const std::vector<CanMessage>& Messages() const { return messages_; }
   const std::string& Name() const { return name_; }
   double BitrateBps() const { return bitrate_bps_; }
-
-  /// Bus utilization in [0, 1+): sum of frame_time/period.
-  double Utilization() const;
 
   /// Worst-case response time of message `id` (blocking + higher-priority
   /// interference, iterated to fixpoint). Returns nullopt for unknown ids or
@@ -42,9 +36,6 @@ class CanBus {
   /// Response times of all messages; nullopt entries mean divergence.
   std::vector<std::pair<CanId, std::optional<ResponseTimeResult>>>
   AllResponseTimes() const;
-
-  /// True iff every message meets its deadline (= period).
-  bool Schedulable() const;
 
  private:
   std::string name_;

@@ -1,7 +1,6 @@
 #include "can/mirroring.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -67,16 +66,6 @@ NonIntrusivenessReport CheckNonIntrusiveness(
     }
   }
   return report;
-}
-
-std::map<CanId, double> PlanReleaseOffsets(const CanBus& bus) {
-  std::map<CanId, double> offsets;
-  double accumulated = 0.0;
-  for (const CanMessage& m : bus.Messages()) {  // sorted by priority
-    offsets[m.id] = m.period_ms > 0 ? std::fmod(accumulated, m.period_ms) : 0.0;
-    accumulated += m.FrameTimeMs(bus.BitrateBps());
-  }
-  return offsets;
 }
 
 BurstTransfer MakeBurstTransfer(std::uint64_t data_bytes, CanId id,

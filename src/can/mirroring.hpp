@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -47,14 +46,6 @@ struct NonIntrusivenessReport {
 NonIntrusivenessReport CheckNonIntrusiveness(
     const CanBus& bus, std::span<const CanMessage> ecu_functional,
     std::span<const CanMessage> test_set);
-
-/// Heuristic release-offset plan: staggers message phases so the critical
-/// instant (all messages released simultaneously) is avoided in operation.
-/// Highest-priority message keeps offset 0; each next message is placed
-/// after the accumulated frame times of its predecessors (modulo its
-/// period). Purely an operational aid — WCRT analysis stays offset-free
-/// (safe for any phasing).
-std::map<CanId, double> PlanReleaseOffsets(const CanBus& bus);
 
 /// The naive alternative for the ablation study: ship `data_bytes` as
 /// back-to-back max-payload frames at the given id (lowest priority

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <stdexcept>
-
-#include "dse/decoder.hpp"
-#include "dse/objectives.hpp"
-#include "util/rng.hpp"
 
 namespace bistdse::casestudy {
 
@@ -178,25 +173,6 @@ CaseStudy BuildFutureCaseStudy(const std::vector<bist::BistProfile>& gen0,
 
 CaseStudy BuildFutureCaseStudy(std::uint64_t seed) {
   return BuildFutureCaseStudy(CachedTableI(), {}, seed);
-}
-
-double BaselineCost(std::uint64_t seed) {
-  // Diagnosis-free reference: the same subnet with an empty profile set has
-  // no diagnosis genes at all; sample functional bindings deterministically
-  // and keep the cheapest.
-  CaseStudy base = BuildCaseStudy({}, seed);
-  dse::SatDecoder decoder(base.spec, base.augmentation);
-  util::SplitMix64 rng(7);
-  double best = std::numeric_limits<double>::infinity();
-  for (int trial = 0; trial < 200; ++trial) {
-    auto genotype = moea::RandomGenotype(decoder.GenotypeSize(), rng);
-    const auto impl = decoder.Decode(genotype);
-    if (!impl) continue;
-    const auto obj =
-        dse::EvaluateImplementation(base.spec, base.augmentation, *impl);
-    best = std::min(best, obj.monetary_cost);
-  }
-  return best;
 }
 
 }  // namespace bistdse::casestudy

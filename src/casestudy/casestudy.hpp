@@ -68,12 +68,6 @@ CaseStudy BuildCaseStudy(const std::vector<bist::BistProfile>& profiles,
 /// profiles at every defaulted call site).
 CaseStudy BuildCaseStudy(std::uint64_t seed = 42);
 
-/// Cost of the diagnosis-free reference design: the cheapest implementation
-/// found for the same subnet with an empty profile set (used for the paper's
-/// "< 3.7 % additional costs" headline). `seed` must match the case study's
-/// construction seed.
-double BaselineCost(std::uint64_t seed = 42);
-
 /// The canonical TopologySpec of the forward-looking heterogeneous subnet.
 arch::TopologySpec FutureCaseStudySpec(
     const std::vector<bist::BistProfile>& gen0,

@@ -1,76 +1,32 @@
-// Bus-load / schedulability validation of decoded implementations.
+// The per-bus CAN view of an implementation's routed functional traffic.
 //
 // The paper's non-intrusiveness argument assumes the functional bus
-// schedules are certified; this module closes the loop on the DSE side: the
-// functional messages that an implementation routes over each CAN bus are
-// assembled into a can::CanBus, worst-case response times are analyzed, and
-// an implementation whose binding overloads a bus can be rejected or
-// reported. It also verifies constructively that the mirrored test-data
-// messages of every selected BIST program leave all functional response
-// times untouched.
+// schedules are certified. The functional messages that an implementation
+// routes over each CAN bus are assembled into a can::CanBus, with
+// identifiers in priority order, so worst-case response times can be
+// analyzed per bus; the frame-accurate session executor (src/net) runs its
+// sessions on this view.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "can/bus.hpp"
-#include "can/mirroring.hpp"
 #include "model/implementation.hpp"
 #include "model/specification.hpp"
 
 namespace bistdse::dse {
 
-struct BusLoadEntry {
-  model::ResourceId bus = model::kInvalidId;
-  double utilization = 0.0;
-  bool schedulable = false;
-  std::size_t message_count = 0;
-};
+/// Spacing of the CAN identifiers assigned on each bus segment. It leaves
+/// room for each message's mirrored copy at original id + 1.
+inline constexpr can::CanId kIdStride = 16;
 
-struct EndToEndLatency {
-  model::MessageId message = model::kInvalidId;
-  std::size_t hops = 0;          ///< Number of bus segments traversed.
-  double worst_case_ms = 0.0;    ///< Sum of per-bus WCRTs + gateway delays.
-  bool within_period = false;
-};
-
-/// Verdict of the frame-accurate execution layer (src/net) when it is run
-/// as an optional validation pass on top of the analytical report: the
-/// simulated transfer times and observed response times must respect the
-/// analytical bounds.
-struct OperationalValidation {
-  bool ran = false;
-  bool all_sessions_completed = false;
-  /// Observed worst response <= analytical WCRT for every (bus, id).
-  bool wcrt_dominated = false;
-  /// max |simulated - analytical q| / q over all mirrored downloads.
-  double max_download_rel_error = 0.0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t frames_dropped = 0;
-};
-
-struct BusLoadReport {
-  std::vector<BusLoadEntry> buses;
-  bool all_schedulable = true;
-  /// End-to-end latency of every routed functional message (store-and-
-  /// forward gateways add `gateway_delay_ms` per crossing).
-  std::vector<EndToEndLatency> end_to_end;
-  bool all_within_period = true;
-  /// Per selected BIST program whose data travels over a bus: the mirrored
-  /// transfer's non-intrusiveness verdict.
-  std::size_t mirrored_transfers_checked = 0;
-  std::size_t mirrored_transfers_intrusive = 0;
-  /// Filled by net::AttachOperationalValidation after a simulated pass.
-  OperationalValidation operational;
-};
-
-/// The per-bus CAN view of an implementation's routed functional traffic —
-/// the shared substrate of the analytical validator below and the
-/// frame-accurate executor (src/net). Identifiers are assigned per segment
-/// in routing order with `id_stride` spacing, rate-monotonic-style (shorter
-/// period = higher priority); gateways re-map identifiers per crossing.
+/// The routed functional traffic of one implementation, per bus.
+/// Identifiers are assigned per segment in routing order with kIdStride
+/// spacing, rate-monotonic-style (shorter period = higher priority);
+/// gateways re-map identifiers per crossing.
 struct RoutedBusNetwork {
   std::map<model::ResourceId, can::CanBus> buses;
   std::map<std::pair<model::ResourceId, model::MessageId>, can::CanId> id_of;
@@ -79,28 +35,6 @@ struct RoutedBusNetwork {
 };
 
 RoutedBusNetwork BuildRoutedBusNetwork(const model::Specification& spec,
-                                       const model::Implementation& impl,
-                                       std::uint32_t id_stride = 16);
-
-class BusLoadValidator {
- public:
-  /// CAN id assignment: functional messages get ids in routing order with
-  /// `id_stride` spacing (priority ~ period: shorter period = higher
-  /// priority); mirrored test messages use original id + 1.
-  explicit BusLoadValidator(const model::Specification& spec,
-                            std::uint32_t id_stride = 16,
-                            double gateway_delay_ms = 1.0)
-      : spec_(spec), id_stride_(id_stride), gateway_delay_ms_(gateway_delay_ms) {}
-
-  /// Analyzes the functional traffic of `impl` per allocated bus and checks
-  /// mirrored-transfer non-intrusiveness for every selected BIST program.
-  BusLoadReport Validate(const model::BistAugmentation& augmentation,
-                         const model::Implementation& impl) const;
-
- private:
-  const model::Specification& spec_;
-  std::uint32_t id_stride_;
-  double gateway_delay_ms_;
-};
+                                       const model::Implementation& impl);
 
 }  // namespace bistdse::dse

@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "can/canfd.hpp"
 #include "can/message.hpp"
 #include "can/mirroring.hpp"
 
@@ -19,6 +18,9 @@ using model::ResourceId;
 using model::Task;
 
 namespace {
+
+/// Payload of a CAN FD frame in a mirrored slot: the CAN FD maximum.
+constexpr std::uint32_t kFdPayloadBytes = 64;
 
 /// Per-implementation intermediates, computed once and read by every
 /// objective: task placements, the functional TX message sets of Eq. (1),
@@ -121,9 +123,7 @@ EvaluationContext::EvaluationContext(const model::Specification& spec,
             double bytes_per_ms = 0.0;
             for (const can::CanMessage& m : tx) {
               bytes_per_ms +=
-                  static_cast<double>(can::RoundUpFdPayload(
-                      options.fd_payload_bytes)) /
-                  m.period_ms;
+                  static_cast<double>(kFdPayloadBytes) / m.period_ms;
             }
             transfer_ms = static_cast<double>(data.data_bytes) / bytes_per_ms;
           } else {

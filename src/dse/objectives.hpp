@@ -57,7 +57,6 @@ struct EvaluationOptions {
   /// timing is unchanged — the FD frame is *shorter* on the wire thanks to
   /// its fast data phase, so the certified schedule still holds).
   bool use_can_fd = false;
-  std::uint32_t fd_payload_bytes = 64;
 };
 
 /// Evaluates every objective of a feasible implementation: test quality

@@ -13,7 +13,7 @@ using model::ResourceId;
 std::vector<SessionPlan> PlanSessions(
     const model::Specification& spec,
     const model::BistAugmentation& augmentation,
-    const model::Implementation& impl, const SessionPlanOptions& options) {
+    const model::Implementation& impl) {
   const auto& app = spec.Application();
   std::vector<SessionPlan> plans;
 
@@ -92,7 +92,7 @@ std::vector<SessionPlan> PlanSessions(
         }
       }
       phase("fail-data upload to b^R", upload);
-      phase("functional state restore", options.state_restore_ms);
+      phase("functional state restore", bist::kStateRestoreMs);
 
       plan.total_ms = t;
       plans.push_back(std::move(plan));

@@ -39,17 +39,11 @@ struct SessionPlan {
   std::uint64_t fail_data_frames = 0;
 };
 
-struct SessionPlanOptions {
-  double state_restore_ms = 0.05;
-  /// Payload of fail-data frames (they reuse the mirrored slots as well).
-  std::uint32_t fail_frame_payload = 8;
-};
-
 /// Plans the session of every selected BIST program in `impl`.
 std::vector<SessionPlan> PlanSessions(
     const model::Specification& spec,
     const model::BistAugmentation& augmentation,
-    const model::Implementation& impl, const SessionPlanOptions& options = {});
+    const model::Implementation& impl);
 
 std::string FormatSessionPlan(const model::Specification& spec,
                               const SessionPlan& plan);

@@ -30,12 +30,4 @@ MessageId ApplicationGraph::AddMessage(Message message) {
   return id;
 }
 
-std::vector<TaskId> ApplicationGraph::TasksOfKind(TaskKind kind) const {
-  std::vector<TaskId> out;
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].kind == kind) out.push_back(id);
-  }
-  return out;
-}
-
 }  // namespace bistdse::model

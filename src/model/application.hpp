@@ -51,8 +51,6 @@ class ApplicationGraph {
   /// Mandatory = functional or collection task (must be bound).
   bool IsMandatory(TaskId id) const { return !IsDiagnosis(tasks_[id].kind); }
 
-  std::vector<TaskId> TasksOfKind(TaskKind kind) const;
-
  private:
   std::vector<Task> tasks_;
   std::vector<Message> messages_;

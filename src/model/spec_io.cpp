@@ -190,11 +190,6 @@ ParsedSpec ParseSpec(std::istream& in) {
   return result;
 }
 
-ParsedSpec ParseSpecString(const std::string& text) {
-  std::istringstream ss(text);
-  return ParseSpec(ss);
-}
-
 ParsedSpec ParseSpecFile(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open " + path);

@@ -44,7 +44,6 @@ struct ParsedSpec {
 /// strictly (util/parse.hpp); costs and runtimes must be >= 0, coverage in
 /// [0, 100], and a token after a line's last field is an error.
 ParsedSpec ParseSpec(std::istream& in);
-ParsedSpec ParseSpecString(const std::string& text);
 ParsedSpec ParseSpecFile(const std::string& path);
 
 /// Writes `spec` (without BIST augmentation tasks — those are regenerated

@@ -33,8 +33,6 @@ void AlgorithmConfig::Validate() const {
   if (population_size < 2)
     throw std::invalid_argument("population_size must be >= 2 (got " +
                                 std::to_string(population_size) + ")");
-  if (archive_size == 1)
-    throw std::invalid_argument("archive_size must be 0 or >= 2 (got 1)");
   // Written so that NaN fails too; <= 0 selects the 1/n default.
   if (!(mutation_rate <= 1.0))
     throw std::invalid_argument("mutation_rate must be <= 1 (got " +
@@ -62,9 +60,11 @@ void Algorithm::EvaluateBatch(
     const std::function<void(Genotype&&, const ObjectiveVector&)>& accept) {
   const auto objectives = evaluator(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t evaluation = result.evaluations++;
+    ++result.evaluations;
     if (!objectives[i]) continue;
-    result.archive.Offer(*objectives[i], evaluation);
+    if (!result.dimensions) result.dimensions = objectives[i]->size();
+    if (objectives[i]->size() != *result.dimensions)
+      throw std::invalid_argument("objective dimensionality mismatch");
     accept(std::move(batch[i]), *objectives[i]);
   }
 }

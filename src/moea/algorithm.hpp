@@ -1,6 +1,8 @@
 // The common MOEA surface: every algorithm (NSGA-II, SPEA2) runs genotypes
-// through an evaluator until an evaluation budget is spent and returns the
-// global non-dominated archive. Consumers program against this interface —
+// through an evaluator until an evaluation budget is spent. The algorithms
+// keep no archive: a caller that wants the non-dominated set offers its
+// evaluator's results to a ParetoArchive it owns (moea/archive.hpp), in
+// evaluation order. Consumers program against this interface —
 // the exploration layer selects an algorithm via MakeAlgorithm() instead of
 // dispatching on an enum itself.
 //
@@ -21,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "moea/archive.hpp"
 #include "moea/dominance.hpp"
 #include "moea/genotype.hpp"
 
@@ -38,16 +39,20 @@ using Evaluator = std::function<std::optional<ObjectiveVector>(const Genotype&)>
 using BatchEvaluator = std::function<std::vector<std::optional<ObjectiveVector>>(
     std::span<const Genotype>)>;
 
-/// Per-generation observer (generation index, evaluations so far, archive).
-using GenerationCallback =
-    std::function<void(std::size_t, std::size_t, const ParetoArchive&)>;
+/// Per-generation observer (generation index, evaluations so far).
+using GenerationCallback = std::function<void(std::size_t, std::size_t)>;
 
 struct MoeaResult {
-  /// All non-dominated points seen; each payload is the index of the
-  /// evaluation that produced the point.
-  ParetoArchive archive;
   std::size_t evaluations = 0;
+  /// Objectives per row, fixed by the first feasible evaluation. A row of
+  /// another size throws std::invalid_argument: NSGA-II ranks a flat
+  /// row-major buffer.
+  std::optional<std::size_t> dimensions;
 };
+
+/// Probability that an offspring is bred by crossover rather than copied
+/// from one parent. The draw is made either way.
+inline constexpr double kCrossoverRate = 0.9;
 
 enum class AlgorithmKind : std::uint8_t { Nsga2, Spea2 };
 
@@ -58,12 +63,10 @@ std::optional<AlgorithmKind> ParseAlgorithmName(const std::string& name);
 /// (e.g. mutation_rate) cannot be honored by one algorithm and dropped by
 /// another.
 struct AlgorithmConfig {
+  /// Individuals per generation; SPEA2's environmental archive holds as
+  /// many.
   std::size_t population_size = 100;
-  /// SPEA2 environmental-archive capacity; 0 = population_size. Ignored by
-  /// NSGA-II.
-  std::size_t archive_size = 0;
   std::size_t genotype_size = 0;  ///< Genes per genotype (required).
-  double crossover_rate = 0.9;
   /// Per-gene mutation probability; <= 0 selects the 1/n default.
   double mutation_rate = -1.0;
   /// Draw a per-individual phase bias uniformly in [0,1] for the initial
@@ -76,7 +79,7 @@ struct AlgorithmConfig {
   std::vector<Genotype> initial_genotypes;
 
   /// Throws std::invalid_argument naming the field: genotype_size must be
-  /// set, population_size >= 2, archive_size 0 or >= 2, mutation_rate <= 1.
+  /// set, population_size >= 2, mutation_rate <= 1.
   void Validate() const;
 };
 
@@ -96,8 +99,9 @@ class Algorithm {
 
  protected:
   /// Shared batched-evaluation step: evaluates `batch` in genotype order,
-  /// updates `result` (evaluation count, archive) and hands each feasible
-  /// (genotype, objectives) pair to `accept`.
+  /// updates `result` (evaluation count, dimensions) and hands each feasible
+  /// (genotype, objectives) pair to `accept`. Throws std::invalid_argument
+  /// on a row whose size differs from the first feasible row's.
   static void EvaluateBatch(
       const BatchEvaluator& evaluator, std::vector<Genotype> batch,
       MoeaResult& result,

@@ -12,8 +12,8 @@ namespace {
 struct Population {
   std::vector<Genotype> genotypes;
   std::vector<double> objectives;
-  /// Objectives per row. The archive offered every row first, and it
-  /// rejects a row whose size differs from its members'.
+  /// Objectives per row. EvaluateBatch rejects a row whose size differs
+  /// from the first row's.
   std::size_t dims = 0;
 
   std::size_t Size() const { return genotypes.size(); }
@@ -100,7 +100,7 @@ MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
             population.genotypes[Tournament(rng, ranks, crowding)];
         const Genotype& p2 =
             population.genotypes[Tournament(rng, ranks, crowding)];
-        Genotype child = rng.Chance(config_.crossover_rate)
+        Genotype child = rng.Chance(kCrossoverRate)
                              ? UniformCrossover(p1, p2, rng)
                              : p1;
         Mutate(child, config_.mutation_rate, rng);
@@ -133,9 +133,7 @@ MoeaResult Nsga2::Run(const BatchEvaluator& evaluator,
     population = std::move(next);
 
     ++generation;
-    if (on_generation) {
-      on_generation(generation, result.evaluations, result.archive);
-    }
+    if (on_generation) on_generation(generation, result.evaluations);
   }
   return result;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "moea/algorithm.hpp"
-#include "moea/archive.hpp"
 #include "moea/dominance.hpp"
 #include "moea/genotype.hpp"
 

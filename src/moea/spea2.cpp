@@ -21,7 +21,6 @@ double Distance(const ObjectiveVector& a, const ObjectiveVector& b) {
 
 Spea2::Spea2(AlgorithmConfig config) : config_(std::move(config)) {
   config_.Validate();
-  if (config_.archive_size == 0) config_.archive_size = config_.population_size;
   if (config_.mutation_rate <= 0.0) {
     config_.mutation_rate = 1.0 / static_cast<double>(config_.genotype_size);
   }
@@ -131,7 +130,7 @@ MoeaResult Spea2::Run(const BatchEvaluator& evaluator,
     std::vector<Individual> pool = std::move(population);
     for (Individual& ind : archive) pool.push_back(std::move(ind));
     AssignFitness(pool);
-    archive = SelectArchive(std::move(pool), config_.archive_size);
+    archive = SelectArchive(std::move(pool), config_.population_size);
 
     auto tournament = [&]() -> const Individual& {
       const Individual& a = archive[rng.Below(archive.size())];
@@ -148,7 +147,7 @@ MoeaResult Spea2::Run(const BatchEvaluator& evaluator,
                    max_evaluations - result.evaluations);
       for (std::size_t i = 0; i < want; ++i) {
         Genotype child;
-        if (rng.Chance(config_.crossover_rate)) {
+        if (rng.Chance(kCrossoverRate)) {
           // Both tournaments draw from `rng`, so their order is part of the
           // stream. The second parent's tournament runs first: the order
           // GCC gave the two arguments of one call, which the pinned
@@ -166,9 +165,7 @@ MoeaResult Spea2::Run(const BatchEvaluator& evaluator,
       EvaluateBatch(evaluator, std::move(batch), result, accept);
     }
     ++generation;
-    if (on_generation) {
-      on_generation(generation, result.evaluations, result.archive);
-    }
+    if (on_generation) on_generation(generation, result.evaluations);
   }
   return result;
 }

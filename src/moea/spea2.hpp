@@ -13,11 +13,12 @@ namespace bistdse::moea {
 class Spea2 : public Algorithm {
  public:
   /// Throws std::invalid_argument on an invalid config
-  /// (AlgorithmConfig::Validate); archive_size 0 selects population_size.
+  /// (AlgorithmConfig::Validate). The environmental archive holds
+  /// population_size individuals.
   explicit Spea2(AlgorithmConfig config);
 
-  /// Runs until `max_evaluations` evaluator calls. Returns the global
-  /// non-dominated archive (same semantics as Nsga2::Run).
+  /// Runs until `max_evaluations` evaluator calls (same semantics as
+  /// Nsga2::Run).
   using Algorithm::Run;
   MoeaResult Run(const BatchEvaluator& evaluator,
                  std::size_t max_evaluations,

@@ -14,7 +14,7 @@
 // the transport layer needs. On a single bus with every slot released at
 // t = 0 it replays the critical instant of the analytical WCRT model
 // (can::CanBus::ResponseTime); per-slot first releases give staggered
-// phases such as can::PlanReleaseOffsets.
+// phases.
 //
 // Event core: releases and gateway hop arrivals wait in one binary heap;
 // each bus holds its in-flight frame and completion in place, and its ready
@@ -39,6 +39,10 @@
 namespace bistdse::net {
 
 using BusIndex = std::size_t;
+
+/// Store-and-forward delay of a gateway crossing [ms], unless
+/// SetGatewayDelayMs sets another.
+inline constexpr double kGatewayDelayMs = 1.0;
 
 /// Transport metadata piggy-backed on a frame. Functional frames keep
 /// transfer == 0.
@@ -166,7 +170,7 @@ class NetworkEngine {
   FaultInjector* injector_;
   EventTrace* trace_;
   bool trace_frames_;  ///< Per-frame events on: a trace and the flag.
-  double gateway_delay_ms_ = 1.0;
+  double gateway_delay_ms_ = kGatewayDelayMs;
   double now_ms_ = 0.0;
   std::uint64_t order_counter_ = 0;
   std::vector<Bus> buses_;

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -30,12 +32,38 @@ struct FaultInjectorConfig {
   /// When false, only transport frames (transfer != 0) are judged; the
   /// functional background traffic stays lossless.
   bool affect_functional = true;
+
+  /// Throws std::invalid_argument naming the field unless each rate is in
+  /// [0, 1] and the three sum to at most 1: a frame has one fate.
+  void Validate() const {
+    const auto check = [](double rate, const char* field) {
+      // Written so that NaN fails too.
+      if (!(rate >= 0.0 && rate <= 1.0)) {
+        throw std::invalid_argument(std::string(field) +
+                                    " must be in [0, 1] (got " +
+                                    std::to_string(rate) + ")");
+      }
+    };
+    check(drop_rate, "drop_rate");
+    check(corrupt_rate, "corrupt_rate");
+    check(reorder_rate, "reorder_rate");
+    const double sum = drop_rate + corrupt_rate + reorder_rate;
+    if (sum > 1.0) {
+      throw std::invalid_argument(
+          "drop_rate + corrupt_rate + reorder_rate must be <= 1 (got " +
+          std::to_string(sum) + ")");
+    }
+  }
 };
 
 class FaultInjector {
  public:
+  /// Throws std::invalid_argument on rates that are not probabilities
+  /// (FaultInjectorConfig::Validate).
   explicit FaultInjector(const FaultInjectorConfig& config = {})
-      : config_(config), rng_(config.seed) {}
+      : config_(config), rng_(config.seed) {
+    config_.Validate();
+  }
 
   /// Decides the fate of one completed frame. `is_transport` marks frames
   /// that carry a segmented transfer (as opposed to functional filler).

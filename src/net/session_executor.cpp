@@ -20,6 +20,10 @@ using model::ResourceKind;
 
 namespace {
 
+/// Safety cap: a transfer phase aborts after kStallFactor times its
+/// analytical time without completing (diverging retry storms).
+constexpr double kStallFactor = 50.0;
+
 void RecordPhase(EventTrace* trace, TraceEventKind kind, double now_ms,
                  const std::string& note) {
   if (trace != nullptr) trace->Record({now_ms, kind, "", 0, 0, 0, note});
@@ -76,7 +80,6 @@ SessionExecution SessionExecutor::ExecuteOne(
   fault_config.seed += transfer_id_base;  // Independent stream per session.
   FaultInjector injector(fault_config);
   NetworkEngine engine(&injector, trace, options_.trace_frames);
-  engine.SetGatewayDelayMs(options_.gateway_delay_ms);
 
   std::map<ResourceId, BusIndex> bus_index;
   for (const auto& [r, bus] : routed.buses) {
@@ -184,7 +187,7 @@ SessionExecution SessionExecutor::ExecuteOne(
     if (!download.Finished()) {
       const double cap =
           engine.NowMs() +
-          options_.stall_factor * std::max(result.analytical_download_ms, 1.0);
+          kStallFactor * std::max(result.analytical_download_ms, 1.0);
       engine.Run(cap, [&] { return download.Finished(); });
     }
     RecordPhase(trace, TraceEventKind::PhaseEnd, engine.NowMs(),
@@ -222,7 +225,7 @@ SessionExecution SessionExecutor::ExecuteOne(
     if (!upload.Finished()) {
       const double cap =
           engine.NowMs() +
-          options_.stall_factor * std::max(result.analytical_upload_ms, 1.0);
+          kStallFactor * std::max(result.analytical_upload_ms, 1.0);
       engine.Run(cap, [&] { return upload.Finished(); });
     }
     RecordPhase(trace, TraceEventKind::PhaseEnd, engine.NowMs(),
@@ -240,7 +243,7 @@ SessionExecution SessionExecutor::ExecuteOne(
 
   // --- phase 4: functional state restore -----------------------------------
   if (result.failure.empty()) {
-    engine.Run(engine.NowMs() + options_.plan.state_restore_ms);
+    engine.Run(engine.NowMs() + bist::kStateRestoreMs);
     result.completed = true;
   }
   result.simulated_total_ms = engine.NowMs();
@@ -280,10 +283,9 @@ SessionExecutionReport SessionExecutor::Execute(
 std::vector<SessionExecutionReport> SessionExecutor::ExecuteRounds(
     const model::Implementation& impl,
     const std::vector<FaultInjectorConfig>& rounds, EventTrace* trace) const {
-  const auto plans = dse::PlanSessions(spec_, augmentation_, impl,
-                                       options_.plan);
+  const auto plans = dse::PlanSessions(spec_, augmentation_, impl);
   const dse::RoutedBusNetwork routed =
-      dse::BuildRoutedBusNetwork(spec_, impl, options_.id_stride);
+      dse::BuildRoutedBusNetwork(spec_, impl);
 
   // Transfer ids (and through them the injector seeds) in plan order:
   // 1, 3, 5, ... over the feasible plans, as one serial pass assigns them.
@@ -355,16 +357,6 @@ std::vector<SessionExecutionReport> SessionExecutor::ExecuteRounds(
     report.sessions.push_back(std::move(session));
   }
   return reports;
-}
-
-void AttachOperationalValidation(const SessionExecutionReport& report,
-                                 dse::BusLoadReport& target) {
-  target.operational.ran = true;
-  target.operational.all_sessions_completed = report.all_completed;
-  target.operational.wcrt_dominated = report.all_wcrt_dominated;
-  target.operational.max_download_rel_error = report.max_download_rel_error;
-  target.operational.retransmissions = report.total_retransmissions;
-  target.operational.frames_dropped = report.total_frames_dropped;
 }
 
 std::string FormatSessionExecution(const model::Specification& spec,

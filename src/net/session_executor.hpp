@@ -35,15 +35,9 @@
 namespace bistdse::net {
 
 struct SessionExecutorOptions {
-  dse::SessionPlanOptions plan;
-  std::uint32_t id_stride = 16;       ///< Must match the analytical validator.
-  double gateway_delay_ms = 1.0;
   TransportConfig transport;
   FaultInjectorConfig faults;
   bool trace_frames = false;          ///< Per-frame trace events (large!).
-  /// Safety cap: a transfer phase aborts after `stall_factor` x its
-  /// analytical time without completing (diverging retry storms).
-  double stall_factor = 50.0;
 };
 
 struct WcrtSample {
@@ -128,11 +122,6 @@ class SessionExecutor {
   const model::BistAugmentation& augmentation_;
   SessionExecutorOptions options_;
 };
-
-/// Copies the executor's verdict into the analytical bus-load report so the
-/// two validation layers travel together.
-void AttachOperationalValidation(const SessionExecutionReport& report,
-                                 dse::BusLoadReport& target);
 
 std::string FormatSessionExecution(const model::Specification& spec,
                                    const SessionExecution& session);

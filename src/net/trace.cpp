@@ -1,6 +1,5 @@
 #include "net/trace.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <ostream>
@@ -29,12 +28,6 @@ const char* ToString(TraceEventKind kind) {
     case TraceEventKind::DictReload: return "dict_reload";
   }
   return "unknown";
-}
-
-std::size_t EventTrace::CountKind(TraceEventKind kind) const {
-  return static_cast<std::size_t>(
-      std::count_if(events_.begin(), events_.end(),
-                    [&](const TraceEvent& e) { return e.kind == kind; }));
 }
 
 namespace {

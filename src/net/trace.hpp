@@ -60,7 +60,6 @@ class EventTrace {
   void Record(TraceEvent event) { events_.push_back(std::move(event)); }
 
   const std::vector<TraceEvent>& Events() const { return events_; }
-  std::size_t CountKind(TraceEventKind kind) const;
   void Clear() { events_.clear(); }
 
   /// One JSON object per line (JSONL), stable key order — greppable and

@@ -61,10 +61,8 @@ bool SegmentedTransfer::FillFrame(double now_ms,
     --skip_slots_;  // backoff: deliberately let this firing pass unused
     return false;
   }
-  const std::uint32_t goodput =
-      payload_capacity > config_.header_bytes
-          ? payload_capacity - config_.header_bytes
-          : 0;
+  // Framing metadata rides out of band: every payload byte is goodput.
+  const std::uint32_t goodput = payload_capacity;
   if (goodput == 0) return false;
 
   Chunk chunk;

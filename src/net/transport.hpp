@@ -13,7 +13,6 @@
 // space of the mirrored slot set and the otherwise-idle diagnostic response
 // slot, so the full payload of every mirrored frame remains available to
 // test data and the transfer-rate analysis of Eq. (1) applies unchanged.
-// Set `header_bytes` > 0 to model in-payload ISO-TP headers instead.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +36,6 @@ struct TransportConfig {
   /// Backoff cap: a chunk's k-th retransmission waits min(2^(k-1) - 1,
   /// max_backoff_slots) slot firings before re-entering the schedule.
   std::uint32_t max_backoff_slots = 8;
-  /// Per-frame goodput overhead (0 = metadata rides out-of-band, see above).
-  std::uint32_t header_bytes = 0;
   /// Per-transfer deadline measured from Begin(); infinite by default.
   double timeout_ms = std::numeric_limits<double>::infinity();
 };

@@ -33,10 +33,6 @@ enum class GateType : std::uint8_t {
 /// Human-readable gate type name (matches ISCAS .bench keywords).
 std::string_view ToString(GateType type);
 
-/// Parse a .bench gate keyword (case-insensitive). Throws std::invalid_argument
-/// for unknown keywords.
-GateType GateTypeFromString(std::string_view s);
-
 /// True for types whose output inverts the "natural" (AND/OR/XOR/wire) value.
 constexpr bool IsInverting(GateType type) {
   return type == GateType::Not || type == GateType::Nand ||

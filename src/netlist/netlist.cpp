@@ -22,23 +22,6 @@ std::string_view ToString(GateType type) {
   return "?";
 }
 
-GateType GateTypeFromString(std::string_view s) {
-  std::string up(s);
-  std::transform(up.begin(), up.end(), up.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  if (up == "INPUT") return GateType::Input;
-  if (up == "BUF" || up == "BUFF") return GateType::Buf;
-  if (up == "NOT" || up == "INV") return GateType::Not;
-  if (up == "AND") return GateType::And;
-  if (up == "NAND") return GateType::Nand;
-  if (up == "OR") return GateType::Or;
-  if (up == "NOR") return GateType::Nor;
-  if (up == "XOR") return GateType::Xor;
-  if (up == "XNOR") return GateType::Xnor;
-  if (up == "DFF") return GateType::Dff;
-  throw std::invalid_argument("unknown gate type: " + std::string(s));
-}
-
 void Netlist::CheckArity(GateType type, std::size_t arity) const {
   switch (type) {
     case GateType::Input:
@@ -68,7 +51,6 @@ void Netlist::CheckArity(GateType type, std::size_t arity) const {
 NodeId Netlist::AddNode(Gate gate) {
   if (finalized_) throw std::logic_error("netlist already finalized");
   const auto id = static_cast<NodeId>(gates_.size());
-  if (!gate.name.empty()) by_name_.emplace(gate.name, id);
   gates_.push_back(std::move(gate));
   return id;
 }
@@ -179,11 +161,6 @@ void Netlist::Finalize() {
 
   finalized_ = true;
   structure_ = BuildStructuralInfo(*this);
-}
-
-NodeId Netlist::FindByName(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? kInvalidNode : it->second;
 }
 
 std::uint64_t Netlist::ContentHash() const {

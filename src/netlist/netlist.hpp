@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/gate.hpp"
@@ -88,9 +87,6 @@ class Netlist {
   /// derived once in Finalize() and cached like the levelization.
   const StructuralInfo& Structure() const { return structure_; }
 
-  /// Node lookup by symbolic name; returns kInvalidNode if absent.
-  NodeId FindByName(const std::string& name) const;
-
   /// FNV-1a content hash over the finalized structure (gate types, fanins,
   /// outputs, flop order) — names excluded, so structurally identical
   /// netlists hash equal. Simulation results are pure functions of this
@@ -111,7 +107,6 @@ class Netlist {
   std::vector<NodeId> core_outputs_;
   std::vector<NodeId> topo_order_;
   std::vector<std::uint32_t> levels_;
-  std::unordered_map<std::string, NodeId> by_name_;
   StructuralInfo structure_;
   std::uint32_t max_level_ = 0;
   bool finalized_ = false;

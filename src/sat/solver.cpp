@@ -38,14 +38,6 @@ void Solver::AddPbLe(std::vector<std::pair<std::int64_t, Lit>> terms,
   Owned().AddPbLe(std::move(terms), bound);
 }
 
-void Solver::AddAtMostOne(std::span<const Lit> lits) {
-  Owned().AddAtMostOne(lits);
-}
-
-void Solver::AddExactlyOne(std::span<const Lit> lits) {
-  Owned().AddExactlyOne(lits);
-}
-
 std::shared_ptr<const Formula> Solver::SharedFormula() {
   if (owned_) owned_->Index();
   owned_.reset();

@@ -58,9 +58,6 @@ class Solver {
   void AddPbLe(std::vector<std::pair<std::int64_t, Lit>> terms,
                std::int64_t bound);
 
-  void AddAtMostOne(std::span<const Lit> lits);
-  void AddExactlyOne(std::span<const Lit> lits);
-
   /// This solver's formula, indexed, for other solvers to search. From then
   /// on the formula is read-only: this solver's Add* calls throw
   /// std::logic_error.

@@ -16,21 +16,6 @@ constexpr double kChunkMs = 50.0;
 
 }  // namespace
 
-const char* ToString(RequestStatus status) {
-  switch (status) {
-    case RequestStatus::Pending: return "pending";
-    case RequestStatus::RejectedBusy: return "rejected_busy";
-    case RequestStatus::Uploading: return "uploading";
-    case RequestStatus::Queued: return "queued";
-    case RequestStatus::Diagnosing: return "diagnosing";
-    case RequestStatus::Responding: return "responding";
-    case RequestStatus::Answered: return "answered";
-    case RequestStatus::UploadFailed: return "upload_failed";
-    case RequestStatus::ResponseFailed: return "response_failed";
-  }
-  return "?";
-}
-
 DiagnosisServer::DiagnosisServer(bist::DictionaryStore initial,
                                  const DiagnosisServerConfig& config,
                                  net::EventTrace* trace)

@@ -66,8 +66,6 @@ enum class RequestStatus : std::uint8_t {
   ResponseFailed,  ///< Reply exhausted retries / timed out (terminal).
 };
 
-const char* ToString(RequestStatus status);
-
 struct RequestOutcome {
   std::uint64_t id = 0;
   std::string ecu;

@@ -46,11 +46,13 @@ struct Reader {
   std::size_t pos = 0;
   const char* what;
 
+  [[noreturn]] void Fail(const char* problem) const {
+    throw std::runtime_error(std::string(what) + ": " + problem);
+  }
+
   template <typename T>
   T Read() {
-    if (bytes.size() - pos < sizeof(T)) {
-      throw std::runtime_error(std::string(what) + ": truncated payload");
-    }
+    if (bytes.size() - pos < sizeof(T)) Fail("truncated payload");
     T value;
     std::memcpy(&value, bytes.data() + pos, sizeof(T));
     pos += sizeof(T);
@@ -62,19 +64,22 @@ struct Reader {
   std::uint32_t ReadCount(std::size_t element_bytes) {
     const auto count = Read<std::uint32_t>();
     if ((bytes.size() - pos) / element_bytes < count) {
-      throw std::runtime_error(std::string(what) + ": truncated payload");
+      Fail("truncated payload");
     }
     return count;
   }
 
   std::string ReadString() {
     const auto len = Read<std::uint32_t>();
-    if (bytes.size() - pos < len) {
-      throw std::runtime_error(std::string(what) + ": truncated payload");
-    }
+    if (bytes.size() - pos < len) Fail("truncated payload");
     std::string s(reinterpret_cast<const char*>(bytes.data() + pos), len);
     pos += len;
     return s;
+  }
+
+  /// An encoder writes nothing between its last field and the checksum.
+  void ExpectEnd() const {
+    if (pos != bytes.size()) Fail("trailing bytes");
   }
 };
 
@@ -90,9 +95,7 @@ Reader Open(std::span<const std::uint8_t> bytes, std::uint32_t magic,
     throw std::runtime_error(std::string(what) + ": checksum mismatch");
   }
   Reader reader{bytes.first(body), 0, what};
-  if (reader.Read<std::uint32_t>() != magic) {
-    throw std::runtime_error(std::string(what) + ": bad magic");
-  }
+  if (reader.Read<std::uint32_t>() != magic) reader.Fail("bad magic");
   return reader;
 }
 
@@ -127,6 +130,7 @@ bist::DictQuery DecodeQuery(std::span<const std::uint8_t> bytes) {
     f.expected_signature = reader.Read<std::uint64_t>();
     query.fail_data.push_back(f);
   }
+  reader.ExpectEnd();
   return query;
 }
 
@@ -155,10 +159,13 @@ std::vector<bist::DiagnosisCandidate> DecodeRanking(
     bist::DiagnosisCandidate c;
     c.fault.node = reader.Read<std::uint32_t>();
     c.fault.fanin_index = reader.Read<std::int8_t>();
-    c.fault.stuck_value = reader.Read<std::uint8_t>() != 0;
+    const auto polarity = reader.Read<std::uint8_t>();
+    if (polarity > 1) reader.Fail("bad polarity");
+    c.fault.stuck_value = polarity == 1;
     c.score = std::bit_cast<double>(reader.Read<std::uint64_t>());
     ranking.push_back(c);
   }
+  reader.ExpectEnd();
   return ranking;
 }
 

@@ -45,8 +45,7 @@ class CampaignRunner::EngineT final : public Engine {
     const RunOptions& opts = st.options;
     const WideWord<W> zero = WideWord<W>::Zero();
     while (!st.stop && st.next_index < end_index) {
-      if (opts.drop_detected && opts.stop_when_all_dropped &&
-          !opts.track.empty() && st.survivors.empty()) {
+      if (opts.drop_detected && !opts.track.empty() && st.survivors.empty()) {
         break;
       }
       const std::size_t want = static_cast<std::size_t>(
@@ -219,11 +218,6 @@ CampaignStats CampaignRunner::Run(PatternSource& source,
           .count();
   for (CampaignSink* sink : sinks) sink->OnEnd(st.stats);
   return st.stats;
-}
-
-CampaignStats CampaignRunner::Run(PatternSource& source,
-                                  std::span<CampaignSink* const> sinks) {
-  return Run(source, sinks, RunOptions{});
 }
 
 CampaignStats CampaignRunner::Run(PatternSource& source, CampaignSink& sink,

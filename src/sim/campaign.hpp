@@ -250,10 +250,9 @@ class CampaignRunner {
     /// for every block, exposed as TrackedDetect to sinks.
     std::span<const StuckAtFault> track = {};
     /// Drop tracked faults after their first detected block (serial merge in
-    /// fault order — bit-identical to the serial drop loop).
+    /// fault order — bit-identical to the serial drop loop). The campaign
+    /// ends once every tracked fault is dropped.
     bool drop_detected = false;
-    /// In drop mode, end the campaign once every tracked fault is dropped.
-    bool stop_when_all_dropped = true;
     /// Run the configured narrow warm-up head at W = 1 before switching to
     /// the configured width. No-op when block_width == 1.
     bool warmup = false;
@@ -265,7 +264,6 @@ class CampaignRunner {
   CampaignStats Run(PatternSource& source,
                     std::span<CampaignSink* const> sinks,
                     const RunOptions& options);
-  CampaignStats Run(PatternSource& source, std::span<CampaignSink* const> sinks);
   CampaignStats Run(PatternSource& source, CampaignSink& sink,
                     const RunOptions& options);
   CampaignStats Run(PatternSource& source, CampaignSink& sink);

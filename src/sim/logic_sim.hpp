@@ -21,7 +21,8 @@
 
 namespace bistdse::sim {
 
-/// Evaluates one gate from already-computed fanin words.
+/// Evaluates one gate from already-computed fanin words: the scalar
+/// reference that tests check EvalGateWide against.
 PatternWord EvalGate(netlist::GateType type, std::span<const PatternWord> fanins);
 
 /// Wide-gate evaluation core over any fanin accessor `get(i) -> const

@@ -7,17 +7,6 @@ namespace bistdse::sim {
 using netlist::Netlist;
 using netlist::NodeId;
 
-std::string ToString(const Netlist& netlist, const TransitionFault& fault) {
-  const std::string& raw = netlist.GetGate(fault.node).name;
-  std::string name = raw;
-  if (raw.empty()) {
-    name.push_back('n');
-    name += std::to_string(fault.node);
-  }
-  name += fault.slow_to_rise ? "/STR" : "/STF";
-  return name;
-}
-
 std::vector<TransitionFault> TransitionFaults(const Netlist& netlist) {
   std::vector<TransitionFault> faults;
   faults.reserve(2 * netlist.NodeCount());

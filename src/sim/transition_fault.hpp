@@ -27,9 +27,6 @@ struct TransitionFault {
       default;
 };
 
-std::string ToString(const netlist::Netlist& netlist,
-                     const TransitionFault& fault);
-
 /// Both polarities at every node output (stem TDFs).
 std::vector<TransitionFault> TransitionFaults(const netlist::Netlist& netlist);
 

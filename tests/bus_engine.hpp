@@ -10,6 +10,14 @@
 
 namespace bistdse::testing {
 
+/// True iff every message of `bus` meets its deadline (= period).
+inline bool Schedulable(const can::CanBus& bus) {
+  for (const auto& [id, response] : bus.AllResponseTimes()) {
+    if (!response || !response->schedulable) return false;
+  }
+  return true;
+}
+
 struct BusRun {
   std::map<can::CanId, net::SlotHopStats> per_id;
   double busy_ms = 0.0;

@@ -1,5 +1,6 @@
 #include "netlist/bench_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <sstream>
@@ -28,7 +29,33 @@ std::string Strip(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
+/// Parses a .bench gate keyword (case-insensitive). Throws
+/// std::invalid_argument for unknown keywords.
+GateType GateTypeFromString(std::string_view s) {
+  std::string up(s);
+  std::transform(up.begin(), up.end(), up.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+  if (up == "INPUT") return GateType::Input;
+  if (up == "BUF" || up == "BUFF") return GateType::Buf;
+  if (up == "NOT" || up == "INV") return GateType::Not;
+  if (up == "AND") return GateType::And;
+  if (up == "NAND") return GateType::Nand;
+  if (up == "OR") return GateType::Or;
+  if (up == "NOR") return GateType::Nor;
+  if (up == "XOR") return GateType::Xor;
+  if (up == "XNOR") return GateType::Xnor;
+  if (up == "DFF") return GateType::Dff;
+  throw std::invalid_argument("unknown gate type: " + std::string(s));
+}
+
 }  // namespace
+
+NodeId FindByName(const Netlist& netlist, const std::string& name) {
+  for (NodeId id = 0; id < netlist.NodeCount(); ++id) {
+    if (netlist.GetGate(id).name == name) return id;
+  }
+  return kInvalidNode;
+}
 
 Netlist ParseBench(std::istream& in) {
   std::vector<std::string> inputs;

@@ -27,4 +27,7 @@ Netlist ParseBenchString(const std::string& text);
 void WriteBench(const Netlist& netlist, std::ostream& out);
 std::string WriteBenchString(const Netlist& netlist);
 
+/// The first node named `name`, or kInvalidNode if there is none.
+NodeId FindByName(const Netlist& netlist, const std::string& name);
+
 }  // namespace bistdse::netlist

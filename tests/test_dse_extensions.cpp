@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/bus_load.hpp"
 #include "dse/decoder.hpp"
 #include "dse/parallel.hpp"
 #include "dse/partial_networking.hpp"
@@ -89,71 +88,6 @@ TEST(PartialNetworking, DeadlinesFlagSlowEcus) {
   const auto mixed = AnalyzePartialNetworking(cs.spec, cs.augmentation, impl,
                                               deadlines, 10.0);
   EXPECT_EQ(mixed.deadline_violations.size(), mixed.sessions.size() - 1);
-}
-
-TEST(BusLoad, FunctionalTrafficIsSchedulable) {
-  auto cs = SmallCaseStudy();
-  SatDecoder decoder(cs.spec, cs.augmentation);
-  const auto impl = Forced(cs, decoder, 3, false);
-  BusLoadValidator validator(cs.spec);
-  const auto report = validator.Validate(cs.augmentation, impl);
-  ASSERT_FALSE(report.buses.empty());
-  // The case study's 41 small messages are far below 500 kbit/s capacity.
-  for (const auto& b : report.buses) {
-    EXPECT_LT(b.utilization, 0.5);
-    EXPECT_TRUE(b.schedulable);
-    EXPECT_GT(b.message_count, 0u);
-  }
-  EXPECT_TRUE(report.all_schedulable);
-}
-
-TEST(BusLoad, MirroredTransfersAreNonIntrusive) {
-  auto cs = SmallCaseStudy();
-  SatDecoder decoder(cs.spec, cs.augmentation);
-  const auto impl = Forced(cs, decoder, 3, /*local=*/false);
-  BusLoadValidator validator(cs.spec);
-  const auto report = validator.Validate(cs.augmentation, impl);
-  // Every selected program stores remotely -> a transfer per ECU that sends
-  // functional traffic.
-  EXPECT_GT(report.mirrored_transfers_checked, 0u);
-  EXPECT_EQ(report.mirrored_transfers_intrusive, 0u);
-}
-
-TEST(BusLoad, LocalStorageNeedsNoTransferChecks) {
-  auto cs = SmallCaseStudy();
-  SatDecoder decoder(cs.spec, cs.augmentation);
-  const auto impl = Forced(cs, decoder, 3, /*local=*/true);
-  BusLoadValidator validator(cs.spec);
-  const auto report = validator.Validate(cs.augmentation, impl);
-  EXPECT_EQ(report.mirrored_transfers_checked, 0u);
-}
-
-TEST(BusLoad, EndToEndLatencyCoversEveryRoutedMessage) {
-  auto cs = SmallCaseStudy();
-  SatDecoder decoder(cs.spec, cs.augmentation);
-  const auto impl = Forced(cs, decoder, 3, false);
-  BusLoadValidator validator(cs.spec);
-  const auto report = validator.Validate(cs.augmentation, impl);
-  // Most of the 41 functional messages traverse a bus; messages between
-  // tasks co-located on one ECU stay off the wire and are skipped.
-  EXPECT_GE(report.end_to_end.size(), 30u);
-  EXPECT_LE(report.end_to_end.size(), 41u);
-  for (const auto& e : report.end_to_end) {
-    EXPECT_GE(e.hops, 1u);
-    EXPECT_GT(e.worst_case_ms, 0.0);
-  }
-  // The lightly loaded case study meets every implicit deadline.
-  EXPECT_TRUE(report.all_within_period);
-  // Cross-bus messages (through the gateway) have >= 2 hops and carry the
-  // store-and-forward delay.
-  bool saw_cross_bus = false;
-  for (const auto& e : report.end_to_end) {
-    if (e.hops >= 2) {
-      saw_cross_bus = true;
-      EXPECT_GT(e.worst_case_ms, 1.0);  // includes the 1 ms gateway delay
-    }
-  }
-  (void)saw_cross_bus;  // depends on the decoded binding; no hard assert
 }
 
 TEST(Objectives2, CanFdCutsTransferTimeByPayloadRatio) {

@@ -16,6 +16,7 @@
 #include "dse/evaluation_engine.hpp"
 #include "dse/parallel.hpp"
 #include "moea/algorithm.hpp"
+#include "moea/archive.hpp"
 
 namespace bistdse::dse {
 namespace {

@@ -80,9 +80,9 @@ TEST(Fault, BranchFaultsOnlyOnFanoutStems) {
 
 TEST(Fault, ToStringFormats) {
   auto nl = testing::MakeC17();
-  StuckAtFault stem{nl.FindByName("22"), -1, true};
+  StuckAtFault stem{FindByName(nl, "22"), -1, true};
   EXPECT_EQ(ToString(nl, stem), "22/SA1");
-  StuckAtFault branch{nl.FindByName("16"), 1, true};
+  StuckAtFault branch{FindByName(nl, "16"), 1, true};
   EXPECT_EQ(ToString(nl, branch), "16.in1/SA1");
 }
 

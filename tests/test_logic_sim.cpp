@@ -75,8 +75,8 @@ TEST(LogicSimulator, C17KnownVectors) {
   const PatternWord n10 = ~(i1 & i3), n11 = ~(i3 & i6);
   const PatternWord n16 = ~(i2 & n11), n19 = ~(n11 & i7);
   const PatternWord o22 = ~(n10 & n16), o23 = ~(n16 & n19);
-  EXPECT_EQ(simulator.ValueOf(nl.FindByName("22")), o22);
-  EXPECT_EQ(simulator.ValueOf(nl.FindByName("23")), o23);
+  EXPECT_EQ(simulator.ValueOf(FindByName(nl, "22")), o22);
+  EXPECT_EQ(simulator.ValueOf(FindByName(nl, "23")), o23);
 }
 
 TEST(LogicSimulator, SequentialCoreView) {
@@ -87,9 +87,9 @@ TEST(LogicSimulator, SequentialCoreView) {
                                ~PatternWord{0}, 0};
   simulator.Simulate(words);
   // d0 = a XOR q1 = 1; d1 = b AND q0 = 1; y = q0 OR q1 = 1.
-  EXPECT_EQ(simulator.ValueOf(nl.FindByName("d0")), ~PatternWord{0});
-  EXPECT_EQ(simulator.ValueOf(nl.FindByName("d1")), ~PatternWord{0});
-  EXPECT_EQ(simulator.ValueOf(nl.FindByName("y")), ~PatternWord{0});
+  EXPECT_EQ(simulator.ValueOf(FindByName(nl, "d0")), ~PatternWord{0});
+  EXPECT_EQ(simulator.ValueOf(FindByName(nl, "d1")), ~PatternWord{0});
+  EXPECT_EQ(simulator.ValueOf(FindByName(nl, "y")), ~PatternWord{0});
   auto outs = simulator.CoreOutputValues();
   ASSERT_EQ(outs.size(), 3u);
 }

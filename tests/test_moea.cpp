@@ -9,9 +9,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "archived_evaluator.hpp"
 #include "moea/archive.hpp"
 #include "moea/indicators.hpp"
 #include "moea/nsga2.hpp"
+#include "moea/spea2.hpp"
 
 namespace bistdse::moea {
 namespace {
@@ -485,14 +487,15 @@ TEST(Nsga2, ConvergesOnSchafferProblem) {
     return ObjectiveVector{x * x, (x - 2.0) * (x - 2.0)};
   };
 
-  const auto result = nsga2.Run(evaluator, 4000);
+  ParetoArchive archive;
+  const auto result = nsga2.Run(testing::Archived(evaluator, archive), 4000);
   EXPECT_EQ(result.evaluations, 4000u);
-  ASSERT_GT(result.archive.Size(), 5u);
+  ASSERT_GT(archive.Size(), 5u);
 
   // The Pareto set is x in [0, 2]; on it sqrt(f1) + sqrt(f2) = 2, and
   // min(f1 + f2) = 2 (attained at x = 1).
   double best_sum = 1e9;
-  for (const auto& e : result.archive.Entries()) {
+  for (const auto& e : archive.Entries()) {
     best_sum = std::min(best_sum, e.objectives[0] + e.objectives[1]);
     const double s = std::sqrt(e.objectives[0]) + std::sqrt(e.objectives[1]);
     EXPECT_NEAR(s, 2.0, 0.3);
@@ -515,9 +518,10 @@ TEST(Nsga2, InfeasibleEvaluationsAreTolerated) {
     for (auto p : g.phases) ones += p;
     return ObjectiveVector{ones, -ones};
   };
-  const auto result = nsga2.Run(evaluator, 500);
+  ParetoArchive archive;
+  const auto result = nsga2.Run(testing::Archived(evaluator, archive), 500);
   EXPECT_EQ(result.evaluations, 500u);
-  EXPECT_GE(result.archive.Size(), 1u);
+  EXPECT_GE(archive.Size(), 1u);
 }
 
 TEST(Nsga2, RejectsBadConfig) {
@@ -559,10 +563,6 @@ TEST(AlgorithmConfig, ValidateNamesTheField) {
         << size;
   }
   cfg.population_size = 2;
-  cfg.archive_size = 1;
-  EXPECT_NE(message(cfg).find("archive_size must be 0 or >= 2"),
-            std::string::npos);
-  cfg.archive_size = 2;
   EXPECT_EQ(message(cfg), "");
   cfg.genotype_size = 0;
   EXPECT_NE(message(cfg).find("genotype_size"), std::string::npos);
@@ -580,13 +580,31 @@ TEST(Nsga2, DeterministicForFixedSeed) {
     return ObjectiveVector{ones, 10.0 - ones};
   };
   Nsga2 a(cfg), b(cfg);
-  const auto ra = a.Run(evaluator, 300);
-  const auto rb = b.Run(evaluator, 300);
-  ASSERT_EQ(ra.archive.Size(), rb.archive.Size());
-  for (std::size_t i = 0; i < ra.archive.Size(); ++i) {
-    EXPECT_EQ(ra.archive.Entries()[i].objectives,
-              rb.archive.Entries()[i].objectives);
+  ParetoArchive fa, fb;
+  a.Run(testing::Archived(evaluator, fa), 300);
+  b.Run(testing::Archived(evaluator, fb), 300);
+  ASSERT_EQ(fa.Size(), fb.Size());
+  for (std::size_t i = 0; i < fa.Size(); ++i) {
+    EXPECT_EQ(fa.Entries()[i].objectives, fb.Entries()[i].objectives);
   }
+}
+
+// Every feasible row must have the size of the first: NSGA-II ranks a flat
+// row-major buffer, and SPEA2 compares rows pairwise.
+TEST(Algorithm, RowsOfTwoSizesThrow) {
+  AlgorithmConfig cfg;
+  cfg.population_size = 8;
+  cfg.genotype_size = 8;
+  int calls = 0;
+  const Evaluator evaluator =
+      [&](const Genotype&) -> std::optional<ObjectiveVector> {
+    ++calls;  // The 12th call is in the first offspring batch.
+    if (calls == 12) return ObjectiveVector{1.0, 2.0, 3.0};
+    return ObjectiveVector{static_cast<double>(calls), 0.0};
+  };
+  EXPECT_THROW(Nsga2(cfg).Run(evaluator, 100), std::invalid_argument);
+  calls = 0;
+  EXPECT_THROW(Spea2(cfg).Run(evaluator, 100), std::invalid_argument);
 }
 
 }  // namespace

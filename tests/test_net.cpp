@@ -7,11 +7,13 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "net/engine.hpp"
 #include "net/fault_injector.hpp"
 #include "net/trace.hpp"
 #include "net/transport.hpp"
+#include "trace_count.hpp"
 
 namespace bistdse::net {
 namespace {
@@ -70,7 +72,7 @@ TEST(NetworkEngine, GatewayForwardsAcrossSegments) {
   const double frame_ms = Msg(4, 8, 10).FrameTimeMs(500e3);
   // Second hop completes after frame + gateway delay + frame.
   EXPECT_NEAR(engine.StatsOf(0, 1).max_response_ms, frame_ms, 1e-9);
-  EXPECT_EQ(trace.CountKind(TraceEventKind::GatewayForward), 1u);
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::GatewayForward), 1u);
   EXPECT_NEAR(engine.BusBusyMs(b0), frame_ms, 1e-9);
   EXPECT_NEAR(engine.BusBusyMs(b1), frame_ms, 1e-9);
 }
@@ -183,7 +185,7 @@ TEST(SegmentedTransfer, SurvivesHeavyLossViaRetries) {
   ASSERT_TRUE(transfer.Done()) << "failed: " << transfer.Failed();
   EXPECT_GT(transfer.Stats().retransmissions, 0u);
   EXPECT_GT(transfer.Stats().dropped + transfer.Stats().corrupted, 0u);
-  EXPECT_EQ(trace.CountKind(TraceEventKind::Retransmission),
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::Retransmission),
             transfer.Stats().retransmissions);
   // 25 % loss stretches the transfer well past the lossless 250 ms.
   EXPECT_GT(transfer.ElapsedMs(), 250.0);
@@ -201,7 +203,7 @@ TEST(SegmentedTransfer, ExhaustedRetryBudgetFailsTheTransfer) {
 
   EXPECT_TRUE(transfer.Failed());
   EXPECT_FALSE(transfer.Done());
-  EXPECT_EQ(trace.CountKind(TraceEventKind::TransferFailed), 1u);
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::TransferFailed), 1u);
   EXPECT_EQ(transfer.Stats().max_retry_burst, 9u);  // max_retries + 1
 }
 
@@ -215,6 +217,38 @@ TEST(SegmentedTransfer, TimeoutFailsSlowTransfers) {
   transfer.Begin(0.0);
   engine.Run(5000.0, [&] { return transfer.Finished(); });
   EXPECT_TRUE(transfer.Failed());
+}
+
+// A rate is a probability and a frame has one fate: construction throws
+// naming the field for a rate outside [0, 1] (NaN included) or rates that
+// sum past 1.
+TEST(FaultInjector, RatesMustBeProbabilities) {
+  const auto error_of = [](const FaultInjectorConfig& config) -> std::string {
+    try {
+      FaultInjector injector(config);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of({}), "");
+  EXPECT_EQ(error_of({.drop_rate = 1.0}), "");
+  EXPECT_EQ(error_of({.drop_rate = 0.5, .corrupt_rate = 0.25,
+                      .reorder_rate = 0.25}),
+            "");
+  EXPECT_NE(error_of({.drop_rate = 7.0}).find("drop_rate must be in [0, 1]"),
+            std::string::npos);
+  EXPECT_NE(error_of({.drop_rate = -0.1}).find("drop_rate"),
+            std::string::npos);
+  EXPECT_NE(error_of({.corrupt_rate = 1.5}).find("corrupt_rate"),
+            std::string::npos);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(error_of({.reorder_rate = nan}).find("reorder_rate"),
+            std::string::npos);
+  EXPECT_NE(error_of({.drop_rate = 0.6, .corrupt_rate = 0.3,
+                      .reorder_rate = 0.2})
+                .find("drop_rate + corrupt_rate + reorder_rate must be <= 1"),
+            std::string::npos);
 }
 
 TEST(FaultInjector, DeterministicAndCounted) {
@@ -264,7 +298,7 @@ TEST(EventTrace, JsonlIsOneObjectPerLineWithEscaping) {
   EXPECT_NE(text.find("{\"t_ms\":1234567.25,"), std::string::npos);
   EXPECT_NE(text.find("\"note\":\"a\\u0001b\\u000ac\"}\n"),
             std::string::npos);
-  EXPECT_EQ(trace.CountKind(TraceEventKind::FrameDropped), 1u);
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::FrameDropped), 1u);
   trace.Clear();
   EXPECT_TRUE(trace.Events().empty());
 }

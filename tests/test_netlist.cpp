@@ -27,8 +27,8 @@ TEST(Netlist, BuildsAndLevelizesSimpleCircuit) {
   EXPECT_EQ(nl.LevelOf(g2), 2u);
   EXPECT_EQ(nl.MaxLevel(), 2u);
   EXPECT_EQ(nl.CombinationalGateCount(), 2u);
-  EXPECT_EQ(nl.FindByName("g2"), g2);
-  EXPECT_EQ(nl.FindByName("nope"), kInvalidNode);
+  EXPECT_EQ(FindByName(nl, "g2"), g2);
+  EXPECT_EQ(FindByName(nl, "nope"), kInvalidNode);
 }
 
 TEST(Netlist, FanoutsAreDerived) {
@@ -114,8 +114,8 @@ TEST(BenchIo, RoundTripsC17) {
 TEST(BenchIo, ParsesSequentialWithForwardFlopReference) {
   auto nl = ParseBenchString(testing::kTinySeq);
   EXPECT_EQ(nl.Flops().size(), 2u);
-  const NodeId q0 = nl.FindByName("q0");
-  const NodeId d0 = nl.FindByName("d0");
+  const NodeId q0 = FindByName(nl, "q0");
+  const NodeId d0 = FindByName(nl, "d0");
   ASSERT_NE(q0, kInvalidNode);
   ASSERT_NE(d0, kInvalidNode);
   EXPECT_EQ(nl.FaninsOf(q0)[0], d0);

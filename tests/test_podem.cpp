@@ -68,7 +68,7 @@ TEST(Podem, HandlesFlopBoundaries) {
   auto nl = netlist::ParseBenchString(bistdse::testing::kTinySeq);
   Podem podem(nl);
   // Fault on the AND gate output (feeds d1/PPO).
-  const NodeId d1 = nl.FindByName("d1");
+  const NodeId d1 = FindByName(nl, "d1");
   auto result = podem.Generate({d1, -1, false});
   ASSERT_EQ(result.outcome, PodemOutcome::Detected);
   EXPECT_TRUE(CubeDetects(nl, result.cube, {d1, -1, false}));

@@ -120,7 +120,7 @@ TEST_P(CanBoundProperty, AnalysisDominatesSimulation) {
     m.name += std::to_string(i);
     bus.AddMessage(m);
   }
-  if (!bus.Schedulable()) GTEST_SKIP() << "random set unschedulable";
+  if (!testing::Schedulable(bus)) GTEST_SKIP() << "random set unschedulable";
 
   const auto sim_result = testing::RunBusOnEngine(bus, 2000.0);
   for (const auto& [id, stats] : sim_result.per_id) {
@@ -156,7 +156,7 @@ TEST_P(MirroredSwapProperty, MirroringIsInvisibleAndBounded) {
     m.name += std::to_string(i);
     base.AddMessage(m);
   }
-  if (!base.Schedulable()) GTEST_SKIP() << "random set unschedulable";
+  if (!testing::Schedulable(base)) GTEST_SKIP() << "random set unschedulable";
 
   // A random non-empty strict subset plays the shut-off ECU's TX set.
   std::vector<can::CanMessage> ecu;

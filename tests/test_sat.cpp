@@ -2,6 +2,7 @@
 
 #include <bitset>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "sat/solver.hpp"
@@ -9,6 +10,18 @@
 
 namespace bistdse::sat {
 namespace {
+
+/// A solver over a formula of `n` variables of which exactly one is true:
+/// the one-hot constraint the DSE encodings add with
+/// Formula::AddExactlyOne.
+std::unique_ptr<Solver> ExactlyOneOf(std::size_t n) {
+  auto formula = std::make_shared<Formula>();
+  std::vector<Lit> lits;
+  for (std::size_t i = 0; i < n; ++i) lits.push_back(PosLit(formula->NewVar()));
+  formula->AddExactlyOne(lits);
+  formula->Index();
+  return std::make_unique<Solver>(std::move(formula));
+}
 
 TEST(SatSolver, TrivialSatAndModel) {
   Solver s;
@@ -200,13 +213,10 @@ TEST(SatSolver, PbCoefficientSumOverflowThrows) {
 }
 
 TEST(SatSolver, ExactlyOne) {
-  Solver s;
-  std::vector<Lit> lits;
-  for (int i = 0; i < 8; ++i) lits.push_back(PosLit(s.NewVar()));
-  s.AddExactlyOne(lits);
-  ASSERT_EQ(s.Solve(), SolveResult::Sat);
+  const auto s = ExactlyOneOf(8);
+  ASSERT_EQ(s->Solve(), SolveResult::Sat);
   int count = 0;
-  for (Lit l : lits) count += s.IsTrue(VarOf(l));
+  for (Var v = 0; v < 8; ++v) count += s->IsTrue(v);
   EXPECT_EQ(count, 1);
 }
 
@@ -231,28 +241,21 @@ TEST(SatSolver, DecisionPolicyFollowsPhases) {
 TEST(SatSolver, DecisionPolicyOrderMatters) {
   // x XOR y (exactly one); priority decides which one wins.
   for (int first = 0; first < 2; ++first) {
-    Solver s;
-    const Var x = s.NewVar(), y = s.NewVar();
-    s.AddExactlyOne(std::vector<Lit>{PosLit(x), PosLit(y)});
+    const auto s = ExactlyOneOf(2);
+    const Var x = 0, y = 1;
     std::vector<Var> order = first == 0 ? std::vector<Var>{x, y}
                                         : std::vector<Var>{y, x};
     std::vector<std::uint8_t> phases = {1, 1};
-    s.SetDecisionPolicy(order, phases);
-    ASSERT_EQ(s.Solve(), SolveResult::Sat);
-    EXPECT_EQ(s.IsTrue(x), first == 0);
-    EXPECT_EQ(s.IsTrue(y), first == 1);
+    s->SetDecisionPolicy(order, phases);
+    ASSERT_EQ(s->Solve(), SolveResult::Sat);
+    EXPECT_EQ(s->IsTrue(x), first == 0);
+    EXPECT_EQ(s->IsTrue(y), first == 1);
   }
 }
 
 TEST(SatSolver, ResolveWithDifferentPoliciesReusesInstance) {
-  Solver s;
-  std::vector<Lit> lits;
-  std::vector<Var> vars;
-  for (int i = 0; i < 6; ++i) {
-    vars.push_back(s.NewVar());
-    lits.push_back(PosLit(vars.back()));
-  }
-  s.AddExactlyOne(lits);
+  const auto s = ExactlyOneOf(6);
+  std::vector<Var> vars = {0, 1, 2, 3, 4, 5};
   for (int pick = 0; pick < 6; ++pick) {
     std::vector<Var> order;
     order.push_back(vars[pick]);
@@ -260,9 +263,9 @@ TEST(SatSolver, ResolveWithDifferentPoliciesReusesInstance) {
       if (i != pick) order.push_back(vars[i]);
     std::vector<std::uint8_t> phases(6, 0);
     phases[0] = 1;  // prefer the picked one true
-    s.SetDecisionPolicy(order, phases);
-    ASSERT_EQ(s.Solve(), SolveResult::Sat);
-    EXPECT_TRUE(s.IsTrue(vars[pick])) << pick;
+    s->SetDecisionPolicy(order, phases);
+    ASSERT_EQ(s->Solve(), SolveResult::Sat);
+    EXPECT_TRUE(s->IsTrue(vars[pick])) << pick;
   }
 }
 

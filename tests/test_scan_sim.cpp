@@ -84,35 +84,12 @@ TEST(ScanSim, CycleAccountingMatchesTimingModel) {
             static_cast<std::uint64_t>(kPatterns) * scan.CyclesPerPattern());
 }
 
-TEST(ScanSim, StateRestoreRecoversFunctionalState) {
-  auto nl = bistdse::testing::MakeSmallRandom(51, 150);
-  ScanChainSimulator scan(nl, 4);
-  util::SplitMix64 rng(8);
-
-  // "Functional" state to preserve across the BIST session.
-  std::vector<std::uint8_t> saved(nl.Flops().size());
-  for (auto& b : saved) b = rng.Chance(0.5);
-
-  // Session scrambles the flops arbitrarily.
-  sim::BitPattern pattern(nl.CoreInputs().size());
-  for (auto& b : pattern) b = rng.Chance(0.5);
-  scan.ApplyAndObserve(pattern);
-
-  const auto cycles_before = scan.CyclesElapsed();
-  scan.RestoreState(saved);
-  EXPECT_EQ(scan.FlopState(), saved);
-  // Restore costs exactly one full shift of the longest chain.
-  EXPECT_EQ(scan.CyclesElapsed() - cycles_before, scan.MaxChainLength());
-}
-
 TEST(ScanSim, RejectsDegenerateInputs) {
   auto nl = bistdse::testing::MakeSmallRandom(49, 120);
   EXPECT_THROW(ScanChainSimulator(nl, 0), std::invalid_argument);
   ScanChainSimulator scan(nl, 4);
   sim::BitPattern wrong(3, 0);
   EXPECT_THROW(scan.ApplyAndObserve(wrong), std::invalid_argument);
-  std::vector<std::uint8_t> wrong_state(3, 0);
-  EXPECT_THROW(scan.RestoreState(wrong_state), std::invalid_argument);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "serve/versioned_store.hpp"
 #include "serve/wire.hpp"
 #include "test_helpers.hpp"
+#include "trace_count.hpp"
 
 namespace bistdse::serve {
 namespace {
@@ -152,10 +153,7 @@ TEST_F(ServeTest, WireRejectsMalformedBuffers) {
 
   // A correctly sealed payload whose element count overstates the bytes
   // that follow is truncated; no allocation is sized from the count.
-  const auto reseal_with_huge_count = [](std::vector<std::uint8_t> buffer,
-                                         std::size_t count_offset) {
-    const std::uint32_t count = 0xFFFFFFFFu;
-    std::memcpy(buffer.data() + count_offset, &count, sizeof count);
+  const auto reseal = [](std::vector<std::uint8_t> buffer) {
     const std::size_t body = buffer.size() - sizeof(std::uint64_t);
     std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a seal over the body
     for (std::size_t i = 0; i < body; ++i) {
@@ -163,6 +161,12 @@ TEST_F(ServeTest, WireRejectsMalformedBuffers) {
     }
     std::memcpy(buffer.data() + body, &h, sizeof h);
     return buffer;
+  };
+  const auto reseal_with_huge_count = [&](std::vector<std::uint8_t> buffer,
+                                          std::size_t count_offset) {
+    const std::uint32_t count = 0xFFFFFFFFu;
+    std::memcpy(buffer.data() + count_offset, &count, sizeof count);
+    return reseal(std::move(buffer));
   };
   const auto error_of = [](const auto& decode) -> std::string {
     try {
@@ -184,6 +188,31 @@ TEST_F(ServeTest, WireRejectsMalformedBuffers) {
       wire::EncodeRanking(std::span(&candidate, 1)), 4);
   EXPECT_EQ(error_of([&] { wire::DecodeRanking(forged_ranking); }),
             "wire ranking: truncated payload");
+
+  // Bytes between the last element and the seal: the decoders accept only
+  // what the encoders emit.
+  const auto reseal_with_tail = [&](std::vector<std::uint8_t> buffer) {
+    const std::uint8_t tail[] = {0xde, 0xad, 0xbe, 0xef};
+    buffer.insert(buffer.end() - sizeof(std::uint64_t), std::begin(tail),
+                  std::end(tail));
+    return reseal(std::move(buffer));
+  };
+  ASSERT_FALSE(queries_.front().fail_data.empty());
+  const auto long_query = reseal_with_tail(bytes);
+  EXPECT_EQ(error_of([&] { wire::DecodeQuery(long_query); }),
+            "wire query: trailing bytes");
+  const auto long_ranking =
+      reseal_with_tail(wire::EncodeRanking(std::span(&candidate, 1)));
+  EXPECT_EQ(error_of([&] { wire::DecodeRanking(long_ranking); }),
+            "wire ranking: trailing bytes");
+
+  // A polarity byte other than 0 or 1. Ranking layout: magic, count, then
+  // per candidate the node (4 bytes), the fanin index (1) and the polarity.
+  auto bad_polarity = wire::EncodeRanking(std::span(&candidate, 1));
+  bad_polarity[4 + 4 + 4 + 1] = 7;
+  bad_polarity = reseal(std::move(bad_polarity));
+  EXPECT_EQ(error_of([&] { wire::DecodeRanking(bad_polarity); }),
+            "wire ranking: bad polarity");
 }
 
 TEST_F(ServeTest, ServedRankingsBitIdenticalAcrossThreadsAndLoss) {
@@ -428,10 +457,13 @@ TEST_F(ServeTest, RequestLifecycleRidesTheTrace) {
   server.Run();
   ASSERT_TRUE(server.AllDone());
 
-  EXPECT_GT(trace.CountKind(net::TraceEventKind::RequestAdmitted), 0u);
-  EXPECT_GT(trace.CountKind(net::TraceEventKind::BatchDispatched), 0u);
-  EXPECT_GT(trace.CountKind(net::TraceEventKind::RequestAnswered), 0u);
-  EXPECT_EQ(trace.CountKind(net::TraceEventKind::DictReload), 1u);
+  EXPECT_GT(testing::CountKind(trace, net::TraceEventKind::RequestAdmitted),
+            0u);
+  EXPECT_GT(testing::CountKind(trace, net::TraceEventKind::BatchDispatched),
+            0u);
+  EXPECT_GT(testing::CountKind(trace, net::TraceEventKind::RequestAnswered),
+            0u);
+  EXPECT_EQ(testing::CountKind(trace, net::TraceEventKind::DictReload), 1u);
   // Completed transfers carry the attribution suffix.
   bool attributed = false;
   for (const net::TraceEvent& event : trace.Events()) {

@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "casestudy/casestudy.hpp"
-#include "dse/bus_load.hpp"
 #include "dse/decoder.hpp"
 #include "dse/objectives.hpp"
 #include "dse/session_plan.hpp"
@@ -19,6 +18,7 @@
 #include "model/implementation.hpp"
 #include "net/campaign.hpp"
 #include "net/session_executor.hpp"
+#include "trace_count.hpp"
 
 namespace bistdse::net {
 namespace {
@@ -97,16 +97,6 @@ TEST(SessionExecutor, ZeroLossDownloadMatchesEq1WithinFivePercent) {
     EXPECT_TRUE(saw_functional);
   }
   EXPECT_LE(report.max_download_rel_error, 0.05);
-
-  // The verdict travels into the analytical bus-load report.
-  dse::BusLoadValidator validator(cs.spec);
-  auto bus_report = validator.Validate(cs.augmentation, impl);
-  EXPECT_FALSE(bus_report.operational.ran);
-  AttachOperationalValidation(report, bus_report);
-  EXPECT_TRUE(bus_report.operational.ran);
-  EXPECT_TRUE(bus_report.operational.all_sessions_completed);
-  EXPECT_TRUE(bus_report.operational.wcrt_dominated);
-  EXPECT_LE(bus_report.operational.max_download_rel_error, 0.05);
 }
 
 // Acceptance: with 1 % injected frame loss every session still completes via
@@ -133,7 +123,7 @@ TEST(SessionExecutor, OnePercentFrameLossCompletesViaTracedRetries) {
   }
 
   // One trace event per retransmission, each tied to a transport transfer.
-  EXPECT_EQ(trace.CountKind(TraceEventKind::Retransmission),
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::Retransmission),
             report.total_retransmissions);
   for (const auto& e : trace.Events()) {
     if (e.kind == TraceEventKind::Retransmission) {
@@ -142,11 +132,11 @@ TEST(SessionExecutor, OnePercentFrameLossCompletesViaTracedRetries) {
     }
   }
   // Dropped transport frames are traced even without frame-level tracing.
-  EXPECT_GE(trace.CountKind(TraceEventKind::FrameDropped), 1u);
+  EXPECT_GE(testing::CountKind(trace, TraceEventKind::FrameDropped), 1u);
   // Phase boundaries and transfer lifecycles are present.
-  EXPECT_EQ(trace.CountKind(TraceEventKind::PhaseStart),
-            trace.CountKind(TraceEventKind::PhaseEnd));
-  EXPECT_EQ(trace.CountKind(TraceEventKind::TransferCompleted),
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::PhaseStart),
+            testing::CountKind(trace, TraceEventKind::PhaseEnd));
+  EXPECT_EQ(testing::CountKind(trace, TraceEventKind::TransferCompleted),
             2 * report.sessions.size());  // download + upload per session
 
   // JSONL export: one line per event, kinds spelled out.
@@ -428,7 +418,7 @@ TEST(SessionExecutor, FrameTracedExecutionIsPinned) {
   ASSERT_EQ(report.sessions.size(), 3u);
   EXPECT_TRUE(report.all_completed);
   EXPECT_GT(report.total_retransmissions, 0u);
-  EXPECT_GT(trace.CountKind(TraceEventKind::GatewayForward), 0u);
+  EXPECT_GT(testing::CountKind(trace, TraceEventKind::GatewayForward), 0u);
   testing::ExecutionHasher report_hash;
   report_hash.Report(report);
   testing::ExecutionHasher trace_hash;

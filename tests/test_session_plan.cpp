@@ -39,8 +39,7 @@ TEST(SessionPlan, PhasesAreContiguousAndConsistentWithEq5) {
   auto cs = SmallCaseStudy();
   SatDecoder decoder(cs.spec, cs.augmentation);
   const auto impl = Forced(cs, decoder, /*local=*/false);
-  SessionPlanOptions options;
-  const auto plans = PlanSessions(cs.spec, cs.augmentation, impl, options);
+  const auto plans = PlanSessions(cs.spec, cs.augmentation, impl);
   ASSERT_FALSE(plans.empty());
 
   const auto pn = AnalyzePartialNetworking(cs.spec, cs.augmentation, impl);

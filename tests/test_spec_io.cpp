@@ -10,6 +10,11 @@
 namespace bistdse::model {
 namespace {
 
+ParsedSpec ParseSpecString(const std::string& text) {
+  std::istringstream in(text);
+  return ParseSpec(in);
+}
+
 const char* kTinySpec = R"(
 # two ECUs, one bus, sensor -> ctrl -> actuator
 resource gw gateway 20 1e-6

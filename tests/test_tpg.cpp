@@ -107,35 +107,6 @@ TEST(Tpg, DeterministicForFixedSeed) {
   EXPECT_EQ(a.total_care_bits, b.total_care_bits);
 }
 
-TEST(Tpg, StaticCompactionShrinksOrKeepsAndPreservesCoverage) {
-  auto nl = bistdse::testing::MakeSmallRandom(53, 250);
-  auto faults = CollapsedFaults(nl);
-
-  DeterministicTpgOptions plain;
-  plain.reverse_compaction = false;
-  DeterministicTpgOptions compacted = plain;
-  compacted.static_compaction = true;
-
-  const auto a = GenerateDeterministicPatterns(nl, faults, plain);
-  const auto b = GenerateDeterministicPatterns(nl, faults, compacted);
-  EXPECT_LE(b.patterns.size(), a.patterns.size());
-  EXPECT_GE(CountDetected(nl, b.patterns, faults),
-            CountDetected(nl, a.patterns, faults));
-}
-
-TEST(Tpg, MergeCompatibleCubesHonorsConflicts) {
-  TestCube a, b, c;
-  a.bits = {Value3::One, Value3::X, Value3::X};
-  b.bits = {Value3::X, Value3::Zero, Value3::X};     // compatible with a
-  c.bits = {Value3::Zero, Value3::X, Value3::One};   // conflicts with a+b
-  const std::vector<TestCube> cubes = {a, b, c};
-  const auto merged = MergeCompatibleCubes(cubes);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].bits,
-            (std::vector<Value3>{Value3::One, Value3::Zero, Value3::X}));
-  EXPECT_EQ(merged[1].bits, c.bits);
-}
-
 TEST(Tpg, EmptyTargetsYieldNoPatterns) {
   auto nl = testing::MakeC17();
   auto result = GenerateDeterministicPatterns(nl, {});

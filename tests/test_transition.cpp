@@ -104,8 +104,6 @@ TEST(TransitionFault, UniverseAndNames) {
   auto nl = bistdse::testing::MakeC17();
   const auto faults = TransitionFaults(nl);
   EXPECT_EQ(faults.size(), 2 * nl.NodeCount());
-  EXPECT_EQ(ToString(nl, TransitionFault{nl.FindByName("22"), true}), "22/STR");
-  EXPECT_EQ(ToString(nl, TransitionFault{nl.FindByName("22"), false}), "22/STF");
 }
 
 }  // namespace

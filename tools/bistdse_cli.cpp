@@ -79,6 +79,28 @@ std::size_t BlockWidthFlag(const Flags& flags, std::uint64_t fallback) {
   return static_cast<std::size_t>(w);
 }
 
+/// A loss-rate flag, checked where the command starts: a rate outside
+/// [0, 1] exits 2 naming the flag.
+double RateFlag(const Flags& flags, std::string_view name, double fallback) {
+  const double rate = flags.Real(name, fallback);
+  if (rate < 0.0 || rate > 1.0) {
+    std::fprintf(stderr, "invalid --%.*s %g (a loss rate must be in [0, 1])\n",
+                 static_cast<int>(name.size()), name.data(), rate);
+    std::exit(2);
+  }
+  return rate;
+}
+
+/// Exits 2 naming the flags unless their loss rates sum to at most 1, as
+/// net::FaultInjector requires: a frame has one fate.
+void CheckRateSum(double sum, const char* flags) {
+  if (sum > 1.0) {
+    std::fprintf(stderr, "invalid %s = %g (loss rates must sum to at most 1)\n",
+                 flags, sum);
+    std::exit(2);
+  }
+}
+
 /// The paper's STUMPS configuration with --window applied, validated at
 /// parse time: a window the engines reject (0) exits 2 naming the field.
 bist::StumpsConfig SessionConfigFlags(const Flags& flags) {
@@ -93,13 +115,15 @@ bist::StumpsConfig SessionConfigFlags(const Flags& flags) {
 
 // --simulate-sessions: frame-accurate replay of every planned BIST session
 // on the implementation's routed bus network, cross-checked against the
-// analytical Eq.-1 / WCRT numbers. Returns 0 when every session completed
-// and no frame exceeded its analytical worst-case response time.
+// analytical Eq.-1 / WCRT numbers under `frame_loss` (--frame-loss, read by
+// the caller before any work). Returns 0 when every session completed and
+// no frame exceeded its analytical worst-case response time.
 int SimulateSessions(const model::Specification& spec,
                      const model::BistAugmentation& augmentation,
-                     const model::Implementation& impl, const Flags& flags) {
+                     const model::Implementation& impl, const Flags& flags,
+                     double frame_loss) {
   net::SessionExecutorOptions options;
-  options.faults.drop_rate = flags.Real("frame-loss", 0.0);
+  options.faults.drop_rate = frame_loss;
   options.faults.seed = flags.U64("seed", 1);
   net::SessionExecutor executor(spec, augmentation, options);
   net::EventTrace trace;
@@ -134,6 +158,7 @@ int SimulateSessions(const model::Specification& spec,
 }
 
 int RunExplore(const Flags& flags) {
+  const double frame_loss = RateFlag(flags, "frame-loss", 0.0);
   casestudy::CaseStudy cs;
   if (flags.Has("spec")) {
     try {
@@ -223,7 +248,7 @@ int RunExplore(const Flags& flags) {
       }
       if (flags.Has("simulate-sessions")) {
         SimulateSessions(cs.spec, cs.augmentation, picks[i]->implementation,
-                         flags);
+                         flags, frame_loss);
       }
     }
   }
@@ -273,9 +298,13 @@ int RunCorpus(const Flags& flags) {
   options.exploration.seed = corpus.seed;
   options.min_quality_percent = flags.Real("min-quality", 80.0);
   options.campaign.rounds = flags.U64("rounds", 3);
-  options.campaign.max_drop_rate = flags.Real("max-drop", 0.04);
-  options.campaign.max_corrupt_rate = flags.Real("max-corrupt", 0.02);
-  options.campaign.max_reorder_rate = flags.Real("max-reorder", 0.02);
+  options.campaign.max_drop_rate = RateFlag(flags, "max-drop", 0.04);
+  options.campaign.max_corrupt_rate = RateFlag(flags, "max-corrupt", 0.02);
+  options.campaign.max_reorder_rate = RateFlag(flags, "max-reorder", 0.02);
+  CheckRateSum(options.campaign.max_drop_rate +
+                   options.campaign.max_corrupt_rate +
+                   options.campaign.max_reorder_rate,
+               "--max-drop + --max-corrupt + --max-reorder");
   options.campaign.seed = corpus.seed;
 
   const auto report =
@@ -564,6 +593,13 @@ bist::DictionaryStore LoadShardedStore(const std::string& path,
 }
 
 int RunDictServe(const Flags& flags) {
+  net::FaultInjectorConfig loss;
+  loss.drop_rate = RateFlag(flags, "frame-loss", 0.0);
+  loss.corrupt_rate = RateFlag(flags, "corrupt", 0.0);
+  loss.reorder_rate = RateFlag(flags, "reorder", 0.0);
+  CheckRateSum(loss.drop_rate + loss.corrupt_rate + loss.reorder_rate,
+               "--frame-loss + --corrupt + --reorder");
+  loss.seed = flags.U64("seed", 3);
   const std::string path = flags.Str("in", "");
   const bool mapped = flags.Has("mmap");
   const std::size_t shards = std::max<std::uint64_t>(1, flags.U64("shards", 4));
@@ -610,10 +646,7 @@ int RunDictServe(const Flags& flags) {
   server_config.max_inflight = std::max<std::uint64_t>(
       1, flags.U64("max-inflight", 64));
   server_config.slot_period_ms = flags.Real("period", 1.0);
-  server_config.faults.drop_rate = flags.Real("frame-loss", 0.0);
-  server_config.faults.corrupt_rate = flags.Real("corrupt", 0.0);
-  server_config.faults.reorder_rate = flags.Real("reorder", 0.0);
-  server_config.faults.seed = flags.U64("seed", 3);
+  server_config.faults = loss;
 
   net::EventTrace trace;
   const bool want_trace = flags.Has("trace-out");
@@ -730,6 +763,7 @@ int ExitOneOnError(const Flags& flags) {
 }
 
 int RunPlan(const Flags& flags) {
+  const double frame_loss = RateFlag(flags, "frame-loss", 0.0);
   model::ParsedSpec parsed;
   model::BistAugmentation augmentation;
   model::Implementation impl;
@@ -770,7 +804,8 @@ int RunPlan(const Flags& flags) {
                 report.deadline_violations.size());
   }
   if (flags.Has("simulate-sessions")) {
-    return SimulateSessions(parsed.spec, augmentation, impl, flags);
+    return SimulateSessions(parsed.spec, augmentation, impl, flags,
+                            frame_loss);
   }
   return 0;
 }
